@@ -53,6 +53,7 @@ from .classify import (
     seed_solution,
 )
 from .verify import (
+    IntegratorFailed,
     InvariantReport,
     PoleOnPath,
     invariant_report,

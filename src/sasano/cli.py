@@ -27,7 +27,8 @@ from .systems import (
     System,
     parse_system,
 )
-from .verify import PoleOnPath, invariant_report, numeric_crosscheck, pole_free_interval, verify_solution
+from .verify import (IntegratorFailed, PoleOnPath, invariant_report, numeric_crosscheck,
+                     pole_free_interval, verify_solution)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -133,6 +134,8 @@ def _run_verify(args) -> int:
             checks.append(("numeric_crosscheck", deviation <= 1e-6))
         except PoleOnPath:
             pass
+        except IntegratorFailed:
+            checks.append(("numeric_crosscheck", False))
 
     all_ok = all(flag for _, flag in checks)
     if args.json:
@@ -225,9 +228,11 @@ def _run_batch(path: str) -> int:
                     value = request[key]
                     if key == "alphas" and isinstance(value, list):
                         value = ",".join(value)
-                    argv += [f"--{key}", str(value)]
+                    # one token, so that a value starting with "-" is not
+                    # taken for an option
+                    argv.append(f"--{key}={value}")
             if "order" in request:
-                argv += ["--order", str(request["order"])]
+                argv.append(f"--order={request['order']}")
             if request.get("json"):
                 argv += ["--json"]
             code = main(argv)

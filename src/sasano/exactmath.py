@@ -16,11 +16,10 @@ Representation invariants:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
-
-import numpy as np
 
 Rat = Fraction
 RatLike = Union[Fraction, int, str]
@@ -76,15 +75,9 @@ class Polynomial:
             if not self.coeffs:
                 self._ints = ((), Fraction(0))
             else:
-                lcm = 1
-                for c in self.coeffs:
-                    lcm = lcm * c.denominator // _gcd_int(lcm, c.denominator)
+                lcm = math.lcm(*(c.denominator for c in self.coeffs))
                 ints = [c.numerator * (lcm // c.denominator) for c in self.coeffs]
-                content = 0
-                for v in ints:
-                    content = _gcd_int(content, v)
-                    if content == 1:
-                        break
+                content = math.gcd(*ints)
                 if content > 1:
                     ints = [v // content for v in ints]
                 self._ints = (tuple(ints), Fraction(content, lcm))
@@ -206,9 +199,10 @@ class Polynomial:
         return self.scale(1 / self.leading)
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic gcd, computed over Z by the subresultant remainder
-        sequence (with a modular coprimality fast path) to avoid the
-        coefficient blow-up of the plain Euclidean algorithm."""
+        """Monic gcd, computed over Z on the primitive integer images
+        (see `_int_poly_gcd`: a GF(p) coprimality test, then the heuristic
+        gcd, then the subresultant sequence) to avoid the coefficient
+        blow-up of the plain Euclidean algorithm over Q."""
         if self.is_zero():
             return other.monic()
         if other.is_zero():
@@ -305,18 +299,6 @@ def _int_exact_div(a, b):
     return quo
 
 
-_GCD_PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
-    2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
-    2147483423, 2147483399, 2147483353, 2147483323, 2147483269,
-    2147483249, 2147483237, 2147483179, 2147483171, 2147483137,
-    2147483123, 2147483077, 2147483069, 2147483059, 2147483053,
-    2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
-    2147482937, 2147482921, 2147482877, 2147482873, 2147482867,
-    2147482859, 2147482819, 2147482817, 2147482811, 2147482801,
-)
-
-
 def _int_prem(a: list, b: list) -> list:
     """Pseudo-remainder lc(b)**(deg a - deg b + 1) * a mod b over Z."""
     db = len(b) - 1
@@ -339,92 +321,92 @@ def _int_prem(a: list, b: list) -> list:
 
 
 def _int_poly_gcd(a, b) -> list:
-    """Primitive gcd of primitive integer polynomials.
+    """Primitive gcd, up to sign, of primitive integer polynomials.
 
-    Modular images with CRT reconstruction do the heavy lifting (each
-    lifted candidate is verified by exact trial division, so wrong or
-    unlucky primes cannot leak through); the subresultant remainder
-    sequence remains as the deterministic fallback should the prime
-    pool run out.
+    One Euclid over GF(p) bounds the degree of the gcd from above
+    whenever p misses one leading coefficient, because the image of the
+    true gcd then keeps its degree.  Bound 0 settles the coprime case,
+    which is most calls; bound deg b makes b the only candidate.
+    Otherwise the heuristic gcd reads the gcd off an integer gcd of values,
+    and the subresultant remainder sequence is the deterministic fallback.
+    Every candidate is verified by exact trial division.
     """
     if len(a) < len(b):
         a, b = b, a
-    g = _int_poly_gcd_modular(a, b)
+    if a[-1] % _GCD_PRIME or b[-1] % _GCD_PRIME:
+        bound = _mod_gcd_degree(a, b, _GCD_PRIME)
+        if bound == 0:
+            return [1]
+        if bound == len(b) - 1 and _int_exact_div(a, b) is not None:
+            return list(b)
+    g = _int_poly_gcd_heuristic(a, b)
     if g is not None:
         return g
     return _int_poly_gcd_subresultant(list(a), list(b))
 
 
-def _mod_gcd(f, g, p: int):
-    """Monic gcd of f, g over GF(p), as an int64 numpy array."""
-    f = np.array([c % p for c in f], dtype=np.int64)
-    g = np.array([c % p for c in g], dtype=np.int64)
-    while True:
-        nz = np.nonzero(g)[0]
-        if len(nz) == 0:
-            break
-        g = g[: nz[-1] + 1]
-        inv = pow(int(g[-1]), p - 2, p)
-        m = len(g)
-        while len(f) >= m:
-            top = int(f[-1]) * inv % p
+# below 2**15, so that the products in _mod_gcd_degree stay below 2**30,
+# one CPython digit; an unlucky prime only costs a trip to the heuristic gcd
+_GCD_PRIME = 32749
+
+
+def _mod_gcd_degree(a, b, p: int) -> int:
+    """Degree of gcd(a mod p, b mod p) over GF(p), for polynomials whose
+    images are nonzero (primitive inputs); plain Python ints throughout."""
+    f = [c % p for c in a]
+    g = [c % p for c in b]
+    while f and not f[-1]:
+        f.pop()
+    while g and not g[-1]:
+        g.pop()
+    while g:
+        inv = pow(g[-1], -1, p)
+        low = [c * inv % p for c in g[:-1]]  # g made monic, leading 1 implied
+        m = len(low)
+        while len(f) > m:
+            top = f.pop()
             if top:
                 k = len(f) - m
-                f[k:] = (f[k:] - top * g) % p
-            f = f[:-1]
+                f[k:] = [(x - top * c) % p for x, c in zip(f[k:], low)]
+        while f and not f[-1]:
+            f.pop()
         f, g = g, f
-    inv = pow(int(f[-1]), p - 2, p)
-    return (f * inv) % p
+    return len(f) - 1
 
 
-def _int_poly_gcd_modular(a, b):
-    """Brown's modular gcd; None if the prime pool is exhausted."""
-    gamma = _gcd_int(a[-1], b[-1])
-    modulus = 0
-    lifted = None
-    deg = None
-    for p in _GCD_PRIMES:
-        if a[-1] % p == 0 or b[-1] % p == 0:
-            continue
-        gp = _mod_gcd(a, b, p)
-        dp = len(gp) - 1
-        if dp == 0:
-            return [1]
-        if deg is None or dp < deg:
-            deg, modulus, lifted = dp, 0, None
-        elif dp > deg:
-            continue  # unlucky prime
-        scaled = [int(c) * gamma % p for c in gp]
-        if modulus == 0:
-            lifted, modulus = scaled, p
-        else:
-            lifted = _crt_combine(lifted, modulus, scaled, p)
-            modulus *= p
-        candidate = _symmetric_lift(lifted, modulus)
-        content = 0
-        for c in candidate:
-            content = _gcd_int(content, c)
-        if content:
-            candidate = [c // content for c in candidate]
-        if candidate[-1] < 0:
-            candidate = [-c for c in candidate]
-        if _int_exact_div(a, candidate) is not None and _int_exact_div(b, candidate) is not None:
-            return candidate
+def _int_poly_gcd_heuristic(a, b):
+    """Heuristic gcd of Char, Geddes and Gonnet (1984); None on failure.
+
+    With xi >= 2 min(|a|, |b|) + 2 (max norms), the primitive part of the
+    balanced base-xi digits of gcd(a(xi), b(xi)) is the gcd whenever it
+    divides both inputs, so a verified candidate is never wrong.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(6):
+        va, vb = _int_eval(a, xi), _int_eval(b, xi)
+        if va and vb:
+            h, cand = math.gcd(va, vb), []
+            while h:  # balanced base-xi digits, lowest first
+                h, d = divmod(h, xi)
+                if d > xi // 2:
+                    d -= xi
+                    h += 1
+                cand.append(d)
+            content = math.gcd(*cand)
+            if cand[-1] < 0:
+                content = -content
+            cand = [c // content for c in cand]
+            if _int_exact_div(a, cand) is not None and _int_exact_div(b, cand) is not None:
+                return cand
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011  # the published growth
     return None
 
 
-def _crt_combine(old: list, m: int, new: list, p: int) -> list:
-    inv = pow(m % p, p - 2, p)
-    out = []
-    for c_old, c_new in zip(old, new):
-        delta = (c_new - c_old) % p
-        out.append((c_old + m * (delta * inv % p)) % (m * p))
-    return out
-
-
-def _symmetric_lift(coeffs: list, m: int) -> list:
-    half = m // 2
-    return [c - m if c > half else c for c in coeffs]
+def _int_eval(a, x: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 def _int_poly_gcd_subresultant(a: list, b: list) -> list:
@@ -435,11 +417,8 @@ def _int_poly_gcd_subresultant(a: list, b: list) -> list:
         delta = (len(a) - 1) - (len(b) - 1)
         r = _int_prem(a, b)
         if not r:
-            ints = b
-            content = 0
-            for c in ints:
-                content = _gcd_int(content, c)
-            return [c // content for c in ints]
+            content = math.gcd(*b)
+            return [c // content for c in b]
         divisor = g * h ** delta
         a, b = b, [c // divisor for c in r]
         g = a[-1]
@@ -501,6 +480,8 @@ def _rational_root_candidates(p: Polynomial):
         return
     # extremes too large for divisor enumeration: identify candidates
     # numerically and let the exact evaluation above filter them
+    import numpy as np
+
     scale = max(abs(c) for c in ints)
     coeffs = [float(Fraction(c, scale)) for c in reversed(ints)]
     try:
@@ -512,12 +493,6 @@ def _rational_root_candidates(p: Polynomial):
             continue
         for bound in (10 ** 3, 10 ** 6, 10 ** 9):
             yield Fraction(float(r.real)).limit_denominator(bound)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n: int):

@@ -8,6 +8,8 @@ Hamiltonian at infinity and zero, and the residues of x at its finite
 rational poles.  For genuine rational solutions the two constant-term
 differences are integers, the y/w residue coefficients cancel, and each
 finite residue of x is an integer multiple of the pole location.
+
+numpy and scipy are imported inside the float helpers, which alone need them.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
-
-import numpy as np
-from scipy.integrate import solve_ivp
 
 from .exactmath import (
     INFINITY,
@@ -42,6 +41,10 @@ from .systems import (
 
 class PoleOnPath(ValueError):
     """The integration interval touches a pole of the exact solution."""
+
+
+class IntegratorFailed(RuntimeError):
+    """The integrator stopped short of the interval's end (the flow blew up)."""
 
 
 def verify_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
@@ -141,6 +144,7 @@ def invariant_report(params: ParameterTuple, sol: SolutionTuple) -> InvariantRep
 # -- numeric cross-check ------------------------------------------------------
 
 def _rhs(system: System, alphas):
+    import numpy as np
     a0, a1, a2, a3, a4 = (float(a) for a in alphas)
 
     if system is System.B4:
@@ -195,6 +199,7 @@ def _real_denominator_roots(sol: SolutionTuple) -> list:
     """Approximate real roots of all component denominators (for interval
     selection only; exactness is not needed to steer clear of blow-ups,
     and irrational poles break the integrator just as rational ones do)."""
+    import numpy as np
     hits = []
     for comp in sol.components():
         den = comp.den
@@ -246,6 +251,8 @@ def numeric_crosscheck(
     if hits:
         raise PoleOnPath(f"solution has poles at {[rat_str(c) for c in hits]} in the interval")
 
+    import numpy as np
+    from scipy.integrate import solve_ivp
     start = np.array([float(c.evaluate(t0)) for c in sol.components()])
     if initial_offset is not None:
         start = start + np.asarray(initial_offset, dtype=float)
@@ -261,7 +268,7 @@ def numeric_crosscheck(
         dense_output=True,
     )
     if not run.success:
-        raise RuntimeError(f"integrator failed: {run.message}")
+        raise IntegratorFailed(f"integrator failed: {run.message}")
 
     deviation = 0.0
     clamp = 1e6  # documents the check's domain; fixture components are small

@@ -2,6 +2,7 @@
 
 import json
 
+from sasano import rat, rat_str
 from sasano.cli import main
 
 
@@ -223,3 +224,40 @@ def test_batch_mode(capsys, tmp_path):
     assert rows[0] == {"verdict": "exists", "condition": 1}
     assert rows[1] == {"verdict": "not_exists"}
     assert rows[2]["verdict"] == "exists" and rows[2]["chart"] == "r1"
+
+
+def test_batch_mode_negative_first_alpha(capsys, tmp_path):
+    # a value starting with "-" must reach --alphas, not be read as an option
+    lines = [
+        {"subcommand": "classify", "system": "b4", "alphas": "-3/4,-3/4,5/4,-2/3,2/3"},
+        {"subcommand": "construct", "system": "b4", "alphas": ["-3/4", "-3/4", "5/4", "-2/3", "2/3"]},
+        {"subcommand": "classify", "system": "b4", "alphas": ["0", "0", "0", "0", "1/2"]},
+    ]
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    code, out = run(capsys, "--batch", str(batch))
+    assert code == 0
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(rows) == len(lines)
+    assert rows[0]["verdict"] == "exists"
+    assert rows[1]["verdict"] == "exists" and "solution" in rows[1]
+    assert rows[2] == {"verdict": "not_exists"}
+
+
+def test_verify_reports_integrator_failure(capsys, tmp_path):
+    # one off in a constant term: the flow through the corrupted initial
+    # value blows up and the integrator stops short of the interval's end
+    alphas = "--alphas=-3/4,-3/4,5/4,-2/3,2/3"
+    _, data = run_json(capsys, "construct", "--system", "b4", alphas)
+    sol = data["solution"]
+    name = next(k for k in "xyzw" if sol[k]["num"])
+    sol[name]["num"][0] = rat_str(rat(sol[name]["num"][0]) + 1)
+    sol_file = tmp_path / "corrupt.json"
+    sol_file.write_text(json.dumps(sol))
+    args = ("verify", "--system", "b4", alphas, "--solution", str(sol_file))
+    code, out = run(capsys, *args)
+    assert code == 1
+    assert "FAIL numeric_crosscheck" in out.splitlines()
+    code, report = run_json(capsys, *args, "--json")
+    assert code == 1
+    assert report["checks"]["numeric_crosscheck"] is False and report["pass"] is False
