@@ -5,8 +5,11 @@ Representation invariants:
 
   * Rational numbers are ``fractions.Fraction`` (arbitrary precision,
     positive denominator, gcd(|num|, den) = 1 by construction).
-  * ``Polynomial`` stores a tuple of Fractions by ascending power of t;
-    the last entry is nonzero, the zero polynomial is the empty tuple.
+  * ``Polynomial`` holds its coefficients by ascending power of t, as a
+    tuple of Fractions whose last entry is nonzero (the zero polynomial
+    is the empty tuple), or as a primitive integer image with one
+    positive rational scale, or both; either is derived from the other
+    on first use.
   * ``RationalFunction`` stores num/den with gcd(num, den) = 1 and a
     monic denominator; this canonical form makes ``==`` structural.
   * ``LaurentSeries`` is a finite coefficient window of the expansion of
@@ -54,29 +57,41 @@ def is_odd_integer(value: Fraction) -> bool:
 class Polynomial:
     """Univariate polynomial in t with exact rational coefficients.
 
-    Heavy operations (products, division, gcd) run on a lazily cached
-    primitive-integer image with one rational scale, which avoids a
-    bigint gcd per coefficient operation.
+    Arithmetic (sums, products, exact division, gcd, scaling) runs on a
+    primitive integer image with one positive rational scale, which is
+    unique, so a chain of operations makes no Fraction and takes no
+    bigint gcd per coefficient.  The Fraction coefficients are built on
+    first use of `coeffs`.
     """
 
-    __slots__ = ("coeffs", "_ints")
+    __slots__ = ("_coeffs", "_ints")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._coeffs = tuple(cs)
         self._ints = None
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, by ascending power of t."""
+        if self._coeffs is None:
+            ints, scale = self._ints
+            sn, sd = scale.numerator, scale.denominator
+            self._coeffs = tuple(Fraction(v * sn, sd) for v in ints)
+        return self._coeffs
 
     def _int_form(self):
         """(primitive integer coefficients, rational scale) with
-        coeffs[i] == scale * ints[i]."""
+        coeffs[i] == scale * ints[i] and scale > 0 (0 for the zero
+        polynomial)."""
         if self._ints is None:
-            if not self.coeffs:
+            if not self._coeffs:
                 self._ints = ((), Fraction(0))
             else:
-                lcm = math.lcm(*(c.denominator for c in self.coeffs))
-                ints = [c.numerator * (lcm // c.denominator) for c in self.coeffs]
+                lcm = math.lcm(*(c.denominator for c in self._coeffs))
+                ints = [c.numerator * (lcm // c.denominator) for c in self._coeffs]
                 content = math.gcd(*ints)
                 if content > 1:
                     ints = [v // content for v in ints]
@@ -85,8 +100,21 @@ class Polynomial:
 
     @staticmethod
     def _from_scaled(ints, scale: Fraction) -> "Polynomial":
-        sn, sd = scale.numerator, scale.denominator
-        return Polynomial([Fraction(v * sn, sd) for v in ints])
+        """scale * ints for integers ints (trailing zeros allowed) and a
+        rational scale > 0."""
+        ints = list(ints)
+        while ints and not ints[-1]:
+            ints.pop()
+        p = Polynomial.__new__(Polynomial)
+        if not ints:
+            p._coeffs, p._ints = (), None
+            return p
+        content = math.gcd(*ints)
+        if content > 1:
+            ints = [v // content for v in ints]
+            scale = scale * content
+        p._coeffs, p._ints = None, (tuple(ints), scale)
+        return p
 
     @staticmethod
     def const(c: RatLike) -> "Polynomial":
@@ -102,22 +130,30 @@ class Polynomial:
     ZERO: "Polynomial"
     ONE: "Polynomial"
 
+    def _size(self) -> int:
+        """Number of coefficients, from whichever form is at hand."""
+        return len(self._coeffs if self._coeffs is not None else self._ints[0])
+
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial mapped to -1."""
-        return len(self.coeffs) - 1
+        return self._size() - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._size()
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._size())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        if not isinstance(other, Polynomial):
+            return False
+        if self._coeffs is not None and other._coeffs is not None:
+            return self._coeffs == other._coeffs
+        return self._int_form() == other._int_form()
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self._int_form())
 
     def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
@@ -126,25 +162,39 @@ class Polynomial:
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        if self._coeffs is not None:
+            return self._coeffs[-1]
+        ints, scale = self._ints
+        return ints[-1] * scale
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Polynomial(
-            [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-        )
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        a, sa = self._int_form()
+        b, sb = other._int_form()
+        # sa*a + sb*b over the common denominator of the two scales
+        ma = sa.numerator * sb.denominator
+        mb = sb.numerator * sa.denominator
+        out = [ma * v for v in a] + [0] * (len(b) - len(a))
+        for i, v in enumerate(b):
+            out[i] += mb * v
+        return Polynomial._from_scaled(out, Fraction(1, sa.denominator * sb.denominator))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        if self.is_zero():
+            return self
+        a, sa = self._int_form()
+        return Polynomial._from_scaled([-v for v in a], sa)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coeffs or not other.coeffs:
+        if self.is_zero() or other.is_zero():
             return Polynomial()
         a, sa = self._int_form()
         b, sb = other._int_form()
@@ -157,7 +207,12 @@ class Polynomial:
 
     def scale(self, c: RatLike) -> "Polynomial":
         c = rat(c)
-        return Polynomial([c * a for a in self.coeffs])
+        if not c or self.is_zero():
+            return Polynomial()
+        a, sa = self._int_form()
+        if c < 0:
+            return Polynomial._from_scaled([-v for v in a], -c * sa)
+        return Polynomial._from_scaled(a, c * sa)
 
     def __divmod__(self, other: "Polynomial"):
         if other.is_zero():
@@ -210,10 +265,13 @@ class Polynomial:
         if self.degree == 0 or other.degree == 0:
             return Polynomial.ONE
         g = _int_poly_gcd(self._int_form()[0], other._int_form()[0])
-        return Polynomial(g).monic()
+        return Polynomial._from_scaled(g, Fraction(1)).monic()
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        if self.degree < 1:
+            return Polynomial()
+        a, sa = self._int_form()
+        return Polynomial._from_scaled([i * v for i, v in enumerate(a)][1:], sa)
 
     def evaluate(self, point: RatLike) -> Fraction:
         point = rat(point)
@@ -239,11 +297,17 @@ class Polynomial:
 
     def compose_negate(self) -> "Polynomial":
         """p(-t)."""
-        return Polynomial([(-c if i % 2 else c) for i, c in enumerate(self.coeffs)])
+        if self.is_zero():
+            return self
+        a, sa = self._int_form()
+        return Polynomial._from_scaled([(-v if i % 2 else v) for i, v in enumerate(a)], sa)
 
     def reversed_coeffs(self) -> "Polynomial":
         """t**deg * p(1/t); used for expansions at infinity."""
-        return Polynomial(list(reversed(self.coeffs)))
+        if self.is_zero():
+            return self
+        a, sa = self._int_form()
+        return Polynomial._from_scaled(a[::-1], sa)
 
     def trailing_order(self) -> int:
         """Multiplicity of the root t = 0 (0 for nonzero constant term)."""
@@ -466,6 +530,62 @@ def rational_roots(p: Polynomial) -> dict:
     return roots
 
 
+def has_real_root(p: Polynomial, lo: RatLike, hi: RatLike, depth: int = 20) -> bool:
+    """Whether p has a real root in the closed interval [lo, hi], decided
+    in integer arithmetic by Descartes' rule of signs with bisection.
+
+    A sign-variation count of 0 proves an interval root-free and 1 proves
+    one root in it.  A count of 2 or more that survives `depth` halvings
+    (width (hi - lo) / 2**depth) comes from a multiple root or a cluster
+    of roots within that width of the real axis and answers True.
+    """
+    lo, hi = rat(lo), rat(hi)
+    if p.is_zero():
+        raise ValueError("zero polynomial has every root")
+    if hi < lo:
+        return False
+    ints, _ = p._int_form()
+    n = len(ints) - 1
+    # q(u) = d**n * p(lo + (hi - lo) * u) with d the common denominator,
+    # so that the roots of p in [lo, hi] are those of q in [0, 1]
+    d = math.lcm(lo.denominator, hi.denominator)
+    a, w = lo.numerator * (d // lo.denominator), (hi - lo) * d
+    q = _taylor_shift([c * d ** (n - i) for i, c in enumerate(ints)], a)
+    q = [c * int(w) ** i for i, c in enumerate(q)]
+    if q[0] == 0 or sum(q) == 0:
+        return True
+    return _root_in_unit_interval(q, depth)
+
+
+def _taylor_shift(coeffs: list, a: int) -> list:
+    """Coefficients (ascending) of p(u + a) from those of p(u)."""
+    c = list(coeffs)
+    n = len(c) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
+
+
+def _root_in_unit_interval(q: list, depth: int) -> bool:
+    """Whether q, with q(0) and q(1) nonzero, has a root in (0, 1)."""
+    # roots in (0, 1) of q are the positive roots of (1 + y)**n q(1/(1 + y))
+    signs = [c > 0 for c in _taylor_shift(q[::-1], 1) if c]
+    variations = sum(s != t for s, t in zip(signs, signs[1:]))
+    if variations < 2:
+        return variations == 1
+    if depth == 0:
+        return True
+    n = len(q) - 1
+    left = [c << (n - i) for i, c in enumerate(q)]  # 2**n q(u / 2)
+    content = math.gcd(*left)
+    left = [c // content for c in left]
+    right = _taylor_shift(left, 1)  # 2**n q((u + 1) / 2)
+    if right[0] == 0:  # q(1/2) = 0
+        return True
+    return _root_in_unit_interval(left, depth - 1) or _root_in_unit_interval(right, depth - 1)
+
+
 _DIVISOR_SEARCH_BOUND = 10 ** 12
 
 
@@ -527,21 +647,33 @@ class RationalFunction:
             den = Polynomial(den) if isinstance(den, (list, tuple)) else Polynomial.const(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
+        if num.degree > 0 and den.degree > 0:
+            num, den = _cross_cancel(num, den)
+        self._set_canonical(num, den)
+
+    def _set_canonical(self, num: Polynomial, den: Polynomial) -> None:
+        """Store coprime num and nonzero den, with den made monic."""
         if num.is_zero():
             self.num = Polynomial.ZERO
             self.den = Polynomial.ONE
             return
-        if num.degree > 0 and den.degree > 0:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
         lead = den.leading
         if lead != 1:
             num = num.scale(1 / lead)
             den = den.scale(1 / lead)
         self.num = num
         self.den = den
+
+    @classmethod
+    def _coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den for num and den known to be coprime: no gcd is taken.
+
+        The arithmetic below proves coprimality from the canonical form of
+        its operands, which skips the gcd that the constructor would take.
+        """
+        out = cls.__new__(cls)
+        out._set_canonical(num, den)
+        return out
 
     @staticmethod
     def const(c: RatLike) -> "RationalFunction":
@@ -588,21 +720,25 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # cancel the common denominator factor first; the residual gcd of
-        # the sum is a divisor of that factor, which keeps reductions small
+        # Henrici: with g = gcd of the denominators, the sum
+        # (n1*d2' + n2*d1') / (g*d1'*d2') is coprime to d1' and d2', so only
+        # its gcd with g is left to cancel, and none when g = 1
         g = self.den.gcd(other.den)
-        if g.degree > 0:
-            b = self.den // g
-            d = other.den // g
-            return RationalFunction(self.num * d + other.num * b, self.den * d)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        if g.degree < 1:
+            return RationalFunction._coprime(
+                self.num * other.den + other.num * self.den, self.den * other.den)
+        b = self.den // g
+        d = other.den // g
+        num = self.num * d + other.num * b
+        h = num.gcd(g)
+        if h.degree > 0:
+            num, g = num // h, g // h
+        return RationalFunction._coprime(num, g * b * d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._coprime(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFunction":
         other = self._coerce(other)
@@ -619,7 +755,7 @@ class RationalFunction:
             return NotImplemented
         a, b = _cross_cancel(self.num, other.den)
         c, d = _cross_cancel(other.num, self.den)
-        return RationalFunction(a * c, d * b)
+        return RationalFunction._coprime(a * c, d * b)
 
     __rmul__ = __mul__
 
@@ -631,7 +767,7 @@ class RationalFunction:
             raise ZeroDivisionError("division by the zero rational function")
         a, b = _cross_cancel(self.num, other.num)
         c, d = _cross_cancel(other.den, self.den)
-        return RationalFunction(a * c, d * b)
+        return RationalFunction._coprime(a * c, d * b)
 
     def __rtruediv__(self, other) -> "RationalFunction":
         return self._coerce(other) / self
