@@ -265,7 +265,9 @@ class Polynomial:
         if self.degree == 0 or other.degree == 0:
             return Polynomial.ONE
         g = _int_poly_gcd(self._int_form()[0], other._int_form()[0])
-        return Polynomial._from_scaled(g, Fraction(1)).monic()
+        if g[-1] < 0:
+            g = [-v for v in g]
+        return Polynomial._from_scaled(g, Fraction(1, g[-1]))
 
     def derivative(self) -> "Polynomial":
         if self.degree < 1:
@@ -657,10 +659,15 @@ class RationalFunction:
             self.num = Polynomial.ZERO
             self.den = Polynomial.ONE
             return
-        lead = den.leading
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+        d, sd = den._int_form()
+        lead = d[-1]
+        if lead != 1 or sd != 1:
+            # den / (sd * lead) is d / lead: the scale moves to num alone
+            n, sn = num._int_form()
+            if lead < 0:
+                n, d, lead = [-v for v in n], [-v for v in d], -lead
+            num = Polynomial._from_scaled(n, sn / (sd * lead))
+            den = Polynomial._from_scaled(d, Fraction(1, lead))
         self.num = num
         self.den = den
 
@@ -753,6 +760,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other is self:  # a square: num and den are coprime already
+            return RationalFunction._coprime(self.num * self.num, self.den * self.den)
         a, b = _cross_cancel(self.num, other.den)
         c, d = _cross_cancel(other.num, self.den)
         return RationalFunction._coprime(a * c, d * b)
