@@ -193,40 +193,41 @@ def invert_word(w: GeneratorWord) -> GeneratorWord:
 
 # -- parameter actions -------------------------------------------------------
 
+# each letter's map on (a0, ..., a4); only the applied letter's entry is computed
+_PARAMS_MAPS = {
+    System.B4: {
+        "s0": lambda a0, a1, a2, a3, a4: (-a0, a1, a2 + a0, a3, a4),
+        "s1": lambda a0, a1, a2, a3, a4: (a0, -a1, a2 + a1, a3, a4),
+        "s2": lambda a0, a1, a2, a3, a4: (a0 + a2, a1 + a2, -a2, a3 + a2, a4),
+        "s3": lambda a0, a1, a2, a3, a4: (a0, a1, a2 + a3, -a3, a4 + a3),
+        "s4": lambda a0, a1, a2, a3, a4: (a0, a1, a2, a3 + 2 * a4, -a4),
+        "pi1": lambda a0, a1, a2, a3, a4: (a1, a0, a2, a3, a4),
+        "pi2": lambda a0, a1, a2, a3, a4: (2 * a4 + a3, a3, a2, a1, (a0 - a1) / 2),
+    },
+    System.D4: {
+        "s0": lambda a0, a1, a2, a3, a4: (-a0, a1, a2 + a0, a3, a4),
+        "s1": lambda a0, a1, a2, a3, a4: (a0, -a1, a2 + a1, a3, a4),
+        "s2": lambda a0, a1, a2, a3, a4: (a0 + a2, a1 + a2, -a2, a3 + a2, a4 + a2),
+        "s3": lambda a0, a1, a2, a3, a4: (a0, a1, a2 + a3, -a3, a4),
+        "s4": lambda a0, a1, a2, a3, a4: (a0, a1, a2 + a4, a3, -a4),
+        "pi1": lambda a0, a1, a2, a3, a4: (a1, a0, a2, a3, a4),
+        "pi2": lambda a0, a1, a2, a3, a4: (a0, a1, a2, a4, a3),
+        "pi3": lambda a0, a1, a2, a3, a4: (a4, a3, a2, a1, a0),
+        "pi4": lambda a0, a1, a2, a3, a4: (a3, a4, a2, a0, a1),
+    },
+    System.D5: {
+        "s0": lambda a0, a1, a2, a3, a4: (-a0, a1 + 2 * a0, a2, a3, a4),
+        "s1": lambda a0, a1, a2, a3, a4: (a0 + a1, -a1, a2 + a1, a3, a4),
+        "s2": lambda a0, a1, a2, a3, a4: (a0, a1 + a2, -a2, a3 + a2, a4),
+        "s3": lambda a0, a1, a2, a3, a4: (a0, a1, a2 + a3, -a3, a4 + a3),
+        "s4": lambda a0, a1, a2, a3, a4: (a0, a1, a2, a3 + 2 * a4, -a4),
+        "psi": lambda a0, a1, a2, a3, a4: (a4, a3, a2, a1, a0),
+    },
+}
+
+
 def _params_map(system: System, name: str, a):
-    a0, a1, a2, a3, a4 = a
-    if system is System.B4:
-        table = {
-            "s0": (-a0, a1, a2 + a0, a3, a4),
-            "s1": (a0, -a1, a2 + a1, a3, a4),
-            "s2": (a0 + a2, a1 + a2, -a2, a3 + a2, a4),
-            "s3": (a0, a1, a2 + a3, -a3, a4 + a3),
-            "s4": (a0, a1, a2, a3 + 2 * a4, -a4),
-            "pi1": (a1, a0, a2, a3, a4),
-            "pi2": (2 * a4 + a3, a3, a2, a1, (a0 - a1) / 2),
-        }
-    elif system is System.D4:
-        table = {
-            "s0": (-a0, a1, a2 + a0, a3, a4),
-            "s1": (a0, -a1, a2 + a1, a3, a4),
-            "s2": (a0 + a2, a1 + a2, -a2, a3 + a2, a4 + a2),
-            "s3": (a0, a1, a2 + a3, -a3, a4),
-            "s4": (a0, a1, a2 + a4, a3, -a4),
-            "pi1": (a1, a0, a2, a3, a4),
-            "pi2": (a0, a1, a2, a4, a3),
-            "pi3": (a4, a3, a2, a1, a0),
-            "pi4": (a3, a4, a2, a0, a1),
-        }
-    else:
-        table = {
-            "s0": (-a0, a1 + 2 * a0, a2, a3, a4),
-            "s1": (a0 + a1, -a1, a2 + a1, a3, a4),
-            "s2": (a0, a1 + a2, -a2, a3 + a2, a4),
-            "s3": (a0, a1, a2 + a3, -a3, a4 + a3),
-            "s4": (a0, a1, a2, a3 + 2 * a4, -a4),
-            "psi": (a4, a3, a2, a1, a0),
-        }
-    return table[name]
+    return _PARAMS_MAPS[system][name](*a)
 
 
 def act_params(gen: Generator, p: ParameterTuple) -> ParameterTuple:

@@ -64,7 +64,7 @@ class Polynomial:
     first use of `coeffs`.
     """
 
-    __slots__ = ("_coeffs", "_ints")
+    __slots__ = ("_coeffs", "_ints", "_n")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [rat(c) for c in coeffs]
@@ -72,6 +72,7 @@ class Polynomial:
             cs.pop()
         self._coeffs = tuple(cs)
         self._ints = None
+        self._n = len(cs)
 
     @property
     def coeffs(self) -> tuple:
@@ -106,6 +107,7 @@ class Polynomial:
         while ints and not ints[-1]:
             ints.pop()
         p = Polynomial.__new__(Polynomial)
+        p._n = len(ints)
         if not ints:
             p._coeffs, p._ints = (), None
             return p
@@ -130,20 +132,16 @@ class Polynomial:
     ZERO: "Polynomial"
     ONE: "Polynomial"
 
-    def _size(self) -> int:
-        """Number of coefficients, from whichever form is at hand."""
-        return len(self._coeffs if self._coeffs is not None else self._ints[0])
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial mapped to -1."""
-        return self._size() - 1
+        return self._n - 1
 
     def is_zero(self) -> bool:
-        return not self._size()
+        return not self._n
 
     def __bool__(self) -> bool:
-        return bool(self._size())
+        return bool(self._n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -724,6 +722,8 @@ class RationalFunction:
         return NotImplemented
 
     def __add__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)):  # (num + c*den) / den is reduced
+            return RationalFunction._coprime(self.num + self.den.scale(other), self.den)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -757,6 +757,8 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)):
+            return RationalFunction._coprime(self.num.scale(other), self.den)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -779,6 +781,10 @@ class RationalFunction:
         return RationalFunction._coprime(a * c, d * b)
 
     def __rtruediv__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)):
+            if self.is_zero():
+                raise ZeroDivisionError("division by the zero rational function")
+            return RationalFunction._coprime(self.den.scale(other), self.num)
         return self._coerce(other) / self
 
     def derivative(self) -> "RationalFunction":
