@@ -215,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_batch(path: str) -> int:
+def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
     worst = EXIT_OK
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh if line.strip()]
@@ -235,7 +235,7 @@ def _run_batch(path: str) -> int:
                 argv.append(f"--order={request['order']}")
             if request.get("json"):
                 argv += ["--json"]
-            code = main(argv)
+            code = _run(parser, argv)
         except Exception as exc:  # keep batch lines independent
             _emit({"error": str(exc)})
             code = EXIT_USAGE
@@ -244,13 +244,17 @@ def _run_batch(path: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    return _run(_build_parser(), argv)
+
+
+def _run(parser: argparse.ArgumentParser, argv) -> int:
+    """One request; a batch reuses the parser for each of its lines."""
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     if args.batch:
-        return _run_batch(args.batch)
+        return _run_batch(parser, args.batch)
     if not args.subcommand:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

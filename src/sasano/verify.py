@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from fractions import Fraction
 from typing import Tuple
 
@@ -243,16 +244,14 @@ def _dopri5(f, t: float, y, stops, rtol: float, atol: float) -> list:
             h = stop - t if clipped else h_abs
             ks = [k0]
             for c, a in zip(_DP_C[1:], _DP_A[1:]):
-                state = tuple(v + h * sum(ai * k[i] for ai, k in zip(a, ks))
-                              for i, v in enumerate(y))
+                # zip(*ks) runs over components: the stage slopes of each
+                state = tuple(v + h * sum(map(mul, a, col)) for v, col in zip(y, zip(*ks)))
                 ks.append(f(t + c * h, state))
-            y_new = tuple(v + h * sum(b * k[i] for b, k in zip(_DP_B, ks))
-                          for i, v in enumerate(y))
+            y_new = tuple(v + h * sum(map(mul, _DP_B, col)) for v, col in zip(y, zip(*ks)))
             t_new = stop if clipped else t + h
             ks.append(f(t_new, y_new))
-            error = _rms([h * sum(e * k[i] for e, k in zip(_DP_E, ks))
-                          / (atol + max(abs(a), abs(b)) * rtol)
-                          for i, (a, b) in enumerate(zip(y, y_new))])
+            error = _rms([h * sum(map(mul, _DP_E, col)) / (atol + max(abs(a), abs(b)) * rtol)
+                          for a, b, col in zip(y, y_new, zip(*ks))])
             if error < 1:  # accept; NaN and inf reject
                 factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error ** -0.2)
                 h_abs = max(h_abs, h * factor) if clipped else h * factor
