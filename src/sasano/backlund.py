@@ -477,16 +477,20 @@ def act_solution(gen: Generator, p: ParameterTuple, sol: SolutionTuple) -> Solut
 
     Returns the image solution; the image parameters are act_params(gen, p).
     """
+    return _act_token(gen, p, sol)[1]
+
+
+def _act_token(gen: Generator, p: ParameterTuple, sol: SolutionTuple):
+    """(act_params(gen, p), act_solution(gen, p, sol)), one letter at a time."""
     if gen.system is not p.system:
         raise ValueError("generator and parameters belong to different systems")
-    letters = _letters(gen)
-    for letter in letters:
-        sol = _act_letter(letter, p, sol)
-        p = p.replace_alphas(_params_map(p.system, letter.name, p.alphas))
-    return sol
+    for letter in _letters(gen):
+        p, sol = _act_letter(letter, p, sol)
+    return p, sol
 
 
-def _act_letter(letter: Generator, p: ParameterTuple, sol: SolutionTuple) -> SolutionTuple:
+def _act_letter(letter: Generator, p: ParameterTuple, sol: SolutionTuple):
+    """The image parameters and solution of one letter."""
     system = p.system
     if sol.chart not in {
         System.B4: (Chart.AFFINE, Chart.M3),
@@ -507,7 +511,7 @@ def _act_letter(letter: Generator, p: ParameterTuple, sol: SolutionTuple) -> Sol
         out = out.substitute_negate()
 
     p_out = p.replace_alphas(_params_map(system, letter.name, p.alphas))
-    return _to_affine_if_finite(p_out, out)
+    return p_out, _to_affine_if_finite(p_out, out)
 
 
 def act_word(
@@ -516,8 +520,9 @@ def act_word(
     """Fold a word over parameters (and optionally a solution), left first."""
     for tok in w.tokens:
         if sol is not None:
-            sol = act_solution(tok, p, sol)
-        p = act_params(tok, p)
+            p, sol = _act_token(tok, p, sol)
+        else:
+            p = act_params(tok, p)
     return (p, sol) if sol is not None else (p, None)
 
 

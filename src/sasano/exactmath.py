@@ -807,7 +807,7 @@ class RationalFunction:
 
     def substitute_negate(self) -> "RationalFunction":
         """f(-t)."""
-        return RationalFunction(self.num.compose_negate(), self.den.compose_negate())
+        return RationalFunction._coprime(self.num.compose_negate(), self.den.compose_negate())
 
     def poles(self) -> dict:
         """Rational poles with multiplicities (irrational poles not found)."""
