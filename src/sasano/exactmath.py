@@ -659,7 +659,7 @@ class RationalFunction:
             return
         d, sd = den._int_form()
         lead = d[-1]
-        if lead != 1 or sd != 1:
+        if sd.numerator != 1 or sd.denominator != lead:  # den is not monic
             # den / (sd * lead) is d / lead: the scale moves to num alone
             n, sn = num._int_form()
             if lead < 0:
