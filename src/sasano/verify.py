@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 from fractions import Fraction
+from operator import mul
 from typing import Tuple
 
 from .exactmath import (

@@ -16,7 +16,7 @@ from sasano import (
     rational_roots,
     residue,
 )
-from sasano.exactmath import residue_at_infinity_coefficient
+from sasano.exactmath import has_real_root, residue_at_infinity_coefficient
 
 T = RF.t()
 
@@ -212,3 +212,124 @@ def test_substitute_negate():
     g = f.substitute_negate()
     for pt in (F(2), F(3), F(-5)):
         assert g.evaluate(pt) == f.evaluate(-pt)
+
+
+# -- integer-image arithmetic and the gcd-free shortcuts -------------------------
+
+def _fraction_poly(rng, degree):
+    return [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree + 1)]
+
+
+def _reference(coeffs):
+    """A polynomial built from Fraction coefficients, whose integer image
+    is derived on first use (the other direction from the arithmetic)."""
+    return Polynomial(coeffs)
+
+
+def _sum(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def _product(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_polynomial_arithmetic_matches_coefficientwise_reference():
+    rng = random.Random(11)
+    for _ in range(200):
+        a = _fraction_poly(rng, rng.randint(0, 6))
+        b = _fraction_poly(rng, rng.randint(0, 6))
+        c = F(rng.randint(-5, 5), rng.randint(1, 4))
+        p, q = Polynomial(a), Polynomial(b)
+        cases = [
+            (p + q, _sum(a, b)),
+            (p - q, _sum(a, [-x for x in b])),
+            (p * q, _product(a, b)),
+            (-p, [-x for x in a]),
+            (p.scale(c), [c * x for x in a]),
+            (p.derivative(), [i * x for i, x in enumerate(a)][1:]),
+            (p.compose_negate(), [(-x if i % 2 else x) for i, x in enumerate(a)]),
+        ]
+        for got, want in cases:
+            ref = _reference(want)
+            assert got == ref and ref == got
+            assert hash(got) == hash(ref)
+            assert got.coeffs == ref.coeffs
+            assert got.degree == ref.degree
+        if not p.is_zero():
+            assert p.monic().leading == 1
+            assert (p * q) // p == q
+
+
+def _random_rf(rng):
+    num = Polynomial(_fraction_poly(rng, rng.randint(0, 3)))
+    den = Polynomial(_fraction_poly(rng, rng.randint(0, 3)))
+    if den.is_zero():
+        den = Polynomial.ONE
+    # shared factors make the reductions nontrivial
+    common = Polynomial([F(rng.randint(-3, 3)), 1])
+    if rng.random() < 0.5:
+        num, den = num * common, den * common
+    return RationalFunction(num, den)
+
+
+def test_rational_function_shortcuts_match_reduction_from_scratch():
+    # sums, products, quotients and scalar operations skip gcds that the
+    # canonical form of their operands makes redundant; the constructor,
+    # which reduces by a full gcd, must agree with every one of them
+    rng = random.Random(12)
+    for _ in range(150):
+        f, g = _random_rf(rng), _random_rf(rng)
+        c = F(rng.randint(-4, 4), rng.randint(1, 3))
+        cases = [
+            (f + g, f.num * g.den + g.num * f.den, f.den * g.den),
+            (f - g, f.num * g.den - g.num * f.den, f.den * g.den),
+            (f * g, f.num * g.num, f.den * g.den),
+            (f * f, f.num * f.num, f.den * f.den),
+            (-f, -f.num, f.den),
+            (f + c, f.num + f.den.scale(c), f.den),
+            (c * f, f.num.scale(c), f.den),
+            (f.substitute_negate(), f.num.compose_negate(), f.den.compose_negate()),
+        ]
+        if not g.is_zero():
+            cases.append((f / g, f.num * g.den, f.den * g.num))
+        if not f.is_zero() and c:
+            cases.append((c / f, f.den.scale(c), f.num))
+        for got, num, den in cases:
+            want = RationalFunction(num, den)
+            assert got == want
+            assert got.den.leading == 1
+            assert got.num.gcd(got.den).degree <= 0
+
+
+def test_has_real_root_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(13)
+    for _ in range(300):
+        p = Polynomial([rng.randint(-4, 4) or 1])
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.5:
+                p = p * poly(F(-rng.randint(-20, 20), rng.randint(1, 5)), 1)
+            else:
+                p = p * poly(rng.randint(-15, 15), rng.randint(-8, 8), rng.randint(1, 4))
+        lo = F(rng.randint(-8, 8), rng.randint(1, 4))
+        hi = lo + F(rng.randint(0, 12), rng.randint(1, 4))
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * t ** i
+                   for i, c in enumerate(p.coeffs))
+        count = sympy.Poly(expr, t).count_roots(sympy.Rational(lo.numerator, lo.denominator),
+                                                 sympy.Rational(hi.numerator, hi.denominator))
+        assert has_real_root(p, lo, hi) == (count > 0), (p, lo, hi)
+
+
+def test_has_real_root_endpoints_and_multiple_roots():
+    square = poly(-1, 1) * poly(-1, 1) * poly(1, 0, 1)  # (t - 1)^2 (t^2 + 1)
+    assert has_real_root(square, F(1, 2), F(3, 2))
+    assert has_real_root(square, 1, 2) and has_real_root(square, 0, 1)
+    assert not has_real_root(square, F(11, 10), 5)
+    assert not has_real_root(poly(1, 0, 1), -100, 100)  # roots +-i only

@@ -1,5 +1,6 @@
 """Verification engine: symbolic checks, invariants, numeric cross-check."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -21,6 +22,7 @@ from sasano import (
 )
 from conftest import random_params
 from sasano.classify import classify
+from sasano.verify import IntegratorFailed, _dopri5
 
 T = RF.t()
 HALF = RF.const(F(1, 2))
@@ -108,6 +110,16 @@ def test_pole_on_path_detection():
         numeric_crosscheck(p, sol, 1, 2)
 
 
+def test_irrational_pole_on_path_detected():
+    # y has poles at +-sqrt(2); the one at 1.414... lies in [1, 2]
+    p = b4("1/4", "1/4", "1/4", "-1/4", "1/4")
+    sol = seed_solution(p).replace(y=HALF + 1 / (T * T - 2))
+    with pytest.raises(PoleOnPath):
+        numeric_crosscheck(p, sol, 1, 2)
+    t0, t1 = pole_free_interval(sol)
+    assert (t0, t1) == (2, 3)
+
+
 def test_pole_free_interval_shifts_right():
     p = b4("1/4", "1/4", "1/4", "-1/4", "1/4")
     sol = seed_solution(p).replace(y=HALF + 1 / (T - F(3, 2)))
@@ -129,3 +141,20 @@ def test_constructed_solutions_pass_numeric_check():
         t0, t1 = pole_free_interval(out.solution)
         assert numeric_crosscheck(p, out.solution, t0, t1) <= 1e-6
         checked += 1
+
+
+def test_dopri5_lands_on_the_stops_of_a_known_flow():
+    # y' = y and z' = -2 t z from (1, 1) at t = 0: e**t and exp(-t**2)
+    stops = [k / 8 for k in range(1, 17)]
+    states = _dopri5(lambda t, v: (v[0], -2 * t * v[1]), 0.0, (1.0, 1.0), stops,
+                     rtol=1e-12, atol=1e-12)
+    assert len(states) == len(stops)
+    for t, (y, z) in zip(stops, states):
+        assert abs(y - math.exp(t)) <= 1e-10 * math.exp(t)
+        assert abs(z - math.exp(-t * t)) <= 1e-10
+
+
+def test_dopri5_reports_blow_up():
+    # y' = y**2 from y(0) = 1 is 1/(1 - t), which leaves every float before t = 1
+    with pytest.raises(IntegratorFailed):
+        _dopri5(lambda t, v: (v[0] * v[0],), 0.0, (1.0,), [0.5, 2.0], rtol=1e-12, atol=1e-12)
