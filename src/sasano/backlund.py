@@ -33,6 +33,7 @@ from .systems import (
     ParameterTuple,
     SolutionTuple,
     System,
+    _check_chart,
 )
 
 
@@ -250,10 +251,11 @@ def _identity_or_undefined(name: str, param: Fraction, p, sol):
     )
 
 
-def _b4_affine(name: str, p, sol: SolutionTuple) -> SolutionTuple:
+def _shared_letter(name: str, p, sol: SolutionTuple) -> SolutionTuple:
+    """s0, s1, pi1 and s2, whose formulas B4 in both charts and D4 share
+    (B4's affine chart has its own s2)."""
     a0, a1, a2, a3, a4 = p.alphas
     x, y, z, w = sol.components()
-    t = RF.t()
     if name == "s0":
         if (y - 1).is_zero():
             return _identity_or_undefined(name, a0, p, sol)
@@ -262,6 +264,20 @@ def _b4_affine(name: str, p, sol: SolutionTuple) -> SolutionTuple:
         if y.is_zero():
             return _identity_or_undefined(name, a1, p, sol)
         return sol.replace(x=x + a1 / y)
+    if name == "s2":
+        d = x * z - 1
+        if d.is_zero():
+            return _identity_or_undefined(name, a2, p, sol)
+        return sol.replace(y=y - a2 * z / d, w=w - a2 * x / d)
+    if name == "pi1":
+        return SolutionTuple(sol.chart, -x, 1 - y, -z, -w)
+    raise AssertionError(name)
+
+
+def _b4_affine(name: str, p, sol: SolutionTuple) -> SolutionTuple:
+    a0, a1, a2, a3, a4 = p.alphas
+    x, y, z, w = sol.components()
+    t = RF.t()
     if name == "s2":
         if (x - z).is_zero():
             return _identity_or_undefined(name, a2, p, sol)
@@ -278,8 +294,6 @@ def _b4_affine(name: str, p, sol: SolutionTuple) -> SolutionTuple:
         if z.is_zero():
             raise UndefinedAction("s4 needs z not identically zero")
         return sol.replace(w=w - 2 * a4 / z + t / (z * z))
-    if name == "pi1":
-        return SolutionTuple(Chart.AFFINE, -x, 1 - y, -z, -w)
     if name == "pi2":
         if z.is_zero():
             raise UndefinedAction("pi2 needs z not identically zero")
@@ -289,26 +303,13 @@ def _b4_affine(name: str, p, sol: SolutionTuple) -> SolutionTuple:
             # image has z == infinity (m3 chart)
             return SolutionTuple(Chart.M3, new_x, new_y, RF.ZERO, t * y)
         return SolutionTuple(Chart.AFFINE, new_x, new_y, t / x, -(x * (x * y + a1)) / t)
-    raise AssertionError(name)
+    return _shared_letter(name, p, sol)
 
 
 def _b4_m3(name: str, p, sol: SolutionTuple) -> SolutionTuple:
     a0, a1, a2, a3, a4 = p.alphas
     x, y, z, w = sol.components()
     t = RF.t()
-    if name == "s0":
-        if (y - 1).is_zero():
-            return _identity_or_undefined(name, a0, p, sol)
-        return sol.replace(x=x + a0 / (y - 1))
-    if name == "s1":
-        if y.is_zero():
-            return _identity_or_undefined(name, a1, p, sol)
-        return sol.replace(x=x + a1 / y)
-    if name == "s2":
-        if (x * z - 1).is_zero():
-            return _identity_or_undefined(name, a2, p, sol)
-        d = x * z - 1
-        return sol.replace(y=y - a2 * z / d, w=w - a2 * x / d)
     if name == "s3":
         if a3 == 0:
             return sol
@@ -317,30 +318,15 @@ def _b4_m3(name: str, p, sol: SolutionTuple) -> SolutionTuple:
         return sol.replace(z=z + a3 / w)
     if name == "s4":
         return sol.replace(w=w - t)
-    if name == "pi1":
-        return SolutionTuple(Chart.M3, -x, 1 - y, -z, -w)
     if name == "pi2":
         return SolutionTuple(Chart.M3, t * z, w / t, x / t, t * y)
-    raise AssertionError(name)
+    return _shared_letter(name, p, sol)
 
 
 def _d4_affine(name: str, p, sol: SolutionTuple) -> SolutionTuple:
     a0, a1, a2, a3, a4 = p.alphas
     x, y, z, w = sol.components()
     t = RF.t()
-    if name == "s0":
-        if (y - 1).is_zero():
-            return _identity_or_undefined(name, a0, p, sol)
-        return sol.replace(x=x + a0 / (y - 1))
-    if name == "s1":
-        if y.is_zero():
-            return _identity_or_undefined(name, a1, p, sol)
-        return sol.replace(x=x + a1 / y)
-    if name == "s2":
-        if (x * z - 1).is_zero():
-            return _identity_or_undefined(name, a2, p, sol)
-        d = x * z - 1
-        return sol.replace(y=y - a2 * z / d, w=w - a2 * x / d)
     if name == "s3":
         if w.is_zero():
             return _identity_or_undefined(name, a3, p, sol)
@@ -349,15 +335,13 @@ def _d4_affine(name: str, p, sol: SolutionTuple) -> SolutionTuple:
         if (w - t).is_zero():
             return _identity_or_undefined(name, a4, p, sol)
         return sol.replace(z=z + a4 / (w - t))
-    if name == "pi1":
-        return SolutionTuple(Chart.AFFINE, -x, 1 - y, -z, -w)
     if name == "pi2":
         return sol.replace(w=w - t)
     if name == "pi3":
         return SolutionTuple(Chart.AFFINE, t * z, w / t, x / t, t * y)
     if name == "pi4":
         return SolutionTuple(Chart.AFFINE, -(t * z), (t - w) / t, -(x / t), t - t * y)
-    raise AssertionError(name)
+    return _shared_letter(name, p, sol)
 
 
 def _d5_action(name: str, p, sol: SolutionTuple) -> SolutionTuple:
@@ -392,25 +376,18 @@ def _d5_action(name: str, p, sol: SolutionTuple) -> SolutionTuple:
         return sol.replace(x=new_x)
 
     if name == "s2":
+        # y and w move by a2 * (dy, dw) / d, in the coordinates of the chart
         if x_inf and z_inf:
-            d = 1 - x * z
-            if d.is_zero():
-                return _identity_or_undefined(name, a2, p, sol)
-            return sol.replace(y=y + a2 * z / d, w=w + a2 * x / d)
-        if x_inf:
-            d = z - x
-            if d.is_zero():
-                return _identity_or_undefined(name, a2, p, sol)
-            return sol.replace(y=y + a2 / d, w=w - a2 / d)
-        if z_inf:
-            d = x - z
-            if d.is_zero():
-                return _identity_or_undefined(name, a2, p, sol)
-            return sol.replace(y=y - a2 / d, w=w + a2 / d)
-        d = x * z - 1
+            d, dy, dw = 1 - x * z, z, x
+        elif x_inf:
+            d, dy, dw = z - x, 1, -1
+        elif z_inf:
+            d, dy, dw = x - z, -1, 1
+        else:
+            d, dy, dw = x * z - 1, -z, -x
         if d.is_zero():
             return _identity_or_undefined(name, a2, p, sol)
-        return sol.replace(y=y - a2 * z / d, w=w - a2 * x / d)
+        return sol.replace(y=y + a2 * dy / d, w=w + a2 * dw / d)
 
     if name == "s3":
         if z_inf:
@@ -492,12 +469,7 @@ def _act_token(gen: Generator, p: ParameterTuple, sol: SolutionTuple):
 def _act_letter(letter: Generator, p: ParameterTuple, sol: SolutionTuple):
     """The image parameters and solution of one letter."""
     system = p.system
-    if sol.chart not in {
-        System.B4: (Chart.AFFINE, Chart.M3),
-        System.D4: (Chart.AFFINE,),
-        System.D5: (Chart.AFFINE, Chart.R1, Chart.R3, Chart.R5),
-    }[system]:
-        raise ChartMismatch(f"chart {sol.chart.value} invalid for {system.value}")
+    _check_chart(system, sol.chart)
 
     if system is System.B4:
         action = _b4_m3 if sol.chart is Chart.M3 else _b4_affine
@@ -555,23 +527,10 @@ def equivalence_map(
         return q, _to_affine_if_finite(q, mapped)
 
     q = ParameterTuple(System.D5, ((a0 - a1) / 2, a1, a2, a3, (a4 - a3) / 2))
-    if x.is_zero():
-        x_side = (x, y)  # r1 coordinates of an x == infinity image
-        x_infinite = True
-    else:
-        x_side = (1 / x, -(x * y + a1) * x)
-        x_infinite = False
-    if z.is_zero():
-        z_side = (z, w)  # r3 coordinates of a z == infinity image
-        z_infinite = True
-    else:
-        z_side = (1 / z, -(z * w + a3) * z)
-        z_infinite = False
-    chart = {
-        (False, False): Chart.AFFINE,
-        (True, False): Chart.R1,
-        (False, True): Chart.R3,
-        (True, True): Chart.R5,
-    }[(x_infinite, z_infinite)]
-    mapped = SolutionTuple(chart, x_side[0], x_side[1], z_side[0], z_side[1])
+    # an identically zero x or z stays as the marker of an r1 or r3 chart
+    x_side = (x, y) if x.is_zero() else (1 / x, -(x * y + a1) * x)
+    z_side = (z, w) if z.is_zero() else (1 / z, -(z * w + a3) * z)
+    chart = {(False, False): Chart.AFFINE, (True, False): Chart.R1,
+             (False, True): Chart.R3, (True, True): Chart.R5}[(x.is_zero(), z.is_zero())]
+    mapped = SolutionTuple(chart, *x_side, *z_side)
     return q, _to_affine_if_finite(q, mapped)

@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--word", required=True, help="e.g. 's3 T1 inv(T2)'")
     p.add_argument("--solution", help="JSON file with a solution to transform ('-' = stdin)")
-    p = sub.add_parser("verify", help="check a solution symbolically and numerically")
+    p = sub.add_parser("verify", help="check a solution exactly and numerically")
     common(p)
     p.add_argument("--solution", required=True, help="JSON solution file ('-' = stdin)")
     p = sub.add_parser("expand", help="Laurent-expand the components of a solution")

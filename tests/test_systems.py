@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import b4, b4_m3_infinite_solution, d4, random_standard_form
+from conftest import b4, b4_m3_infinite_solution, d4, from_lattice, random_standard_form
 from sasano import (
     Chart,
     ChartMismatch,
@@ -13,6 +13,7 @@ from sasano import (
     RF,
     SolutionTuple,
     System,
+    construct_rational_solution,
     hamiltonian,
     hamiltonian_constant_oracle,
     is_solution,
@@ -149,3 +150,21 @@ def test_parameter_json_roundtrip():
     assert ParameterTuple.from_json(p.to_json()) == p
     sol = SolutionTuple(Chart.AFFINE, RF.ZERO, HALF, 2 * T, RF.ZERO)
     assert SolutionTuple.from_json(sol.to_json()) == sol
+
+
+@pytest.mark.parametrize("system, charts", [(System.B4, (Chart.M3,)),
+                                            (System.D5, (Chart.R1, Chart.R3, Chart.R5))])
+def test_finite_solutions_solve_every_chart_of_their_system(system, charts):
+    # x1 = 1/x, y1 = -(x*y + a1)*x and z3 = 1/z, w3 = -(z*w + a3)*z carry a
+    # finite solution into the other charts, where it must solve their systems
+    p = from_lattice(system, F(3, 2), F(1, 3), 1, F(2, 5))
+    a1, a3 = p.alphas[1], p.alphas[3]
+    x, y, z, w = construct_rational_solution(p).solution.components()
+    x1, y1 = 1 / x, -(x * y + a1) * x
+    z3, w3 = 1 / z, -(z * w + a3) * z
+    coordinates = {Chart.M3: (x, y, z3, w3), Chart.R1: (x1, y1, z, w),
+                   Chart.R3: (x, y, z3, w3), Chart.R5: (x1, y1, z3, w3)}
+    for chart in charts:
+        sol = SolutionTuple(chart, *coordinates[chart])
+        assert all(r.is_zero() for r in residual(p, sol)), chart
+        assert is_solution(p, sol), chart
