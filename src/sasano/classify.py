@@ -242,9 +242,7 @@ def normalize_to_standard(p: ParameterTuple) -> Tuple[GeneratorWord, ParameterTu
 
 def is_standard_form(p: ParameterTuple) -> bool:
     a0, a1, a2, a3, a4 = p.alphas
-    if p.system is System.B4:
-        return a0 - a1 == 0 and a3 + a4 == 0 and a4 != 0
-    if p.system is System.D4:
+    if p.system in (System.B4, System.D4):
         return a0 - a1 == 0 and a3 + a4 == 0 and a4 != 0
     return a0 == 0 and a3 + a4 == 0 and a4 != 0 and a1 != 0
 

@@ -26,6 +26,7 @@ from .systems import (
     SolutionTuple,
     System,
     parse_system,
+    solve_last_alpha,
 )
 from .verify import (IntegratorFailed, PoleOnPath, invariant_report, numeric_crosscheck,
                      pole_free_interval, verify_solution)
@@ -44,8 +45,6 @@ def _parse_alphas(system: System, text: str) -> ParameterTuple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 5:
         raise UsageError("--alphas needs five comma-separated values (fifth may be 'auto')")
-    from .systems import solve_last_alpha
-
     first_four = [rat(p) for p in parts[:4]]
     if parts[4] == "auto":
         last = solve_last_alpha(system, first_four)
@@ -112,6 +111,7 @@ def _run_verify(args) -> int:
     params = _parse_alphas(args.system, args.alphas)
     sol = _load_solution(args.solution)
     checks: list = []
+    skipped: list = []  # (check, reason), reported in text mode
 
     ok = verify_solution(params, sol)
     checks.append(("residual", ok))
@@ -126,6 +126,9 @@ def _run_verify(args) -> int:
         checks.append(
             ("finite_pole_residues", all(f for _, _, f in report.finite_pole_residues))
         )
+    else:
+        where = "" if sol.chart is Chart.AFFINE else f" in chart {sol.chart.value}"
+        skipped.append(("invariants", f"{params.system.name}{where} has no invariant report"))
 
     if sol.chart is Chart.AFFINE:
         try:
@@ -133,9 +136,11 @@ def _run_verify(args) -> int:
             deviation = numeric_crosscheck(params, sol, t0, t1)
             checks.append(("numeric_crosscheck", deviation <= 1e-6))
         except PoleOnPath:
-            pass
+            skipped.append(("numeric_crosscheck", "pole on path"))
         except IntegratorFailed:
             checks.append(("numeric_crosscheck", False))
+    else:
+        skipped.append(("numeric_crosscheck", f"chart {sol.chart.value} is not affine"))
 
     all_ok = all(flag for _, flag in checks)
     if args.json:
@@ -146,6 +151,9 @@ def _run_verify(args) -> int:
     else:
         for name, flag in checks:
             sys.stdout.write(f"{'PASS' if flag else 'FAIL'} {name}\n")
+        # on stderr, so that stdout keeps one line per check that ran
+        for name, reason in skipped:
+            sys.stderr.write(f"SKIP {name} ({reason})\n")
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 

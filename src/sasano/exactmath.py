@@ -14,7 +14,9 @@ Representation invariants:
     monic denominator; this canonical form makes ``==`` structural.
   * ``LaurentSeries`` is a finite coefficient window of the expansion of
     a rational function at t = 0, t = infinity, or a finite point c.
-    At infinity the window runs in descending powers of t.
+    At infinity the window runs in descending powers of t.  Sums and
+    products keep the window both operands support; a coefficient read
+    outside it raises.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class Polynomial:
     @staticmethod
     def _from_scaled(ints, scale: Fraction) -> "Polynomial":
         """scale * ints for integers ints (trailing zeros allowed) and a
-        rational scale > 0."""
+        nonzero rational scale."""
         ints = list(ints)
         while ints and not ints[-1]:
             ints.pop()
@@ -111,6 +113,8 @@ class Polynomial:
         if not ints:
             p._coeffs, p._ints = (), None
             return p
+        if scale.numerator < 0:
+            ints, scale = [-v for v in ints], -scale
         content = math.gcd(*ints)
         if content > 1:
             ints = [v // content for v in ints]
@@ -208,8 +212,6 @@ class Polynomial:
         if not c or self.is_zero():
             return Polynomial()
         a, sa = self._int_form()
-        if c < 0:
-            return Polynomial._from_scaled([-v for v in a], -c * sa)
         return Polynomial._from_scaled(a, c * sa)
 
     def __divmod__(self, other: "Polynomial"):
@@ -251,21 +253,25 @@ class Polynomial:
             return self
         return self.scale(1 / self.leading)
 
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic gcd, computed over Z on the primitive integer images
-        (see `_int_poly_gcd`: a GF(p) coprimality test, then the heuristic
-        gcd, then the subresultant sequence) to avoid the coefficient
-        blow-up of the plain Euclidean algorithm over Q."""
-        if self.is_zero():
-            return other.monic()
-        if other.is_zero():
-            return self.monic()
-        if self.degree == 0 or other.degree == 0:
-            return Polynomial.ONE
-        g = _int_poly_gcd(self._int_form()[0], other._int_form()[0])
-        if g[-1] < 0:
-            g = [-v for v in g]
-        return Polynomial._from_scaled(g, Fraction(1, g[-1]))
+    def gcd(self, other: "Polynomial", cofactors: bool = False):
+        """Monic gcd g, computed over Z on the primitive integer images
+        (see `_int_poly_gcd_cofactors`: a GF(p) coprimality test, then the
+        heuristic gcd, then the subresultant sequence) to avoid the
+        coefficient blow-up of the plain Euclidean algorithm over Q.  With
+        cofactors=True, (g, self / g, other / g): the kernel has found the
+        quotients while verifying g."""
+        if self.is_zero() or other.is_zero():
+            g = other.monic() if self.is_zero() else self.monic()
+            return (g, self // g, other // g) if cofactors else g
+        found = (Polynomial.ONE, self, other)
+        if self.degree > 0 and other.degree > 0:
+            (a, sa), (b, sb) = self._int_form(), other._int_form()
+            g, qa, qb = _int_poly_gcd_cofactors(a, b)
+            if len(g) > 1:  # self = sa * g * qa = (g / lead) * (sa * lead * qa)
+                lead = g[-1]
+                found = (Polynomial._from_scaled(g, Fraction(1, lead)),
+                         Polynomial._from_scaled(qa, sa * lead), Polynomial._from_scaled(qb, sb * lead))
+        return found if cofactors else found[0]
 
     def derivative(self) -> "Polynomial":
         if self.degree < 1:
@@ -384,8 +390,9 @@ def _int_prem(a: list, b: list) -> list:
     return r
 
 
-def _int_poly_gcd(a, b) -> list:
-    """Primitive gcd, up to sign, of primitive integer polynomials.
+def _int_poly_gcd_cofactors(a, b):
+    """(g, a / g, b / g) for primitive integer polynomials a and b, with g
+    their primitive gcd up to sign.
 
     One Euclid over GF(p) bounds the degree of the gcd from above
     whenever p misses one leading coefficient, because the image of the
@@ -393,20 +400,30 @@ def _int_poly_gcd(a, b) -> list:
     which is most calls; bound deg b makes b the only candidate.
     Otherwise the heuristic gcd reads the gcd off an integer gcd of values,
     and the subresultant remainder sequence is the deterministic fallback.
-    Every candidate is verified by exact trial division.
+    Every candidate is verified by exact trial division, whose quotients
+    are the cofactors; only the subresultant gcd is divided out afresh.
     """
     if len(a) < len(b):
-        a, b = b, a
+        g, qb, qa = _int_poly_gcd_cofactors(b, a)
+        return g, qa, qb
     if a[-1] % _GCD_PRIME or b[-1] % _GCD_PRIME:
         bound = _mod_gcd_degree(a, b, _GCD_PRIME)
         if bound == 0:
-            return [1]
-        if bound == len(b) - 1 and _int_exact_div(a, b) is not None:
-            return list(b)
-    g = _int_poly_gcd_heuristic(a, b)
-    if g is not None:
-        return g
-    return _int_poly_gcd_subresultant(list(a), list(b))
+            return [1], a, b
+        if bound == len(b) - 1:
+            q = _int_exact_div(a, b)
+            if q is not None:
+                return b, q, [1]
+    found = _heuristic_gcd_cofactors(a, b)
+    if found is not None:
+        return found
+    g = _int_poly_gcd_subresultant(list(a), list(b))
+    return g, _int_exact_div(a, g), _int_exact_div(b, g)
+
+
+def _int_poly_gcd(a, b) -> list:
+    """The gcd alone of `_int_poly_gcd_cofactors`."""
+    return _int_poly_gcd_cofactors(a, b)[0]
 
 
 # below 2**15, so that the products in _mod_gcd_degree stay below 2**30,
@@ -438,8 +455,9 @@ def _mod_gcd_degree(a, b, p: int) -> int:
     return len(f) - 1
 
 
-def _int_poly_gcd_heuristic(a, b):
-    """Heuristic gcd of Char, Geddes and Gonnet (1984); None on failure.
+def _heuristic_gcd_cofactors(a, b):
+    """Heuristic gcd of Char, Geddes and Gonnet (1984) with its cofactors,
+    (g, a / g, b / g); None on failure.
 
     With xi >= 2 min(|a|, |b|) + 2 (max norms), the primitive part of the
     balanced base-xi digits of gcd(a(xi), b(xi)) is the gcd whenever it
@@ -460,10 +478,18 @@ def _int_poly_gcd_heuristic(a, b):
             if cand[-1] < 0:
                 content = -content
             cand = [c // content for c in cand]
-            if _int_exact_div(a, cand) is not None and _int_exact_div(b, cand) is not None:
-                return cand
+            qa = _int_exact_div(a, cand)
+            if qa is not None:
+                qb = _int_exact_div(b, cand)
+                if qb is not None:
+                    return cand, qa, qb
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011  # the published growth
     return None
+
+
+def _int_poly_gcd_heuristic(a, b):
+    """The gcd alone of `_heuristic_gcd_cofactors`; None on failure."""
+    return (_heuristic_gcd_cofactors(a, b) or (None,))[0]
 
 
 def _int_eval(a, x: int) -> int:
@@ -510,10 +536,7 @@ def rational_roots(p: Polynomial) -> dict:
         p = Polynomial(p.coeffs[k:])
     if p.degree < 1:
         return roots
-    square_free = p
-    g = p.gcd(p.derivative())
-    if g.degree > 0:
-        square_free = p // g
+    _, square_free, _ = p.gcd(p.derivative(), cofactors=True)
     for cand in _rational_root_candidates(square_free):
         if cand in roots or square_free.evaluate(cand) != 0:
             continue
@@ -648,7 +671,7 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.degree > 0 and den.degree > 0:
-            num, den = _cross_cancel(num, den)
+            _, num, den = num.gcd(den, cofactors=True)
         self._set_canonical(num, den)
 
     def _set_canonical(self, num: Polynomial, den: Polynomial) -> None:
@@ -662,8 +685,6 @@ class RationalFunction:
         if sd.numerator != 1 or sd.denominator != lead:  # den is not monic
             # den / (sd * lead) is d / lead: the scale moves to num alone
             n, sn = num._int_form()
-            if lead < 0:
-                n, d, lead = [-v for v in n], [-v for v in d], -lead
             num = Polynomial._from_scaled(n, sn / (sd * lead))
             den = Polynomial._from_scaled(d, Fraction(1, lead))
         self.num = num
@@ -730,16 +751,11 @@ class RationalFunction:
         # Henrici: with g = gcd of the denominators, the sum
         # (n1*d2' + n2*d1') / (g*d1'*d2') is coprime to d1' and d2', so only
         # its gcd with g is left to cancel, and none when g = 1
-        g = self.den.gcd(other.den)
-        if g.degree < 1:
-            return RationalFunction._coprime(
-                self.num * other.den + other.num * self.den, self.den * other.den)
-        b = self.den // g
-        d = other.den // g
+        g, b, d = self.den.gcd(other.den, cofactors=True)
         num = self.num * d + other.num * b
-        h = num.gcd(g)
-        if h.degree > 0:
-            num, g = num // h, g // h
+        if g.degree < 1:
+            return RationalFunction._coprime(num, b * d)
+        _, num, g = num.gcd(g, cofactors=True)
         return RationalFunction._coprime(num, g * b * d)
 
     __radd__ = __add__
@@ -764,8 +780,8 @@ class RationalFunction:
             return NotImplemented
         if other is self:  # a square: num and den are coprime already
             return RationalFunction._coprime(self.num * self.num, self.den * self.den)
-        a, b = _cross_cancel(self.num, other.den)
-        c, d = _cross_cancel(other.num, self.den)
+        _, a, b = self.num.gcd(other.den, cofactors=True)
+        _, c, d = other.num.gcd(self.den, cofactors=True)
         return RationalFunction._coprime(a * c, d * b)
 
     __rmul__ = __mul__
@@ -776,8 +792,8 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        a, b = _cross_cancel(self.num, other.num)
-        c, d = _cross_cancel(other.den, self.den)
+        _, a, b = self.num.gcd(other.num, cofactors=True)
+        _, c, d = other.den.gcd(self.den, cofactors=True)
         return RationalFunction._coprime(a * c, d * b)
 
     def __rtruediv__(self, other) -> "RationalFunction":
@@ -790,10 +806,8 @@ class RationalFunction:
     def derivative(self) -> "RationalFunction":
         """Exact quotient-rule derivative."""
         num = self.num.derivative() * self.den - self.num * self.den.derivative()
-        g = num.gcd(self.den)
-        if g.degree > 0:
-            return RationalFunction(num // g, (self.den // g) * self.den)
-        return RationalFunction(num, self.den * self.den)
+        _, num, den = num.gcd(self.den, cofactors=True)
+        return RationalFunction(num, den * self.den)
 
     def evaluate(self, point: RatLike) -> Fraction:
         point = rat(point)
@@ -819,13 +833,6 @@ class RationalFunction:
         if self.den == Polynomial.ONE:
             return f"RF({self.num!r})"
         return f"RF({self.num!r} / {self.den!r})"
-
-
-def _cross_cancel(num: Polynomial, den: Polynomial):
-    g = num.gcd(den)
-    if g.degree > 0:
-        return num // g, den // g
-    return num, den
 
 
 RationalFunction.ZERO = RationalFunction(Polynomial.ZERO)
@@ -907,29 +914,60 @@ class LaurentSeries:
             i = k - self.lead
         return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+    def __add__(self, other) -> "LaurentSeries":
+        """Sum, truncated to the window both terms support; a scalar is
+        the constant series with this series' window."""
+        if isinstance(other, (int, Fraction)):
+            other = LaurentSeries(self.point, 0, (Fraction(other),), self.order)
+        elif not isinstance(other, LaurentSeries):
+            return NotImplemented
+        elif self.point != other.point:
+            raise ValueError("series expanded at different points")
+        pick = max if self.point.kind == "infinity" else min
+        lead, order = pick(self.lead, other.lead), pick(self.order, other.order)
+        out = [Fraction(0)] * max((lead - order if pick is max else order - lead) + 1, 0)
+        for s in (self, other):
+            off = abs(s.lead - lead)  # where s's coefficients start in out
+            for k, c in enumerate(s.coeffs[:max(len(out) - off, 0)], off):
+                if c:
+                    out[k] = out[k] + c if out[k] else c
+        return _normalize_series(self.point, lead, out, order)
 
-    def mul(self, other: "LaurentSeries") -> "LaurentSeries":
-        """Product, truncated to the window both factors can support."""
+    __radd__ = __add__
+
+    def __neg__(self) -> "LaurentSeries":
+        return LaurentSeries(self.point, self.lead, tuple(-c for c in self.coeffs), self.order)
+
+    def __sub__(self, other) -> "LaurentSeries":
+        return self + (-other)
+
+    def __rsub__(self, other) -> "LaurentSeries":
+        return -self + other
+
+    def __mul__(self, other) -> "LaurentSeries":
+        """Product, truncated to the window both factors can support; a
+        scalar scales every coefficient."""
+        if isinstance(other, (int, Fraction)):
+            return _normalize_series(self.point, self.lead, [c * other for c in self.coeffs],
+                                     self.order)
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
         if self.point != other.point:
             raise ValueError("series expanded at different points")
         at_inf = self.point.kind == "infinity"
         lead = self.lead + other.lead
-        if at_inf:
-            order = max(self.order + other.lead, other.order + self.lead)
-            n = lead - order + 1
-        else:
-            order = min(self.order + other.lead, other.order + self.lead)
-            n = order - lead + 1
+        order = (max if at_inf else min)(self.order + other.lead, other.order + self.lead)
+        n = (lead - order if at_inf else order - lead) + 1
         out = [Fraction(0)] * max(n, 0)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
+        for i, a in enumerate(self.coeffs[:len(out)]):
+            if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
-                if i + j < len(out):
+            for j, b in enumerate(other.coeffs[:len(out) - i]):
+                if b:
                     out[i + j] += a * b
         return _normalize_series(self.point, lead, out, order)
+
+    __rmul__ = mul = __mul__
 
 
 def _normalize_series(point, lead, coeffs, order) -> LaurentSeries:
@@ -973,10 +1011,7 @@ def laurent_expand(f: RationalFunction, point: ExpansionPoint, order: int | None
         return LaurentSeries(point, inner.lead, inner.coeffs, inner.order)
 
     if f.is_zero():
-        if point.kind == "infinity":
-            edge = -order if order is not None else 0
-        else:
-            edge = order if order is not None else 0
+        edge = 0 if order is None else -order if point.kind == "infinity" else order
         return LaurentSeries(point, edge, (), edge)
 
     if point.kind == "zero":

@@ -22,6 +22,7 @@ D4 needs no extra chart.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import operator
 from dataclasses import dataclass
@@ -147,37 +148,19 @@ class SolutionTuple:
         return (self.x, self.y, self.z, self.w)
 
     def replace(self, **kw) -> "SolutionTuple":
-        fields = {"chart": self.chart, "x": self.x, "y": self.y, "z": self.z, "w": self.w}
-        fields.update(kw)
-        return SolutionTuple(**fields)
+        return dataclasses.replace(self, **kw)
 
     def substitute_negate(self) -> "SolutionTuple":
-        return SolutionTuple(
-            self.chart,
-            self.x.substitute_negate(),
-            self.y.substitute_negate(),
-            self.z.substitute_negate(),
-            self.w.substitute_negate(),
-        )
+        return SolutionTuple(self.chart, *(c.substitute_negate() for c in self.components()))
 
     def to_json(self) -> dict:
-        return {
-            "chart": self.chart.value,
-            "x": rf_to_json(self.x),
-            "y": rf_to_json(self.y),
-            "z": rf_to_json(self.z),
-            "w": rf_to_json(self.w),
-        }
+        return {"chart": self.chart.value,
+                **{name: rf_to_json(c) for name, c in zip("xyzw", self.components())}}
 
     @staticmethod
     def from_json(data) -> "SolutionTuple":
-        return SolutionTuple(
-            Chart(data.get("chart", "affine")),
-            rf_from_json(data["x"]),
-            rf_from_json(data["y"]),
-            rf_from_json(data["z"]),
-            rf_from_json(data["w"]),
-        )
+        return SolutionTuple(Chart(data.get("chart", "affine")),
+                             *(rf_from_json(data[name]) for name in "xyzw"))
 
 
 T = RF.t()
@@ -376,24 +359,28 @@ def is_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
     return True
 
 
+def hamiltonian_polynomial(alphas):
+    """H(t, x, y, z, w), the B4 Hamiltonian, with +, - and * only: like
+    `vector_field`, one definition for RationalFunctions (`hamiltonian`)
+    and truncated Laurent series (`verify.invariant_report`)."""
+    a0, a1, a2, a3, a4 = alphas
+    beta = 1 - 2 * a2 - 2 * a3 - 2 * a4
+
+    def h(t, x, y, z, w):
+        return (x * x * y * (y - 1) + x * (beta * y - a1) + t * y
+                + z * z * w * (w - 1) + z * ((1 - 2 * a4) * w - a3) + t * w
+                + 2 * y * z * (z * w + a3))
+
+    return h
+
+
 def hamiltonian(params: ParameterTuple, sol: SolutionTuple) -> RationalFunction:
     """The B4 Hamiltonian evaluated along an affine-chart solution."""
     if params.system is not System.B4:
         raise ValueError("the Hamiltonian is only defined for the B4 system")
     if sol.chart is not Chart.AFFINE:
         raise ChartMismatch("Hamiltonian evaluation needs the affine chart")
-    a0, a1, a2, a3, a4 = params.alphas
-    x, y, z, w = sol.components()
-    beta = 1 - 2 * a2 - 2 * a3 - 2 * a4
-    return (
-        x * x * y * (y - 1)
-        + x * (beta * y - a1)
-        + T * y
-        + z * z * w * (w - 1)
-        + z * ((1 - 2 * a4) * w - a3)
-        + T * w
-        + 2 * y * z * (z * w + a3)
-    )
+    return hamiltonian_polynomial(params.alphas)(T, *sol.components())
 
 
 def hamiltonian_constant_oracle(params: ParameterTuple, pole_order_one: bool) -> Fraction:

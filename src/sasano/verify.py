@@ -8,6 +8,9 @@ Hamiltonian at infinity and zero, and the residues of x at its finite
 rational poles.  For genuine rational solutions the two constant-term
 differences are integers, the y/w residue coefficients cancel, and each
 finite residue of x is an integer multiple of the pole location.
+All but the residues are read off one truncated Laurent expansion per
+component and point, the Hamiltonian polynomial run on those series;
+`systems.hamiltonian` runs it on rational functions, the symbolic oracle.
 
 The cross-check integrates in plain Python floats, and poles are located
 exactly, so no part of the package needs numpy or scipy here.
@@ -23,6 +26,7 @@ from typing import Tuple
 
 from .exactmath import (
     INFINITY,
+    LaurentSeries,
     RationalFunction,
     ZERO_POINT,
     has_real_root,
@@ -31,7 +35,6 @@ from .exactmath import (
     rat,
     rat_str,
     residue,
-    residue_at_infinity_coefficient,
 )
 from .systems import (
     Chart,
@@ -39,7 +42,7 @@ from .systems import (
     ParameterTuple,
     SolutionTuple,
     System,
-    hamiltonian,
+    hamiltonian_polynomial,
     is_solution,
     vector_field,
 )
@@ -57,12 +60,20 @@ class IntegratorFailed(RuntimeError):
 verify_solution = is_solution
 
 
-def _constant_coefficient_at_infinity(f: RationalFunction) -> Fraction:
-    return laurent_expand(f, INFINITY, order=1).coefficient(0)
+def _expansions(sol: SolutionTuple, point):
+    """t, x, y, z and w as Laurent series at t = infinity or t = 0.
 
-
-def _constant_coefficient_at_zero(f: RationalFunction) -> Fraction:
-    return laurent_expand(f, ZERO_POINT, order=0).coefficient(0)
+    Every term of the Hamiltonian has at most four factors, so a window
+    3 * m + 1 deep, with m the largest pole order there (at least 1, for
+    t), lets each factor reach past the poles of the three others.  Too
+    short a window makes `coefficient(0)` raise, never answer wrongly.
+    """
+    at_inf = point == INFINITY
+    depth = 3 * max([1] + [c.num.degree - c.den.degree if at_inf
+                           else c.den.trailing_order() - c.num.trailing_order()
+                           for c in sol.components() if c]) + 1
+    t = LaurentSeries(point, 1, (Fraction(1),), -depth if at_inf else depth)
+    return (t, *(laurent_expand(c, point, order=depth) for c in sol.components()))
 
 
 @dataclass(frozen=True)
@@ -111,13 +122,12 @@ def invariant_report(params: ParameterTuple, sol: SolutionTuple) -> InvariantRep
     if sol.chart is not Chart.AFFINE:
         raise ChartMismatch("invariant report needs the affine chart")
 
-    a_inf_0 = _constant_coefficient_at_infinity(sol.x)
-    a_0_0 = _constant_coefficient_at_zero(sol.x)
-    bd = residue_at_infinity_coefficient(sol.y) + residue_at_infinity_coefficient(sol.w)
-
-    h = hamiltonian(params, sol)
-    h_inf_0 = _constant_coefficient_at_infinity(h)
-    h_0_0 = _constant_coefficient_at_zero(h)
+    h = hamiltonian_polynomial(params.alphas)
+    at_inf, at_0 = _expansions(sol, INFINITY), _expansions(sol, ZERO_POINT)
+    _, x_inf, y_inf, _, w_inf = at_inf
+    a_inf_0, a_0_0 = x_inf.coefficient(0), at_0[1].coefficient(0)
+    bd = y_inf.coefficient(-1) + w_inf.coefficient(-1)
+    h_inf_0, h_0_0 = h(*at_inf).coefficient(0), h(*at_0).coefficient(0)
 
     pole_rows = []
     rational_pole_degree = 0

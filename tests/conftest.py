@@ -127,3 +127,18 @@ def prop_x_zero_branch_solution(p: ParameterTuple) -> SolutionTuple:
         RF.t() / (2 * a4),
         RF.t(-1, -c),
     )
+
+
+def push_word(p: ParameterTuple, sol: SolutionTuple, names):
+    """The image of (p, sol) under the named letters in turn, up to the
+    first one that is undefined."""
+    from sasano import Generator, UndefinedAction, act_params, act_solution
+
+    for name in names:
+        g = Generator(p.system, name)
+        try:
+            sol = act_solution(g, p, sol)
+        except UndefinedAction:
+            break
+        p = act_params(g, p)
+    return p, sol

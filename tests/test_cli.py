@@ -261,3 +261,66 @@ def test_verify_reports_integrator_failure(capsys, tmp_path):
     code, report = run_json(capsys, *args, "--json")
     assert code == 1
     assert report["checks"]["numeric_crosscheck"] is False and report["pass"] is False
+
+
+def _verify_text(capsys, tmp_path, system, alphas, solution):
+    """Text-mode `verify`: (exit code, stdout lines, stderr lines)."""
+    sol_file = tmp_path / "solution.json"
+    sol_file.write_text(json.dumps(solution))
+    code = main(["verify", "--system", system, f"--alphas={alphas}", "--solution", str(sol_file)])
+    captured = capsys.readouterr()
+    return code, captured.out.splitlines(), captured.err.splitlines()
+
+
+def test_verify_names_the_invariants_it_skips_for_d4(capsys, tmp_path):
+    alphas = "5/3,5/3,-7/6,-1,1"
+    _, data = run_json(capsys, "construct", "--system", "d4", "--alphas", alphas)
+    code, out, err = _verify_text(capsys, tmp_path, "d4", alphas, data["solution"])
+    assert code == 0
+    assert out == ["PASS residual", "PASS numeric_crosscheck"]
+    assert err == ["SKIP invariants (D4 has no invariant report)"]
+
+
+def test_verify_names_the_invariants_it_skips_for_d5(capsys, tmp_path):
+    # the y == 0 family at a0 + a1 = a3 + a4 = 0, in the affine chart
+    solution = {
+        "chart": "affine",
+        "x": {"num": ["-3/2"], "den": ["1"]},
+        "y": {"num": [], "den": ["1"]},
+        "z": {"num": ["0", "5/2"], "den": ["1"]},
+        "w": {"num": [], "den": ["1"]},
+    }
+    code, out, err = _verify_text(capsys, tmp_path, "d5", "-1/3,1/3,1/2,-1/5,1/5", solution)
+    assert code == 0
+    assert out == ["PASS residual", "PASS numeric_crosscheck"]
+    assert err == ["SKIP invariants (D5 has no invariant report)"]
+
+
+def test_verify_names_the_checks_it_skips_off_the_affine_chart(capsys, tmp_path):
+    alphas = "1/7,1/5,-6/35,1/2,0"
+    _, data = run_json(capsys, "construct", "--system", "b4", "--alphas", alphas)
+    assert data["chart"] == "m3"
+    code, out, err = _verify_text(capsys, tmp_path, "b4", alphas, data["solution"])
+    assert code == 0
+    assert out == ["PASS residual"]
+    assert err == ["SKIP invariants (B4 in chart m3 has no invariant report)",
+                   "SKIP numeric_crosscheck (chart m3 is not affine)"]
+
+
+def test_verify_names_a_crosscheck_skipped_for_a_pole_on_path(capsys, tmp_path, monkeypatch):
+    # y has a pole at t = 3/2; an interval across it makes the cross-check refuse
+    import sasano.cli
+
+    monkeypatch.setattr(sasano.cli, "pole_free_interval", lambda sol: (1, 2))
+    alphas = "1/4,1/4,1/4,-1/4,1/4"
+    _, data = run_json(capsys, "construct", "--system", "b4", "--alphas", alphas)
+    solution = dict(data["solution"], y={"num": ["-1/4", "1/2"], "den": ["-3/2", "1"]})
+    code, out, err = _verify_text(capsys, tmp_path, "b4", alphas, solution)
+    assert "PASS numeric_crosscheck" not in out and "FAIL numeric_crosscheck" not in out
+    assert err == ["SKIP numeric_crosscheck (pole on path)"]
+    # --json carries the checks that ran and nothing on skips
+    code_json, report = run_json(capsys, "verify", "--system", "b4", "--alphas", alphas,
+                                 "--solution", str(tmp_path / "solution.json"), "--json")
+    assert code_json == code
+    assert "numeric_crosscheck" not in report["checks"]
+    assert capsys.readouterr().err == ""

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sasano import (
     INFINITY,
@@ -333,3 +334,46 @@ def test_has_real_root_endpoints_and_multiple_roots():
     assert has_real_root(square, 1, 2) and has_real_root(square, 0, 1)
     assert not has_real_root(square, F(11, 10), 5)
     assert not has_real_root(poly(1, 0, 1), -100, 100)  # roots +-i only
+
+
+# -- Laurent series arithmetic --------------------------------------------------
+
+_SMALL = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _rational_functions(draw):
+    """Small rational functions, zero among them, with poles at 0 and
+    at the finite expansion point now and then."""
+    num = Polynomial(draw(st.lists(_SMALL, max_size=5)))
+    den = Polynomial(draw(st.lists(_SMALL, min_size=1, max_size=4).filter(any)))
+    for factor in draw(st.lists(st.sampled_from([poly(0, 1), poly(F(-1, 2), 1)]), max_size=2)):
+        den = den * factor
+    return RationalFunction(num, den)
+
+
+def _window_arg(series):
+    """The `order` argument of laurent_expand that gives series' window."""
+    return -series.order if series.point.kind == "infinity" else series.order
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_rational_functions(), g=_rational_functions(), c=_SMALL,
+       point=st.sampled_from([ZERO_POINT, INFINITY, finite_point(F(1, 2))]),
+       orders=st.tuples(st.integers(-3, 6), st.integers(-3, 6)))
+@example(f=RF.ZERO, g=T / (T - 1), c=F(2), point=INFINITY, orders=(2, 2))
+@example(f=RF.t(-2), g=RF.ZERO, c=F(0), point=ZERO_POINT, orders=(1, 3))
+def test_series_arithmetic_matches_expansion_of_the_result(f, g, c, point, orders):
+    sf, sg = (laurent_expand(h, point, order) for h, order in zip((f, g), orders))
+    cases = [
+        (sf + sg, f + g),
+        (sf - sg, f - g),
+        (sf * sg, f * g),
+        (-sf, -f),
+        (c * sf, c * f),
+        (sf * 3, f * 3),
+        (sf + c, f + c),
+        (1 - sf, 1 - f),
+    ]
+    for got, exact in cases:
+        assert got == laurent_expand(exact, point, _window_arg(got))

@@ -10,10 +10,12 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sasano import exactmath
+from sasano import Polynomial, exactmath
 from sasano.exactmath import (
     _GCD_PRIME,
+    _heuristic_gcd_cofactors,
     _int_poly_gcd,
+    _int_poly_gcd_cofactors,
     _int_poly_gcd_heuristic,
     _int_poly_gcd_subresultant,
 )
@@ -94,3 +96,43 @@ def test_heuristic_failure_falls_back_to_subresultant(monkeypatch):
     a = _mul([1, 1], [5, 0, 7])
     b = _mul([1, 1], [-2, 3])
     assert _normal(exactmath._int_poly_gcd(a, b)) == [1, 1]
+
+
+def _assert_cofactors(a, b, found):
+    g, qa, qb = found
+    assert _mul(g, qa) == list(a) and _mul(g, qb) == list(b)
+    assert _normal(g) == _reference(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.just([1]), int_polys(20)), int_polys(40), int_polys(40))
+def test_gcd_cofactors_rebuild_the_inputs(g, u, v):
+    a, b = _normal(_mul(g, u)), _normal(_mul(g, v))
+    assume(len(a) > 1 and len(b) > 1)
+    _assert_cofactors(a, b, _int_poly_gcd_cofactors(a, b))
+    _assert_cofactors(b, a, _int_poly_gcd_cofactors(b, a))
+    big, small = (a, b) if len(a) >= len(b) else (b, a)
+    found = _heuristic_gcd_cofactors(big, small)
+    if found is not None:
+        _assert_cofactors(big, small, found)
+
+
+def test_subresultant_fallback_returns_cofactors(monkeypatch):
+    monkeypatch.setattr(exactmath, "_heuristic_gcd_cofactors", lambda a, b: None)
+    a = _mul([1, 1], [5, 0, 7])
+    b = _mul([1, 1], [-2, 3])
+    _assert_cofactors(a, b, exactmath._int_poly_gcd_cofactors(a, b))
+
+
+_SMALL_POLY = st.lists(st.fractions(-4, 4, max_denominator=4), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_SMALL_POLY, _SMALL_POLY, _SMALL_POLY)
+def test_polynomial_gcd_cofactors(common, u, v):
+    # zero and constant operands included; the gcd is monic
+    a, b = Polynomial(common) * Polynomial(u), Polynomial(common) * Polynomial(v)
+    assume(not (a.is_zero() and b.is_zero()))
+    g, qa, qb = a.gcd(b, cofactors=True)
+    assert g == a.gcd(b) and g.leading == 1
+    assert g * qa == a and g * qb == b
