@@ -126,6 +126,9 @@ def _run_verify(args) -> int:
         checks.append(
             ("finite_pole_residues", all(f for _, _, f in report.finite_pole_residues))
         )
+        if report.unchecked_irrational_poles:
+            skipped.append(("finite_pole_residues at irrational poles",
+                            "not decidable in rational arithmetic"))
     else:
         where = "" if sol.chart is Chart.AFFINE else f" in chart {sol.chart.value}"
         skipped.append(("invariants", f"{params.system.name}{where} has no invariant report"))

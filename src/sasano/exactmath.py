@@ -292,15 +292,6 @@ class Polynomial:
             acc = acc * point + float(c)
         return acc
 
-    def compose_shift(self, c: RatLike) -> "Polynomial":
-        """p(t + c), by Horner's scheme in the shifted variable."""
-        c = rat(c)
-        shift = Polynomial([c, 1])
-        acc = Polynomial()
-        for a in reversed(self.coeffs):
-            acc = acc * shift + Polynomial.const(a)
-        return acc
-
     def compose_negate(self) -> "Polynomial":
         """p(-t)."""
         if self.is_zero():
@@ -517,40 +508,63 @@ def _int_poly_gcd_subresultant(a: list, b: list) -> list:
 
 
 def rational_roots(p: Polynomial) -> dict:
-    """All rational roots of p with multiplicities.
+    """All rational roots of p with multiplicities, by the p-adic method of
+    Loos (SIAM J. Comput. 12, 1983): roots modulo a prime, Newton-Hensel
+    lifting, rational reconstruction and an exact check.
 
-    The square-free part is searched by exact divisor candidates of the
-    extreme coefficients when those are small enough to factor by trial
-    division; for larger coefficients, candidates come from numeric root
-    finding plus continued-fraction rounding.  Either way every reported
-    root is verified exactly; irrational and complex roots are never
-    reported, and numerically found candidates are exact divisors of the
-    polynomial by construction.
+    Let f be the primitive integer image of the square-free part of p
+    without its roots at 0, and q the smallest odd prime with q not
+    dividing lc(f) and f mod q square-free.  Every root a/b in lowest
+    terms is found: bt - a divides f over Z (Gauss's lemma), so b | lc(f)
+    and a | f(0); b is invertible mod q, so a * b**-1 is a root of f mod q,
+    and a simple one; a simple root lifts to exactly one root mod every
+    power M of q, which must then be a * b**-1 mod M; and once
+    M > 2 |f(0)| |lc(f)| >= 2 |a| |b|, a/b is the only fraction with
+    |a| <= |f(0)| and 0 < b <= |lc(f)| congruent to the lift, so the
+    reconstruction returns it.  A candidate counts only if bt - a divides
+    p exactly, and the number of divisions is its multiplicity.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
-    roots: dict = {}
-    k = p.trailing_order()
-    if k > 0:
-        roots[Fraction(0)] = k
-        p = Polynomial(p.coeffs[k:])
-    if p.degree < 1:
+    ints = p._int_form()[0]
+    k = next(i for i, c in enumerate(ints) if c)
+    roots = {Fraction(0): k} if k else {}
+    ints = ints[k:]
+    if len(ints) < 2:
         return roots
-    _, square_free, _ = p.gcd(p.derivative(), cofactors=True)
-    for cand in _rational_root_candidates(square_free):
-        if cand in roots or square_free.evaluate(cand) != 0:
+    p = Polynomial._from_scaled(ints, Fraction(1))
+    f = p.gcd(p.derivative(), cofactors=True)[1]._int_form()[0]
+    df = [i * c for i, c in enumerate(f)][1:]
+    head, lead = abs(f[0]), abs(f[-1])
+    q = 3
+    while (any(q % d == 0 for d in range(3, math.isqrt(q) + 1, 2))
+           or lead % q == 0 or _mod_gcd_degree(f, df, q)):
+        q += 2
+    for x in range(q):
+        if _eval_mod(f, x, q):
             continue
-        mult = 0
-        factor = Polynomial([-cand, 1])
-        q = p
-        while True:
-            quo, rem = divmod(q, factor)
-            if not rem.is_zero():
-                break
-            q = quo
+        m = q
+        while m <= 2 * head * lead:  # Newton: a root mod m lifts to one mod m**2
+            m *= m
+            x = (x - _eval_mod(f, x, m) * pow(_eval_mod(df, x, m), -1, m)) % m
+        r0, r1, s0, s1 = m, x, 0, 1  # r1 = s1 * x mod m throughout
+        while r1 > head:
+            quo = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
+        a, b = (r1, s1) if s1 > 0 else (-r1, -s1)
+        mult, rest = 0, ints
+        while b <= lead and (rest := _int_exact_div(rest, [-a, b])) is not None:
             mult += 1
-        roots[cand] = mult
+        if mult:
+            roots[Fraction(a, b)] = mult
     return roots
+
+
+def _eval_mod(a, x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % m
+    return acc
 
 
 def has_real_root(p: Polynomial, lo: RatLike, hi: RatLike, depth: int = 20) -> bool:
@@ -567,17 +581,22 @@ def has_real_root(p: Polynomial, lo: RatLike, hi: RatLike, depth: int = 20) -> b
         raise ValueError("zero polynomial has every root")
     if hi < lo:
         return False
-    ints, _ = p._int_form()
-    n = len(ints) - 1
     # q(u) = d**n * p(lo + (hi - lo) * u) with d the common denominator,
     # so that the roots of p in [lo, hi] are those of q in [0, 1]
     d = math.lcm(lo.denominator, hi.denominator)
-    a, w = lo.numerator * (d // lo.denominator), (hi - lo) * d
-    q = _taylor_shift([c * d ** (n - i) for i, c in enumerate(ints)], a)
-    q = [c * int(w) ** i for i, c in enumerate(q)]
+    a, w = lo.numerator * (d // lo.denominator), int((hi - lo) * d)
+    q = _int_compose_affine(p._int_form()[0], a, d, w)
     if q[0] == 0 or sum(q) == 0:
         return True
     return _root_in_unit_interval(q, depth)
+
+
+def _int_compose_affine(ints, a: int, d: int, w: int) -> list:
+    """Coefficients of d**n * p((a + w*u) / d), for p of degree n with
+    integer coefficients ints."""
+    n = len(ints) - 1
+    q = _taylor_shift([c * d ** (n - i) for i, c in enumerate(ints)], a)
+    return [c * w ** i for i, c in enumerate(q)]
 
 
 def _taylor_shift(coeffs: list, a: int) -> list:
@@ -607,51 +626,6 @@ def _root_in_unit_interval(q: list, depth: int) -> bool:
     if right[0] == 0:  # q(1/2) = 0
         return True
     return _root_in_unit_interval(left, depth - 1) or _root_in_unit_interval(right, depth - 1)
-
-
-_DIVISOR_SEARCH_BOUND = 10 ** 12
-
-
-def _rational_root_candidates(p: Polynomial):
-    ints, _ = p._int_form()
-    a0, an = abs(ints[0]), abs(ints[-1])
-    if a0 <= _DIVISOR_SEARCH_BOUND and an <= _DIVISOR_SEARCH_BOUND:
-        for num in _divisors(a0):
-            for den in _divisors(an):
-                yield Fraction(num, den)
-                yield Fraction(-num, den)
-        return
-    # extremes too large for divisor enumeration: identify candidates
-    # numerically and let the exact evaluation above filter them
-    import numpy as np
-
-    scale = max(abs(c) for c in ints)
-    coeffs = [float(Fraction(c, scale)) for c in reversed(ints)]
-    try:
-        approx = np.roots(coeffs)
-    except Exception:
-        return
-    for r in approx:
-        if abs(r.imag) > 1e-7:
-            continue
-        for bound in (10 ** 3, 10 ** 6, 10 ** 9):
-            yield Fraction(float(r.real)).limit_denominator(bound)
-
-
-def _divisors(n: int):
-    if n == 0:
-        return
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    yield from small
-    yield from reversed(large)
 
 
 class RationalFunction:
@@ -1003,16 +977,18 @@ def laurent_expand(f: RationalFunction, point: ExpansionPoint, order: int | None
     lead..-order (descending) are kept.  By default the window extends 8
     exponents past the lead.
     """
-    if point.kind == "finite":
-        shifted = RationalFunction(
-            f.num.compose_shift(point.c), f.den.compose_shift(point.c)
-        )
-        inner = laurent_expand(shifted, ZERO_POINT, order)
-        return LaurentSeries(point, inner.lead, inner.coeffs, inner.order)
-
     if f.is_zero():
         edge = 0 if order is None else -order if point.kind == "infinity" else order
         return LaurentSeries(point, edge, (), edge)
+
+    if point.kind == "finite":
+        # f(t + a/b): b**n p(t + a/b) is an integer Taylor shift of the
+        # integer image, and a shift keeps num and den coprime
+        a, b = point.c.numerator, point.c.denominator
+        num, den = (Polynomial._from_scaled(_int_compose_affine(v, a, b, b), s / b ** (len(v) - 1))
+                    for v, s in (f.num._int_form(), f.den._int_form()))
+        inner = laurent_expand(RationalFunction._coprime(num, den), ZERO_POINT, order)
+        return LaurentSeries(point, inner.lead, inner.coeffs, inner.order)
 
     if point.kind == "zero":
         a = f.num.trailing_order()

@@ -324,3 +324,22 @@ def test_verify_names_a_crosscheck_skipped_for_a_pole_on_path(capsys, tmp_path, 
     assert code_json == code
     assert "numeric_crosscheck" not in report["checks"]
     assert capsys.readouterr().err == ""
+
+
+def test_verify_names_the_residues_it_cannot_check_at_irrational_poles(capsys, tmp_path):
+    # x = 1/(t**2 - 2) has its poles at +-sqrt(2), where the residue
+    # condition is not decidable in rational arithmetic
+    alphas = "1/4,1/4,1/4,-1/4,1/4"
+    _, data = run_json(capsys, "construct", "--system", "b4", "--alphas", alphas)
+    solution = dict(data["solution"], x={"num": ["1"], "den": ["-2", "0", "1"]})
+    code, out, err = _verify_text(capsys, tmp_path, "b4", alphas, solution)
+    assert code == 1 and "FAIL residual" in out
+    assert err == ["SKIP finite_pole_residues at irrational poles "
+                   "(not decidable in rational arithmetic)"]
+    # --json is unchanged: the flag sits in the invariants, skips are not listed
+    code_json, report = run_json(capsys, "verify", "--system", "b4", "--alphas", alphas,
+                                 "--solution", str(tmp_path / "solution.json"), "--json")
+    assert code_json == code
+    assert report["invariants"]["unchecked_irrational_poles"] is True
+    assert report["invariants"]["finite_pole_residues"] == []
+    assert capsys.readouterr().err == ""

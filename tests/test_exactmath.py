@@ -1,5 +1,6 @@
 """Exact arithmetic layer: canonical forms, division, expansion, residues."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -145,6 +146,95 @@ def test_rational_roots_multiplicities():
     # (t-1)^2 (2t+3) t
     p = poly(-1, 1) * poly(-1, 1) * poly(3, 2) * poly(0, 1)
     assert rational_roots(p) == {F(1): 2, F(-3, 2): 1, F(0): 1}
+
+
+def _from_factors(*factors):
+    acc = Polynomial.ONE
+    for f in factors:
+        acc = acc * poly(*f)
+    return acc
+
+
+@pytest.mark.parametrize("factors, roots", [
+    # extremes past 10**12: a numeric search rounded 3/999999999959 away
+    ([(999999999989, 1), (-3, 999999999959), (1, 1, 1)],
+     {F(-999999999989): 1, F(3, 999999999959): 1}),
+    ([(-1, 1234567891), (-2, 0, 1), (-(10 ** 13 + 37), 1)],
+     {F(1, 1234567891): 1, F(10 ** 13 + 37): 1}),
+    # extremes under 10**12 with many divisors: a trial-division search
+    # over their divisor pairs took minutes
+    ([(-720720, 1), (-1, 963761198400), (1, 0, 1)], {F(720720): 1, F(1, 963761198400): 1}),
+    ([(-45045, 16), (16, 45045), (720720, 0, 1)], {F(45045, 16): 1, F(-16, 45045): 1}),
+])
+def test_rational_roots_with_large_or_divisor_rich_extremes(factors, roots):
+    assert rational_roots(_from_factors(*factors)) == roots
+    assert rational_roots(_from_factors(*factors).scale(F(-7, 3))) == roots
+
+
+_BIG = st.integers(-2 ** 80, 2 ** 80)
+
+
+@st.composite
+def _planted_roots(draw):
+    """(p, roots): p a product of linear factors with random multiplicities
+    and of irreducible quadratics, scaled; roots the planted ones."""
+    roots = {}
+    for _ in range(draw(st.integers(1, 4))):
+        root = F(draw(_BIG), draw(st.integers(1, 2 ** 80)))
+        roots[root] = roots.get(root, 0) + draw(st.integers(1, 3))
+    p = Polynomial.const(F(draw(_BIG.filter(bool)), draw(st.integers(1, 2 ** 20))))
+    for root, mult in roots.items():
+        for _ in range(mult):
+            p = p * poly(-root.numerator, root.denominator)
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(1, 2 ** 40)), draw(st.integers(-2 ** 40, 2 ** 40))
+        if draw(st.booleans()):  # complex roots: b**2 - 4ac < 0
+            c = b * b // (4 * a) + draw(st.integers(1, 2 ** 40))
+        else:  # real irrational roots: t**2 - c with c no square
+            a, b, c = 1, 0, -draw(st.integers(2, 2 ** 40).filter(lambda v: math.isqrt(v) ** 2 != v))
+        p = p * poly(c, b, a)
+    return p, roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planted_roots())
+def test_rational_roots_return_the_planted_roots(case):
+    p, roots = case
+    assert rational_roots(p) == roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-2 ** 20, 2 ** 20), min_size=2, max_size=7).filter(lambda c: c[-1]),
+       st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)), max_size=3))
+def test_rational_roots_match_sympy(coeffs, linear):
+    sympy = pytest.importorskip("sympy")
+    p = poly(*coeffs)
+    for a, b in linear:
+        p = p * poly(-a, b)
+    t = sympy.Symbol("t")
+    expr = sum(int(c) * t ** i for i, c in enumerate(p.coeffs))
+    want = {F(int(r.p), int(r.q)): m for r, m in sympy.Poly(expr, t).ground_roots().items()}
+    assert rational_roots(p) == want
+
+
+def _horner_shift(p, c):
+    """p(t + c) by Horner's scheme on Polynomials, an independent oracle."""
+    acc = Polynomial.ZERO
+    for a in reversed(p.coeffs):
+        acc = acc * poly(c, 1) + Polynomial.const(a)
+    return acc
+
+
+def test_expansion_at_a_finite_point_is_the_expansion_at_zero_of_the_shift():
+    rng = random.Random(17)
+    for _ in range(40):
+        f = _random_rf(rng)
+        c = F(rng.randint(-9, 9), rng.randint(1, 7))
+        shifted = RationalFunction(_horner_shift(f.num, c), _horner_shift(f.den, c))
+        for order in (None, -2, 3):
+            got = laurent_expand(f, finite_point(c), order)
+            want = laurent_expand(shifted, ZERO_POINT, order)
+            assert (got.lead, got.coeffs, got.order) == (want.lead, want.coeffs, want.order)
 
 
 def test_canonical_form_idempotent():

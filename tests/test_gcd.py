@@ -92,10 +92,15 @@ def test_heuristic_gcd_candidates(a, b, gcd):
 
 
 def test_heuristic_failure_falls_back_to_subresultant(monkeypatch):
-    monkeypatch.setattr(exactmath, "_int_poly_gcd_heuristic", lambda a, b: None)
+    monkeypatch.setattr(exactmath, "_heuristic_gcd_cofactors", lambda a, b: None)
+    calls = []
+    subresultant = exactmath._int_poly_gcd_subresultant
+    monkeypatch.setattr(exactmath, "_int_poly_gcd_subresultant",
+                        lambda a, b: calls.append((a, b)) or subresultant(a, b))
     a = _mul([1, 1], [5, 0, 7])
     b = _mul([1, 1], [-2, 3])
     assert _normal(exactmath._int_poly_gcd(a, b)) == [1, 1]
+    assert len(calls) == 1
 
 
 def _assert_cofactors(a, b, found):

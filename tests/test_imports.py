@@ -1,5 +1,7 @@
 """Import hygiene: no subcommand loads numpy or scipy, not even `verify`
-on an affine solution, whose numeric cross-check runs in plain floats.
+on an affine solution, whose numeric cross-check runs in plain floats, nor
+`report` and `verify` on a solution whose pole search meets extreme
+coefficients past 10**12.
 
 Each check runs in a fresh interpreter, because the test process itself
 may already hold both modules.
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import sasano
 from sasano.cli import main
+from sasano.exactmath import rf_from_json
 
 workdir = Path(sys.argv[1])
 alphas = "--alphas=1/4,1/4,1/4,-1/4,1/4"
@@ -47,6 +50,18 @@ run("report", "--system", "b4", alphas, "--solution", str(seed))
 report["exact_subcommands"] = heavy()
 report["verify_output"] = run("verify", "--system", "b4", alphas, "--solution", str(seed))
 report["verify"] = heavy()
+
+# the ROADMAP point (1/2 + 2, 1/3, 2, 2/5): the square-free part of x's
+# denominator has both extreme coefficients past 10**12
+far = "--alphas=-11/6,13/6,-5/3,8/5,2/5"
+data = json.loads(run("construct", "--system", "b4", far, "--json"))
+(workdir / "far.json").write_text(json.dumps(data["solution"]))
+den = rf_from_json(data["solution"]["x"]).den
+ints = den.gcd(den.derivative(), cofactors=True)[1]._int_form()[0]
+report["far_extremes"] = [abs(ints[0]), abs(ints[-1])]
+run("report", "--system", "b4", far, "--solution", str(workdir / "far.json"))
+report["far_verify_output"] = run("verify", "--system", "b4", far, "--solution", str(workdir / "far.json"))
+report["far"] = heavy()
 print(json.dumps(report))
 """
 
@@ -62,3 +77,6 @@ def test_no_subcommand_loads_numpy_or_scipy(tmp_path):
     assert report["exact_subcommands"] == []
     assert "PASS numeric_crosscheck" in report["verify_output"].splitlines()
     assert report["verify"] == []
+    assert min(report["far_extremes"]) > 10 ** 12
+    assert "PASS finite_pole_residues" in report["far_verify_output"].splitlines()
+    assert report["far"] == []
