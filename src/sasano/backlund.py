@@ -30,10 +30,13 @@ from .exactmath import RF
 from .systems import (
     Chart,
     ChartMismatch,
+    INVERTED_SIDES,
     ParameterTuple,
     SolutionTuple,
     System,
+    VALID_CHARTS,
     _check_chart,
+    invert_side,
 )
 
 
@@ -436,13 +439,12 @@ def _to_affine_if_finite(p_out: ParameterTuple, sol: SolutionTuple) -> SolutionT
     chart; anything representable in the affine chart is returned there,
     matching how the source tables present finite images.
     """
-    a1, a3 = p_out.alphas[1], p_out.alphas[3]
     chart, x, y, z, w = sol.chart, sol.x, sol.y, sol.z, sol.w
     if chart in (Chart.R1, Chart.R5) and not x.is_zero():
-        x, y = 1 / x, -(y * x * x) - a1 * x
+        x, y = invert_side(x, y, p_out.alphas[1])
         chart = Chart.R3 if chart is Chart.R5 else Chart.AFFINE
     if chart in (Chart.M3, Chart.R3, Chart.R5) and not z.is_zero():
-        z, w = 1 / z, -(w * z * z) - a3 * z
+        z, w = invert_side(z, w, p_out.alphas[3])
         chart = {Chart.M3: Chart.AFFINE, Chart.R3: Chart.AFFINE, Chart.R5: Chart.R1}[chart]
     if chart is sol.chart and (x, y, z, w) == (sol.x, sol.y, sol.z, sol.w):
         return sol
@@ -517,20 +519,15 @@ def equivalence_map(
         raise ChartMismatch("equivalence maps act on affine D4 solutions")
     a0, a1, a2, a3, a4 = p.alphas
     x, y, z, w = sol.components()
-
-    if target is System.B4:
-        q = ParameterTuple(System.B4, (a0, a1, a2, a3, (a4 - a3) / 2))
-        if z.is_zero():
-            mapped = SolutionTuple(Chart.M3, x, y, z, w)
-        else:
-            mapped = SolutionTuple(Chart.AFFINE, x, y, 1 / z, -(z * w + a3) * z)
-        return q, _to_affine_if_finite(q, mapped)
-
-    q = ParameterTuple(System.D5, ((a0 - a1) / 2, a1, a2, a3, (a4 - a3) / 2))
-    # an identically zero x or z stays as the marker of an r1 or r3 chart
-    x_side = (x, y) if x.is_zero() else (1 / x, -(x * y + a1) * x)
-    z_side = (z, w) if z.is_zero() else (1 / z, -(z * w + a3) * z)
-    chart = {(False, False): Chart.AFFINE, (True, False): Chart.R1,
-             (False, True): Chart.R3, (True, True): Chart.R5}[(x.is_zero(), z.is_zero())]
-    mapped = SolutionTuple(chart, *x_side, *z_side)
-    return q, _to_affine_if_finite(q, mapped)
+    q = ParameterTuple(target, ((a0 - a1) / 2 if target is System.D5 else a0,
+                                a1, a2, a3, (a4 - a3) / 2))
+    # the sides the target's affine chart inverts, except an identically
+    # zero x or z, which stays as the marker of an infinite chart
+    x_inverted, z_inverted = INVERTED_SIDES[target, Chart.AFFINE]
+    x_inverted, z_inverted = x_inverted and not x.is_zero(), z_inverted and not z.is_zero()
+    if x_inverted:
+        x, y = invert_side(x, y, a1)
+    if z_inverted:
+        z, w = invert_side(z, w, a3)
+    chart = next(c for c in VALID_CHARTS[target] if INVERTED_SIDES[target, c] == (x_inverted, z_inverted))
+    return q, SolutionTuple(chart, x, y, z, w)

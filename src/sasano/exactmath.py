@@ -280,11 +280,17 @@ class Polynomial:
         return Polynomial._from_scaled([i * v for i, v in enumerate(a)][1:], sa)
 
     def evaluate(self, point: RatLike) -> Fraction:
+        """p(a/b) by homogeneous Horner on the integer image, one Fraction in all."""
         point = rat(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        if self.is_zero():
+            return Fraction(0)
+        a, b = point.numerator, point.denominator
+        ints, scale = self._int_form()
+        acc, power = 0, 1
+        for c in reversed(ints):
+            acc = acc * a + c * power
+            power *= b
+        return Fraction(scale.numerator * acc, scale.denominator * (power // b))
 
     def evaluate_float(self, point: float) -> float:
         acc = 0.0
@@ -412,11 +418,6 @@ def _int_poly_gcd_cofactors(a, b):
     return g, _int_exact_div(a, g), _int_exact_div(b, g)
 
 
-def _int_poly_gcd(a, b) -> list:
-    """The gcd alone of `_int_poly_gcd_cofactors`."""
-    return _int_poly_gcd_cofactors(a, b)[0]
-
-
 # below 2**15, so that the products in _mod_gcd_degree stay below 2**30,
 # one CPython digit; an unlucky prime only costs a trip to the heuristic gcd
 _GCD_PRIME = 32749
@@ -476,11 +477,6 @@ def _heuristic_gcd_cofactors(a, b):
                     return cand, qa, qb
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011  # the published growth
     return None
-
-
-def _int_poly_gcd_heuristic(a, b):
-    """The gcd alone of `_heuristic_gcd_cofactors`; None on failure."""
-    return (_heuristic_gcd_cofactors(a, b) or (None,))[0]
 
 
 def _int_eval(a, x: int) -> int:
@@ -1018,11 +1014,6 @@ def laurent_expand(f: RationalFunction, point: ExpansionPoint, order: int | None
 def residue(f: RationalFunction, c: RatLike) -> Fraction:
     """Coefficient of (t-c)**(-1) in the Laurent expansion of f at c."""
     return laurent_expand(f, finite_point(c), order=-1).coefficient(-1)
-
-
-def residue_at_infinity_coefficient(f: RationalFunction) -> Fraction:
-    """Coefficient of t**(-1) in the expansion of f at infinity."""
-    return laurent_expand(f, INFINITY, order=1).coefficient(-1)
 
 
 # JSON encoding helpers (shared wire format of the package).

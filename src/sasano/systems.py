@@ -3,21 +3,19 @@ alternative coordinate charts, parameter normalizations, the solution
 check and the B4 Hamiltonian.
 
 Every system is written in the form t * X' = RHS(X, t), with one
-`vector_field` for all seven system/chart pairs.  `residual` gives the
-four exact rational functions t*X' - RHS, which vanish identically
-precisely on solutions; `is_solution` reaches the same verdict by exact
-evaluation at B + 1 points, with B a bound on the degree of each
-residual's numerator.
+`vector_field` for all seven system/chart pairs: D4 with some of its
+sides inverted (`INVERTED_SIDES`).  `residual` gives the four exact
+rational functions t*X' - RHS, which vanish identically precisely on
+solutions; `is_solution` reaches the same verdict by exact evaluation,
+screening B4 and D5 inputs at one point and then carrying them to D4,
+whose cubic field it evaluates at B + 1 points, with B a bound on the
+degree of each residual's numerator.
 
 Charts: the affine chart carries (x, y, z, w) directly.  Solutions with
-a component identically infinite live in an alternative chart:
-
-  * B4  m3:  x3 = x, y3 = y, z3 = 1/z, w3 = -(z*w + a3)*z       (z == inf)
-  * D5  r1:  x1 = 1/x, y1 = -(x*y + a1)*x, z1 = z, w1 = w       (x == inf)
-  * D5  r3:  x3 = x, y3 = y, z3 = 1/z, w3 = -z*(z*w + a3)       (z == inf)
-  * D5  r5 = r1 r3                                          (x == z == inf)
-
-D4 needs no extra chart.
+a component identically infinite live in an alternative chart, which
+applies `invert_side` to that component's side: B4 m3 and D5 r3 to the
+z-side (z == inf), D5 r1 to the x-side (x == inf), D5 r5 to both.  D4
+needs no extra chart.
 """
 
 from __future__ import annotations
@@ -53,11 +51,16 @@ class Chart(enum.Enum):
     R5 = "r5"
 
 
-VALID_CHARTS = {
-    System.B4: (Chart.AFFINE, Chart.M3),
-    System.D4: (Chart.AFFINE,),
-    System.D5: (Chart.AFFINE, Chart.R1, Chart.R3, Chart.R5),
+# the valid charts and which sides, (x-side, z-side), each writes inverted
+# against D4's coordinates (`invert_side`): D5 has both sides inverted in
+# the affine chart, B4 its z-side; m3, r1, r3 and r5 undo z, x, z and both
+INVERTED_SIDES = {
+    (System.B4, Chart.AFFINE): (False, True), (System.B4, Chart.M3): (False, False),
+    (System.D4, Chart.AFFINE): (False, False),
+    (System.D5, Chart.AFFINE): (True, True), (System.D5, Chart.R1): (False, True),
+    (System.D5, Chart.R3): (True, False), (System.D5, Chart.R5): (False, False),
 }
+VALID_CHARTS = {s: tuple(c for t, c in INVERTED_SIDES if t is s) for s in System}
 
 
 def parse_system(name: str) -> System:
@@ -126,12 +129,8 @@ def constraint_level(system: System) -> Fraction:
 
 def solve_last_alpha(system: System, first_four) -> Fraction:
     """The a4 forced by the normalization, given a0..a3."""
-    a0, a1, a2, a3 = (rat(a) for a in first_four)
-    if system is System.B4:
-        return (1 - a0 - a1 - 2 * a2 - 2 * a3) / 2
-    if system is System.D4:
-        return 1 - a0 - a1 - 2 * a2 - a3
-    return Fraction(1, 2) - a0 - a1 - a2 - a3
+    rest = constraint_level(system) - constraint_sum(system, [rat(a) for a in first_four] + [0])
+    return rest / 2 if system is System.B4 else rest
 
 
 @dataclass(frozen=True)
@@ -171,6 +170,12 @@ def _check_chart(system: System, chart: Chart):
         raise ChartMismatch(f"chart {chart.value} is not a {system.value} chart")
 
 
+def invert_side(u, v, b):
+    """(1/u, -u*(u*v + b)) for u not identically zero: the involution between
+    a side in D4's coordinates and inverted ones (b = a1 on x, a3 on z)."""
+    return 1 / u, -u * (u * v + b)
+
+
 def _side(p_form: bool, c, b, inverted: bool, t, u, v, k):
     """t*u' and t*v' on one side, (x, y) or (z, w), of the coupled system.
 
@@ -192,10 +197,8 @@ def vector_field(system: System, chart: Chart, alphas):
     """RHS(t, x, y, z, w) of t*X' = RHS for the system in the chart.
 
     All three systems are D4 seen through charts: a side (x, y) or (z, w)
-    is either in D4's coordinates or inverted by (u, v) -> (1/u, -u*(u*v + b)),
-    which turns its P form into the Q form and back.  D5 has both sides
-    inverted in the affine chart, B4 its z-side; the charts m3, r1, r3 and
-    r5 undo the inversion of z, x, z and both.
+    is either in D4's coordinates or inverted by `invert_side`, which turns
+    its P form into the Q form and back; `INVERTED_SIDES` says which.
 
     The returned function uses only +, - and *, so one definition serves
     the exact residual (RationalFunctions), its degree bound and point
@@ -204,8 +207,7 @@ def vector_field(system: System, chart: Chart, alphas):
     """
     _check_chart(system, chart)
     a0, a1, a2, a3, a4 = alphas
-    x_inverted = system is System.D5 and chart in (Chart.AFFINE, Chart.R3)
-    z_inverted = system is not System.D4 and chart in (Chart.AFFINE, Chart.R1)
+    x_inverted, z_inverted = INVERTED_SIDES[system, chart]
     # D4's s = a0 + a1 and g = 1 - a3 - a4 as each system reads them; an
     # inverted side's other form has its parameter moved by 2*b
     s = (2 if system is System.D5 else 1) * (a0 + a1) - (2 * a1 if x_inverted else 0)
@@ -320,20 +322,12 @@ def _degree_bounds(field, comps):
     return dens, [(r.h + sum(e * d.degree for e, d in zip(r.e, dens)), r.e) for r in residuals]
 
 
-def is_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
-    """Whether sol solves the system in its chart, decided exactly.
-
-    Each residual t*X' - RHS is N / prod_k D_k**e[k] over the components'
-    denominators D_k, with deg N <= B (`_degree_bounds`).  N is zero iff
-    it vanishes at B + 1 distinct points, so the residuals are evaluated
-    in exact integer pairs at t = 1, 2, ..., skipping the points where
-    some D_k vanishes, until B + 1 points have passed (Schwartz 1980,
-    Zippel 1979).  `residual` builds the same residuals symbolically.
-    """
-    field = vector_field(params.system, sol.chart, params.alphas)
-    comps = sol.components()
-    dens, bounds = _degree_bounds(field, comps)
-    points = max(b for b, _ in bounds) + 1
+def _residuals_vanish(field, comps, points=None) -> bool:
+    """Whether field's residuals on comps vanish at the first `points` integers
+    t >= 1 where no denominator vanishes (by default B + 1, `_degree_bounds`)."""
+    dens = list(dict.fromkeys(c.den for c in comps))
+    if points is None:
+        points = max(b for b, _ in _degree_bounds(field, comps)[1]) + 1
     den_ints = [d._int_form()[0] for d in dens]
     images = []
     for c in comps:
@@ -357,6 +351,44 @@ def is_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
             return False
         points -= 1
     return True
+
+
+def _d4_image(params: ParameterTuple, sol: SolutionTuple):
+    """The D4 parameters and solution equivalent to a B4 or D5 (params,
+    sol), with every inverted side of sol's chart undone."""
+    x_inverted, z_inverted = INVERTED_SIDES[params.system, sol.chart]
+    b0, b1, b2, b3, b4 = params.alphas
+    x, y, z, w = sol.components()
+    if x_inverted:
+        x, y = invert_side(x, y, b1)
+    if z_inverted:
+        z, w = invert_side(z, w, b3)
+    d4 = (2 * b0 + b1 if params.system is System.D5 else b0, b1, b2, b3, 2 * b4 + b3)
+    return ParameterTuple(System.D4, d4), SolutionTuple(Chart.AFFINE, x, y, z, w)
+
+
+def is_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
+    """Whether sol solves the system in its chart, decided exactly.
+
+    Each residual t*X' - RHS is N / prod_k D_k**e[k] over the components'
+    denominators D_k, with deg N <= B (`_degree_bounds`).  N is zero iff
+    it vanishes at B + 1 distinct points, so the residuals are evaluated
+    in exact integer pairs at t = 1, 2, ..., skipping the points where
+    some D_k vanishes, until B + 1 points have passed (Schwartz 1980,
+    Zippel 1979).  `residual` builds the same residuals symbolically.
+
+    A chart with an inverted side is first screened at one point, which
+    rejects most non-solutions and any inverted side with u == 0 (its
+    u-residual is -t or -1).  Then `_d4_image` undoes the inversions and the
+    image is checked on D4's cubic field, with a smaller B; `vector_field` is
+    D4's field conjugated by the same involutions, so the verdict is the same.
+    """
+    if any(INVERTED_SIDES[params.system, sol.chart]):
+        screen = vector_field(params.system, sol.chart, params.alphas)
+        if not _residuals_vanish(screen, sol.components(), points=1):
+            return False
+        params, sol = _d4_image(params, sol)
+    return _residuals_vanish(vector_field(params.system, sol.chart, params.alphas), sol.components())
 
 
 def hamiltonian_polynomial(alphas):

@@ -18,7 +18,7 @@ from sasano import (
     rational_roots,
     residue,
 )
-from sasano.exactmath import has_real_root, residue_at_infinity_coefficient
+from sasano.exactmath import has_real_root
 
 T = RF.t()
 
@@ -295,7 +295,7 @@ def test_residue_theorem_for_rational_pole_sets():
             num = Polynomial.ONE
         f = RationalFunction(num, den)
         total = sum(residue(f, c) for c in f.poles())
-        assert total == residue_at_infinity_coefficient(f)
+        assert total == laurent_expand(f, INFINITY, order=1).coefficient(-1)
 
 
 def test_substitute_negate():
@@ -355,6 +355,25 @@ def test_polynomial_arithmetic_matches_coefficientwise_reference():
         if not p.is_zero():
             assert p.monic().leading == 1
             assert (p * q) // p == q
+
+
+_FRACTIONS = st.fractions(min_value=-10 ** 12, max_value=10 ** 12, max_denominator=10 ** 9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(_FRACTIONS, max_size=8), point=_FRACTIONS)
+@example(coeffs=[], point=F(3, 7))
+@example(coeffs=[F(-5, 3)], point=F(-2, 9))
+@example(coeffs=[0, 0, F(1, 2)], point=F(0))
+def test_evaluate_matches_fraction_horner(coeffs, point):
+    # the integer-image evaluation against Horner on the Fraction coefficients
+    p = Polynomial(coeffs)
+    want = F(0)
+    for c in reversed(p.coeffs):
+        want = want * point + c
+    got = p.evaluate(point)
+    assert type(got) is F and got == want
+    assert Polynomial(coeffs).evaluate(point.numerator) == p.evaluate(F(point.numerator))
 
 
 def _random_rf(rng):

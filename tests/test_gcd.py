@@ -14,9 +14,7 @@ from sasano import Polynomial, exactmath
 from sasano.exactmath import (
     _GCD_PRIME,
     _heuristic_gcd_cofactors,
-    _int_poly_gcd,
     _int_poly_gcd_cofactors,
-    _int_poly_gcd_heuristic,
     _int_poly_gcd_subresultant,
 )
 
@@ -57,10 +55,10 @@ def test_gcd_matches_subresultant_reference(g, u, v):
     assume(len(a) > 1 and len(b) > 1)  # Polynomial.gcd handles constants itself
     expected = _reference(a, b)
     assert len(expected) >= len(_normal(g))
-    assert _normal(_int_poly_gcd(a, b)) == expected
+    assert _normal(_int_poly_gcd_cofactors(a, b)[0]) == expected
     big, small = (a, b) if len(a) >= len(b) else (b, a)
-    heuristic = _int_poly_gcd_heuristic(big, small)
-    assert heuristic is None or _normal(heuristic) == expected
+    heuristic = _heuristic_gcd_cofactors(big, small)
+    assert heuristic is None or _normal(heuristic[0]) == expected
 
 
 P = _GCD_PRIME
@@ -76,8 +74,8 @@ P = _GCD_PRIME
 ])
 def test_gcd_where_reduction_mod_p_misleads(a, b, gcd):
     assert _reference(a, b) == gcd
-    assert _normal(_int_poly_gcd(a, b)) == gcd
-    assert _normal(_int_poly_gcd(b, a)) == gcd
+    assert _normal(_int_poly_gcd_cofactors(a, b)[0]) == gcd
+    assert _normal(_int_poly_gcd_cofactors(b, a)[0]) == gcd
 
 
 @pytest.mark.parametrize("a, b, gcd", [
@@ -88,7 +86,7 @@ def test_gcd_where_reduction_mod_p_misleads(a, b, gcd):
 ])
 def test_heuristic_gcd_candidates(a, b, gcd):
     assert _reference(a, b) == gcd
-    assert _normal(_int_poly_gcd_heuristic(a, b)) == gcd
+    assert _normal(_heuristic_gcd_cofactors(a, b)[0]) == gcd
 
 
 def test_heuristic_failure_falls_back_to_subresultant(monkeypatch):
@@ -99,7 +97,7 @@ def test_heuristic_failure_falls_back_to_subresultant(monkeypatch):
                         lambda a, b: calls.append((a, b)) or subresultant(a, b))
     a = _mul([1, 1], [5, 0, 7])
     b = _mul([1, 1], [-2, 3])
-    assert _normal(exactmath._int_poly_gcd(a, b)) == [1, 1]
+    assert _normal(exactmath._int_poly_gcd_cofactors(a, b)[0]) == [1, 1]
     assert len(calls) == 1
 
 

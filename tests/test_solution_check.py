@@ -37,10 +37,12 @@ from sasano import (
     act_params,
     act_solution,
     construct_rational_solution,
+    equivalence_map,
     is_solution,
     residual,
     seed_solution,
 )
+from sasano import systems
 from sasano.backlund import PRIMITIVES
 from sasano.systems import VALID_CHARTS, _degree_bounds, vector_field
 
@@ -185,3 +187,52 @@ def test_perturbation_vanishing_to_second_order_at_the_first_points_is_rejected(
     assert not all(r.is_zero() for r in res)
     assert all(r.evaluate(k) == 0 for r in res for k in range(1, m + 1) if r.den.evaluate(k))
     assert not is_solution(p, bad)
+
+
+def _forbid_d4_image(monkeypatch):
+    def fail(params, sol):
+        raise AssertionError("the D4 image was built")
+
+    monkeypatch.setattr(systems, "_d4_image", fail)
+
+
+@pytest.mark.parametrize("make, index", [
+    (lambda: _seed(System.B4), 2), (_d5_affine, 0), (_d5_affine, 2),
+    (lambda: _seed(System.D5), 2), (_d5_r1, 2), (_d5_r3, 0),
+])
+def test_identically_zero_inverted_side_is_rejected_by_the_screen(monkeypatch, make, index):
+    # the u-residual of an inverted side with u == 0 is -t or -1, so the
+    # check rejects before 1/u would be formed
+    p, sol = make()
+    assert systems.INVERTED_SIDES[p.system, sol.chart][index // 2]
+    comps = list(sol.components())
+    comps[index] = RF.ZERO
+    broken = SolutionTuple(sol.chart, *comps)
+    assert not _symbolic(p, broken)
+    _forbid_d4_image(monkeypatch)
+    assert not is_solution(p, broken)
+
+
+@pytest.mark.parametrize("system", [System.B4, System.D5])
+def test_corrupted_solution_is_rejected_before_the_d4_image(monkeypatch, system):
+    p = from_lattice(system, F(7, 2), F(1, 3), 3, F(2, 5))
+    sol = construct_rational_solution(p).solution
+    images = []
+    d4_image = systems._d4_image
+    monkeypatch.setattr(systems, "_d4_image", lambda *args: images.append(args) or d4_image(*args))
+    assert is_solution(p, sol) and len(images) == 1  # a genuine one is decided on D4
+    broken = sol.replace(x=RF(sol.x.num + Polynomial.ONE, sol.x.den))
+    _forbid_d4_image(monkeypatch)
+    assert not is_solution(p, broken)
+
+
+@pytest.mark.parametrize("make", [make for make in FIXTURES if make()[0].system is not System.D4])
+@SETTINGS
+@given(letters=st.lists(st.integers(0, 10), max_size=4))
+def test_d4_image_maps_back_under_the_equivalence(make, letters):
+    p, sol = make()
+    names = PRIMITIVES[p.system]
+    q, image = _push(p, sol, [names[i % len(names)] for i in letters])
+    d4_params, d4_sol = systems._d4_image(q, image)
+    assert is_solution(d4_params, d4_sol)
+    assert equivalence_map(System.D4, q.system, d4_params, d4_sol) == (q, image)
