@@ -1,8 +1,14 @@
 """Bäcklund transformation groups of the three systems.
 
 Each generator acts on parameters by an exact affine map and on
-solutions by a birational map, possibly landing in another chart.
-Degenerate divisions follow three rules, tried in order:
+solutions by a birational map, possibly landing in another chart.  The
+three systems are D4 seen through charts, each side (x, y) or (z, w)
+written in D4's coordinates or inverted (`systems.INVERTED_SIDES`), and
+every B4 and D5 generator is a D4 letter under the linear parameter map
+(`D4_LETTER`).  So each solution map is written once, in `_d4_letter`,
+for plain and inverted sides, and `_settle` writes the image in the
+system's charts.  Degenerate divisions follow three rules, tried in
+order:
 
   1. identity convention: a generator dividing by an identically zero
      component is the identity when its own parameter vanishes;
@@ -10,14 +16,17 @@ Degenerate divisions follow three rules, tried in order:
      the image is computed there (the conjugated map is regular);
   3. otherwise the action is undefined and raises UndefinedAction.
 
+An inverted side whose u is identically zero solves no system, and every
+generator raises UndefinedAction on it.
+
 Words apply left factor first: the word "s4 pi1 s1" applied to p is
 s1(pi1(s4(p))) read right-to-left as functions, i.e. s4 acts first.
 This orientation is what reproduces the documented shift vectors of
 the translation operators T1..T4.
 
-Generators that send t to -t (B4 s4/pi1, D4 pi1/pi2, D5 s0/s4) are
-realized as parameter action + component action + a final substitution
-t -> -t in every stored rational function.
+Generators that send t to -t (D4 pi1/pi2, so B4 s4/pi1 and D5 s0/s4)
+are realized as parameter action + component action + a final
+substitution t -> -t in every stored rational function.
 """
 
 from __future__ import annotations
@@ -34,9 +43,10 @@ from .systems import (
     ParameterTuple,
     SolutionTuple,
     System,
-    VALID_CHARTS,
     _check_chart,
+    from_d4_alphas,
     invert_side,
+    to_d4_alphas,
 )
 
 
@@ -58,13 +68,6 @@ SHIFTS = {
     System.B4: ("T1", "T2", "T3", "T4"),
     System.D4: ("T1", "T2", "T3", "T4"),
     System.D5: (),
-}
-
-# Generators whose image is a solution in the flipped variable -t.
-T_FLIP = {
-    System.B4: ("s4", "pi1"),
-    System.D4: ("pi1", "pi2"),
-    System.D5: ("s0", "s4"),
 }
 
 
@@ -244,211 +247,106 @@ def act_params(gen: Generator, p: ParameterTuple) -> ParameterTuple:
 
 # -- solution actions --------------------------------------------------------
 
-def _identity_or_undefined(name: str, param: Fraction, p, sol):
-    """Degenerate-division rule when no infinite image applies."""
-    if param == 0:
-        return sol
-    raise UndefinedAction(
-        f"{name} divides by an identically zero component and its parameter "
-        f"{param} is nonzero"
-    )
+# the D4 letter each generator is, under the linear parameter map
+# (`systems.to_d4_alphas`)
+D4_LETTER = {
+    System.B4: {"s0": "s0", "s1": "s1", "s2": "s2", "s3": "s3", "s4": "pi2",
+                "pi1": "pi1", "pi2": "pi3"},
+    System.D4: {name: name for name in PRIMITIVES[System.D4]},
+    System.D5: {"s0": "pi1", "s1": "s1", "s2": "s2", "s3": "s3", "s4": "pi2",
+                "psi": "pi3"},
+}
+
+# D4 letters whose image is a solution in the flipped variable -t
+T_FLIP = ("pi1", "pi2")
+
+# the chart of each system that writes the sides as (x inverted, z inverted)
+_CHART_OF = {(system, *sides): chart for (system, chart), sides in INVERTED_SIDES.items()}
 
 
-def _shared_letter(name: str, p, sol: SolutionTuple) -> SolutionTuple:
-    """s0, s1, pi1 and s2, whose formulas B4 in both charts and D4 share
-    (B4's affine chart has its own s2)."""
-    a0, a1, a2, a3, a4 = p.alphas
-    x, y, z, w = sol.components()
+def _acts(name: str, d, param: Fraction) -> bool:
+    """Whether a letter dividing by d acts: if d is identically zero, the
+    letter is the identity when its parameter vanishes, else undefined."""
+    if not d.is_zero():
+        return True
+    if param != 0:
+        raise UndefinedAction(
+            f"{name} divides by an identically zero component and its parameter "
+            f"{param} is nonzero"
+        )
+    return False
+
+
+def _s_side(name: str, b: Fraction, inverted: bool, u, v):
+    """s1 on (x, y) or s3 on (z, w), u -> u + b/v in either coordinates:
+    the image side's flag and components."""
+    if inverted and v.is_zero():
+        # in D4's coordinates the side is (1/u, -b*u) and its image
+        # (0, -b*u), which only D4's coordinates can hold
+        return (True, u, v) if b == 0 else (False, RF.ZERO, -b * u)
+    if not _acts(name, v, b):
+        return inverted, u, v
+    u = u + b / v
+    if inverted and u.is_zero():  # v == 0 in D4 coordinates, with b != 0
+        raise UndefinedAction(f"{name} divides by an identically zero component")
+    return inverted, u, v
+
+
+def _d4_letter(name: str, c, x_inv: bool, z_inv: bool, x, y, z, w):
+    """D4's letter `name` at the D4 parameters c on the sides (x, y) and
+    (z, w), each in D4's coordinates or, where its flag is set, inverted by
+    `invert_side`.  Returns the image's flags and components, before any
+    t -> -t.  No system meets s0, s4 or pi4 on an inverted side."""
+    t = RF.t()
     if name == "s0":
-        if (y - 1).is_zero():
-            return _identity_or_undefined(name, a0, p, sol)
-        return sol.replace(x=x + a0 / (y - 1))
-    if name == "s1":
-        if y.is_zero():
-            return _identity_or_undefined(name, a1, p, sol)
-        return sol.replace(x=x + a1 / y)
-    if name == "s2":
-        d = x * z - 1
-        if d.is_zero():
-            return _identity_or_undefined(name, a2, p, sol)
-        return sol.replace(y=y - a2 * z / d, w=w - a2 * x / d)
-    if name == "pi1":
-        return SolutionTuple(sol.chart, -x, 1 - y, -z, -w)
-    raise AssertionError(name)
+        if _acts(name, y - 1, c[0]):
+            x = x + c[0] / (y - 1)
+    elif name == "s1":
+        x_inv, x, y = _s_side(name, c[1], x_inv, x, y)
+    elif name == "s2":
+        # y and w move by -c2 * (dy, dw) / d, with d = x*z - 1 and (dy, dw)
+        # = (z, x) when both sides or neither are inverted; one inverted side
+        # turns them into x - z and (1, -1)
+        mixed = x_inv != z_inv
+        d = x - z if mixed else x * z - 1
+        if _acts(name, d, c[2]):
+            dy, dw = (1, -1) if mixed else (z, x)
+            y, w = y - c[2] * dy / d, w - c[2] * dw / d
+    elif name == "s3":
+        z_inv, z, w = _s_side(name, c[3], z_inv, z, w)
+    elif name == "s4":
+        if _acts(name, w - t, c[4]):
+            z = z + c[4] / (w - t)
+    elif name == "pi1":
+        y = -y + (c[0] - c[1]) / x - 1 / (x * x) if x_inv else 1 - y
+        x, z, w = -x, -z, -w
+    elif name == "pi2":
+        w = w - (c[4] - c[3]) / z + t / (z * z) if z_inv else w - t
+    elif name == "pi3":
+        # the sides swap, each keeping its coordinates
+        x_side = (z / t, t * w) if z_inv else (t * z, w / t)
+        z_side = (t * x, y / t) if x_inv else (x / t, t * y)
+        (x, y), (z, w), x_inv, z_inv = x_side, z_side, z_inv, x_inv
+    else:  # pi4
+        x, y, z, w = -(t * z), (t - w) / t, -(x / t), t - t * y
+    return x_inv, z_inv, x, y, z, w
 
 
-def _b4_affine(name: str, p, sol: SolutionTuple) -> SolutionTuple:
-    a0, a1, a2, a3, a4 = p.alphas
-    x, y, z, w = sol.components()
-    t = RF.t()
-    if name == "s2":
-        if (x - z).is_zero():
-            return _identity_or_undefined(name, a2, p, sol)
-        c = a2 / (x - z)
-        return sol.replace(y=y - c, w=w + c)
-    if name == "s3":
-        if w.is_zero():
-            if a3 == 0:
-                return sol
-            # image has z == infinity; the m3 coordinates stay regular
-            return SolutionTuple(Chart.M3, x, y, RF.ZERO, -(w * z * z) - a3 * z)
-        return sol.replace(z=z + a3 / w)
-    if name == "s4":
-        if z.is_zero():
-            raise UndefinedAction("s4 needs z not identically zero")
-        return sol.replace(w=w - 2 * a4 / z + t / (z * z))
-    if name == "pi2":
-        if z.is_zero():
-            raise UndefinedAction("pi2 needs z not identically zero")
-        new_x = t / z
-        new_y = -(z * (z * w + a3)) / t
-        if x.is_zero():
-            # image has z == infinity (m3 chart)
-            return SolutionTuple(Chart.M3, new_x, new_y, RF.ZERO, t * y)
-        return SolutionTuple(Chart.AFFINE, new_x, new_y, t / x, -(x * (x * y + a1)) / t)
-    return _shared_letter(name, p, sol)
+def _settle(system: System, alphas, x_inv: bool, z_inv: bool, x, y, z, w) -> SolutionTuple:
+    """The solution of `system` whose sides are given with their flags.
 
-
-def _b4_m3(name: str, p, sol: SolutionTuple) -> SolutionTuple:
-    a0, a1, a2, a3, a4 = p.alphas
-    x, y, z, w = sol.components()
-    t = RF.t()
-    if name == "s3":
-        if a3 == 0:
-            return sol
-        if w.is_zero():
-            raise UndefinedAction("s3 on the m3 chart needs w3 nonzero when a3 != 0")
-        return sol.replace(z=z + a3 / w)
-    if name == "s4":
-        return sol.replace(w=w - t)
-    if name == "pi2":
-        return SolutionTuple(Chart.M3, t * z, w / t, x / t, t * y)
-    return _shared_letter(name, p, sol)
-
-
-def _d4_affine(name: str, p, sol: SolutionTuple) -> SolutionTuple:
-    a0, a1, a2, a3, a4 = p.alphas
-    x, y, z, w = sol.components()
-    t = RF.t()
-    if name == "s3":
-        if w.is_zero():
-            return _identity_or_undefined(name, a3, p, sol)
-        return sol.replace(z=z + a3 / w)
-    if name == "s4":
-        if (w - t).is_zero():
-            return _identity_or_undefined(name, a4, p, sol)
-        return sol.replace(z=z + a4 / (w - t))
-    if name == "pi2":
-        return sol.replace(w=w - t)
-    if name == "pi3":
-        return SolutionTuple(Chart.AFFINE, t * z, w / t, x / t, t * y)
-    if name == "pi4":
-        return SolutionTuple(Chart.AFFINE, -(t * z), (t - w) / t, -(x / t), t - t * y)
-    return _shared_letter(name, p, sol)
-
-
-def _d5_action(name: str, p, sol: SolutionTuple) -> SolutionTuple:
-    a0, a1, a2, a3, a4 = p.alphas
-    x, y, z, w = sol.components()
-    t = RF.t()
-    chart = sol.chart
-    x_inf = chart in (Chart.R1, Chart.R5)  # x-side stored in r1 coordinates
-    z_inf = chart in (Chart.R3, Chart.R5)  # z-side stored in r3 coordinates
-
-    if name == "s0":
-        if x_inf:
-            return sol.replace(x=-x, y=1 - y, z=-z, w=-w)
-        if x.is_zero():
-            raise UndefinedAction("s0 needs x not identically zero")
-        return sol.replace(x=-x, y=-y + 2 * a0 / x - 1 / (x * x), z=-z, w=-w)
-
-    if name == "s1":
-        if y.is_zero():
-            if a1 == 0:
-                return sol
-            if x_inf:
-                raise UndefinedAction("s1 with y1 == 0 and a1 != 0")
-            # image has x == infinity; r1 coordinates stay regular
-            x1 = RF.ZERO
-            y1 = -(x * x * y) - a1 * x
-            new_chart = Chart.R5 if z_inf else Chart.R1
-            return SolutionTuple(new_chart, x1, y1, z, w)
-        new_x = x + a1 / y
-        if not x_inf and new_x.is_zero():
-            raise UndefinedAction("s1 image has x == 0, which no solution admits")
-        return sol.replace(x=new_x)
-
-    if name == "s2":
-        # y and w move by a2 * (dy, dw) / d, in the coordinates of the chart
-        if x_inf and z_inf:
-            d, dy, dw = 1 - x * z, z, x
-        elif x_inf:
-            d, dy, dw = z - x, 1, -1
-        elif z_inf:
-            d, dy, dw = x - z, -1, 1
-        else:
-            d, dy, dw = x * z - 1, -z, -x
-        if d.is_zero():
-            return _identity_or_undefined(name, a2, p, sol)
-        return sol.replace(y=y + a2 * dy / d, w=w + a2 * dw / d)
-
-    if name == "s3":
-        if z_inf:
-            if a3 == 0:
-                return sol
-            if w.is_zero():
-                raise UndefinedAction("s3 on an infinite-z chart needs w nonzero")
-            return sol.replace(z=z + a3 / w)
-        if w.is_zero():
-            if a3 == 0:
-                return sol
-            # image has z == infinity; r3 coordinates stay regular
-            z3 = RF.ZERO
-            w3 = -(z * z * w) - a3 * z
-            new_chart = Chart.R5 if x_inf else Chart.R3
-            return SolutionTuple(new_chart, x, y, z3, w3)
-        new_z = z + a3 / w
-        if new_z.is_zero():
-            raise UndefinedAction("s3 image has z == 0, which no solution admits")
-        return sol.replace(z=new_z)
-
-    if name == "s4":
-        if z_inf:
-            return sol.replace(w=w - t)
-        if z.is_zero():
-            raise UndefinedAction("s4 needs z not identically zero")
-        return sol.replace(w=w - 2 * a4 / z + t / (z * z))
-
-    if name == "psi":
-        # psi swaps the x- and z-sides; each side keeps its own style
-        if chart is Chart.AFFINE:
-            return SolutionTuple(Chart.AFFINE, z / t, t * w, t * x, y / t)
-        if chart is Chart.R1:
-            return SolutionTuple(Chart.R3, z / t, t * w, x / t, t * y)
-        if chart is Chart.R3:
-            return SolutionTuple(Chart.R1, t * z, w / t, t * x, y / t)
-        return SolutionTuple(Chart.R5, t * z, w / t, x / t, t * y)
-
-    raise AssertionError(name)
-
-
-def _to_affine_if_finite(p_out: ParameterTuple, sol: SolutionTuple) -> SolutionTuple:
-    """Convert chart coordinates back while the marker components are nonzero.
-
-    Genuinely infinite solutions (marker identically zero) keep their
-    chart; anything representable in the affine chart is returned there,
-    matching how the source tables present finite images.
+    Each side is written as the system's affine chart writes it, except a
+    side in D4's coordinates with u identically zero, which stays as the
+    marker of an infinite chart.  This inverts what the affine chart
+    inverts and undoes an inversion no chart of the system makes (B4's
+    x-side after pi2).
     """
-    chart, x, y, z, w = sol.chart, sol.x, sol.y, sol.z, sol.w
-    if chart in (Chart.R1, Chart.R5) and not x.is_zero():
-        x, y = invert_side(x, y, p_out.alphas[1])
-        chart = Chart.R3 if chart is Chart.R5 else Chart.AFFINE
-    if chart in (Chart.M3, Chart.R3, Chart.R5) and not z.is_zero():
-        z, w = invert_side(z, w, p_out.alphas[3])
-        chart = {Chart.M3: Chart.AFFINE, Chart.R3: Chart.AFFINE, Chart.R5: Chart.R1}[chart]
-    if chart is sol.chart and (x, y, z, w) == (sol.x, sol.y, sol.z, sol.w):
-        return sol
-    return SolutionTuple(chart, x, y, z, w)
+    x_affine, z_affine = INVERTED_SIDES[system, Chart.AFFINE]
+    if x_inv != x_affine and not x.is_zero():
+        x_inv, (x, y) = x_affine, invert_side(x, y, alphas[1])
+    if z_inv != z_affine and not z.is_zero():
+        z_inv, (z, w) = z_affine, invert_side(z, w, alphas[3])
+    return SolutionTuple(_CHART_OF[system, x_inv, z_inv], x, y, z, w)
 
 
 def act_solution(gen: Generator, p: ParameterTuple, sol: SolutionTuple) -> SolutionTuple:
@@ -472,20 +370,16 @@ def _act_letter(letter: Generator, p: ParameterTuple, sol: SolutionTuple):
     """The image parameters and solution of one letter."""
     system = p.system
     _check_chart(system, sol.chart)
-
-    if system is System.B4:
-        action = _b4_m3 if sol.chart is Chart.M3 else _b4_affine
-        out = action(letter.name, p, sol)
-    elif system is System.D4:
-        out = _d4_affine(letter.name, p, sol)
-    else:
-        out = _d5_action(letter.name, p, sol)
-
-    if letter.name in T_FLIP[system]:
-        out = out.substitute_negate()
-
+    x_inv, z_inv = INVERTED_SIDES[system, sol.chart]
+    if (x_inv and sol.x.is_zero()) or (z_inv and sol.z.is_zero()):
+        raise UndefinedAction("an inverted side with u == 0 solves no system")
+    name = D4_LETTER[system][letter.name]
+    *flags, x, y, z, w = _d4_letter(
+        name, to_d4_alphas(system, p.alphas), x_inv, z_inv, *sol.components())
+    if name in T_FLIP:
+        x, y, z, w = (c.substitute_negate() for c in (x, y, z, w))
     p_out = p.replace_alphas(_params_map(system, letter.name, p.alphas))
-    return p_out, _to_affine_if_finite(p_out, out)
+    return p_out, _settle(system, p_out.alphas, *flags, x, y, z, w)
 
 
 def act_word(
@@ -507,9 +401,10 @@ def equivalence_map(
 ):
     """Map a D4 solution to the equivalent B4 or D5 solution.
 
-    Supported directions: (D4 -> B4) and (D4 -> D5).  Components that
-    would be inverted through an identically zero value land in the
-    appropriate infinite chart of the target system.
+    Supported directions: (D4 -> B4) and (D4 -> D5).  The parameters move
+    by the linear map `systems.from_d4_alphas`; the solution is settled in
+    the target's charts like a letter's image, so an identically zero x or
+    z lands in the appropriate infinite chart.
     """
     if p.system is not source:
         raise ValueError("parameters do not belong to the source system")
@@ -517,17 +412,5 @@ def equivalence_map(
         raise ValueError(f"unsupported equivalence {source.value} -> {target.value}")
     if sol.chart is not Chart.AFFINE:
         raise ChartMismatch("equivalence maps act on affine D4 solutions")
-    a0, a1, a2, a3, a4 = p.alphas
-    x, y, z, w = sol.components()
-    q = ParameterTuple(target, ((a0 - a1) / 2 if target is System.D5 else a0,
-                                a1, a2, a3, (a4 - a3) / 2))
-    # the sides the target's affine chart inverts, except an identically
-    # zero x or z, which stays as the marker of an infinite chart
-    x_inverted, z_inverted = INVERTED_SIDES[target, Chart.AFFINE]
-    x_inverted, z_inverted = x_inverted and not x.is_zero(), z_inverted and not z.is_zero()
-    if x_inverted:
-        x, y = invert_side(x, y, a1)
-    if z_inverted:
-        z, w = invert_side(z, w, a3)
-    chart = next(c for c in VALID_CHARTS[target] if INVERTED_SIDES[target, c] == (x_inverted, z_inverted))
-    return q, SolutionTuple(chart, x, y, z, w)
+    alphas = from_d4_alphas(target, p.alphas)
+    return ParameterTuple(target, alphas), _settle(target, alphas, False, False, *sol.components())

@@ -31,6 +31,7 @@ from .backlund import (
     GeneratorWord,
     NormalizationFailed,
     act_word,
+    equivalence_map,
     invert_word,
     word,
 )
@@ -41,6 +42,7 @@ from .systems import (
     SolutionTuple,
     System,
     is_solution,
+    to_d4_alphas,
 )
 
 
@@ -253,23 +255,12 @@ def seed_solution(q: ParameterTuple) -> SolutionTuple:
         raise NotStandardForm(
             f"{[rat_str(a) for a in q.alphas]} is not in standard form I"
         )
-    a4 = q.alphas[4]
-    half = RF.const(Fraction(1, 2))
-    if q.system is System.B4:
-        return SolutionTuple(Chart.AFFINE, RF.ZERO, half, RF.t() / (2 * a4), RF.ZERO)
-    if q.system is System.D4:
-        return SolutionTuple(
-            Chart.AFFINE, RF.ZERO, half, RF.t(-1, 2 * a4), RF.t() / 2
-        )
-    a3 = q.alphas[3]
-    s = a3 + a4  # zero in standard form; kept for the documented shape
-    return SolutionTuple(
-        Chart.R1,
-        RF.ZERO,
-        half + RF.t(-1, 2 * a4 * s),
-        RF.t() / (2 * a4),
-        -RF.t(-1, 2 * a4 * s),
-    )
+    if q.system is not System.D4:
+        # the D4 seed at the D4 parameters, which are in standard form too
+        c = ParameterTuple(System.D4, to_d4_alphas(q.system, q.alphas))
+        return equivalence_map(System.D4, q.system, c, seed_solution(c))[1]
+    return SolutionTuple(Chart.AFFINE, RF.ZERO, RF.const(Fraction(1, 2)),
+                         RF.t(-1, 2 * q.alphas[4]), RF.t() / 2)
 
 
 def construct_rational_solution(p: ParameterTuple) -> ClassificationResult:

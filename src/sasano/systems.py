@@ -15,7 +15,10 @@ Charts: the affine chart carries (x, y, z, w) directly.  Solutions with
 a component identically infinite live in an alternative chart, which
 applies `invert_side` to that component's side: B4 m3 and D5 r3 to the
 z-side (z == inf), D5 r1 to the x-side (x == inf), D5 r5 to both.  D4
-needs no extra chart.
+needs no extra chart.  With the linear parameter map `to_d4_alphas` (and
+its inverse `from_d4_alphas`), these involutions carry every system/chart
+pair to D4 and back: the solution check (`_d4_image`), the equivalences
+and every Bäcklund letter (`backlund`) go through D4 this way.
 """
 
 from __future__ import annotations
@@ -149,9 +152,6 @@ class SolutionTuple:
     def replace(self, **kw) -> "SolutionTuple":
         return dataclasses.replace(self, **kw)
 
-    def substitute_negate(self) -> "SolutionTuple":
-        return SolutionTuple(self.chart, *(c.substitute_negate() for c in self.components()))
-
     def to_json(self) -> dict:
         return {"chart": self.chart.value,
                 **{name: rf_to_json(c) for name, c in zip("xyzw", self.components())}}
@@ -174,6 +174,23 @@ def invert_side(u, v, b):
     """(1/u, -u*(u*v + b)) for u not identically zero: the involution between
     a side in D4's coordinates and inverted ones (b = a1 on x, a3 on z)."""
     return 1 / u, -u * (u * v + b)
+
+
+def to_d4_alphas(system: System, alphas):
+    """The D4 parameters equivalent to the system's parameters (b0, ..., b4):
+    (b0, b1, b2, b3, 2b4 + b3) for B4, (2b0 + b1, b1, b2, b3, 2b4 + b3) for D5."""
+    if system is System.D4:
+        return tuple(alphas)
+    b0, b1, b2, b3, b4 = alphas
+    return (2 * b0 + b1 if system is System.D5 else b0, b1, b2, b3, 2 * b4 + b3)
+
+
+def from_d4_alphas(system: System, alphas):
+    """The inverse of `to_d4_alphas`."""
+    if system is System.D4:
+        return tuple(alphas)
+    c0, c1, c2, c3, c4 = alphas
+    return ((c0 - c1) / 2 if system is System.D5 else c0, c1, c2, c3, (c4 - c3) / 2)
 
 
 def _side(p_form: bool, c, b, inverted: bool, t, u, v, k):
@@ -357,13 +374,12 @@ def _d4_image(params: ParameterTuple, sol: SolutionTuple):
     """The D4 parameters and solution equivalent to a B4 or D5 (params,
     sol), with every inverted side of sol's chart undone."""
     x_inverted, z_inverted = INVERTED_SIDES[params.system, sol.chart]
-    b0, b1, b2, b3, b4 = params.alphas
     x, y, z, w = sol.components()
     if x_inverted:
-        x, y = invert_side(x, y, b1)
+        x, y = invert_side(x, y, params.alphas[1])
     if z_inverted:
-        z, w = invert_side(z, w, b3)
-    d4 = (2 * b0 + b1 if params.system is System.D5 else b0, b1, b2, b3, 2 * b4 + b3)
+        z, w = invert_side(z, w, params.alphas[3])
+    d4 = to_d4_alphas(params.system, params.alphas)
     return ParameterTuple(System.D4, d4), SolutionTuple(Chart.AFFINE, x, y, z, w)
 
 

@@ -271,7 +271,11 @@ def numeric_crosscheck(
     start = [float(c.evaluate(t0)) for c in sol.components()]
     if initial_offset is not None:
         start = [v + float(o) for v, o in zip(start, initial_offset)]
-    samples = [float(t0 + (t1 - t0) * Fraction(i, steps - 1)) for i in range(steps)]
+    # t0 + (t1 - t0) * i / (steps - 1) over one integer denominator: int
+    # division rounds correctly, as float(Fraction) does
+    n0, n1 = t0.numerator * t1.denominator, t1.numerator * t0.denominator
+    den = t0.denominator * t1.denominator * (steps - 1)
+    samples = [(n0 * (steps - 1) + (n1 - n0) * i) / den for i in range(steps)]
     field = vector_field(params.system, Chart.AFFINE, [float(a) for a in params.alphas])
     states = [start] + _dopri5(lambda t, v: tuple(r / t for r in field(t, *v)), samples[0],
                                start, samples[1:], rtol=1e-12, atol=1e-12)
