@@ -391,7 +391,7 @@ def act_word(
             p, sol = _act_token(tok, p, sol)
         else:
             p = act_params(tok, p)
-    return (p, sol) if sol is not None else (p, None)
+    return p, sol
 
 
 # -- birational equivalences between the systems -----------------------------

@@ -1,24 +1,22 @@
 """Existence decision and explicit construction of rational solutions.
 
-The decision procedure evaluates six integrality/parity conditions on
-the parameters (one list per system, checked in their documented order;
-the lowest matching index is reported).
-
-Construction normalizes parameters to standard form I, plants the
-explicit seed solution there, and pulls it back along the inverse word.
-
-The normalization works in lattice coordinates (f1..f4) in which every
-generator acts by signed permutations, affine flips or translations:
+Decision and normalization work in lattice coordinates f1..f4, where
+every generator acts by signed permutations, affine flips or translations:
 
     B4:  a0 = 1-f1-f2, a1 = f1-f2, a2 = f2-f3, a3 = f3-f4,  a4 = f4
     D4:  a0 = 1-f1-f2, a1 = f1-f2, a2 = f2-f3, a3 = f3-f4,  a4 = f3+f4
     D5:  a0 = 1/2-f1,  a1 = f1-f2, a2 = f2-f3, a3 = f3-f4,  a4 = f4
 
-In these coordinates s1, s2, s3 swap the slot pairs (1,2), (2,3), (3,4),
-condition k holds exactly when the k-th slot pair below contains one
-integer and one half-odd-integer, and standard form I is f1 = 1/2,
-f3 = 0, f4 != 0.  A word is then read off: swaps sort the split pair
-into slots 1 and 3, translations finish the job.
+In all three systems condition k (1..6) holds exactly when the slot pair
+CONDITION_SLOTS[k] contains one integer and one half-odd integer; the
+lowest matching index is reported.  Standard form I is f1 = 1/2, f3 = 0,
+f4 != 0, and for D5 also f2 != 1/2.  s1, s2, s3 swap the slot pairs
+(1,2), (2,3), (3,4) and each translation word moves one slot by +-1, so
+the normalizing word is read off the coordinates alone: swaps sort the
+split pair into slots 1 and 3, translations finish the job, and one
+`act_word` of the finished word checks it.  Construction plants the
+explicit seed solution at standard form I and pulls it back along the
+inverse word.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .backlund import (
     invert_word,
     word,
 )
-from .exactmath import RF, is_integer, is_odd_integer, rat_str
+from .exactmath import RF, rat_str
 from .systems import (
     Chart,
     ParameterTuple,
@@ -53,48 +51,14 @@ class NotStandardForm(ValueError):
 # Slot pair whose integer/half-odd split realizes each condition.
 CONDITION_SLOTS = {1: (1, 3), 2: (1, 4), 3: (2, 3), 4: (2, 4), 5: (1, 2), 6: (3, 4)}
 
-
-def _congruent_pair(u: Fraction, v: Fraction) -> bool:
-    """u, v both integers with u = v (mod 2)."""
-    return is_integer(u) and is_integer(v) and (u - v).numerator % 2 == 0
-
-
-def _incongruent_pair(u: Fraction, v: Fraction) -> bool:
-    """u, v both integers with u != v (mod 2)."""
-    return is_integer(u) and is_integer(v) and (u - v).numerator % 2 != 0
+_HALF = Fraction(1, 2)
 
 
 def condition_holds(p: ParameterTuple, index: int) -> bool:
     """Evaluate one of the six existence conditions (index 1..6)."""
-    a0, a1, a2, a3, a4 = p.alphas
-    if p.system is System.B4:
-        checks = {
-            1: lambda: _congruent_pair(a0 - a1, 2 * a3 + 2 * a4),
-            2: lambda: _congruent_pair(a0 - a1, 2 * a4),
-            3: lambda: _congruent_pair(a0 + a1, 2 * a3 + 2 * a4),
-            4: lambda: _congruent_pair(a0 + a1, 2 * a4),
-            5: lambda: _incongruent_pair(a0 - a1, a0 + a1),
-            6: lambda: is_integer(2 * a3) and is_integer(2 * a4) and is_odd_integer(2 * a3),
-        }
-    elif p.system is System.D4:
-        checks = {
-            1: lambda: _congruent_pair(a0 - a1, a3 + a4),
-            2: lambda: _congruent_pair(a0 - a1, a3 - a4),
-            3: lambda: _congruent_pair(a0 + a1, a3 + a4),
-            4: lambda: _congruent_pair(a0 + a1, a3 - a4),
-            5: lambda: _incongruent_pair(a0 - a1, a0 + a1),
-            6: lambda: _incongruent_pair(a3 - a4, a3 + a4),
-        }
-    else:
-        checks = {
-            1: lambda: _congruent_pair(2 * a0, 2 * a3 + 2 * a4),
-            2: lambda: _congruent_pair(2 * a0, 2 * a4),
-            3: lambda: _congruent_pair(2 * a0 + 2 * a1, 2 * a3 + 2 * a4),
-            4: lambda: _congruent_pair(2 * a0 + 2 * a1, 2 * a4),
-            5: lambda: is_integer(2 * a0) and is_integer(2 * a1) and is_odd_integer(2 * a1),
-            6: lambda: is_integer(2 * a3) and is_integer(2 * a4) and is_odd_integer(2 * a3),
-        }
-    return checks[index]()
+    f = lattice_coordinates(p)
+    i, j = CONDITION_SLOTS[index]
+    return {f[i - 1].denominator, f[j - 1].denominator} == {1, 2}
 
 
 @dataclass(frozen=True)
@@ -138,10 +102,6 @@ def lattice_coordinates(p: ParameterTuple) -> Tuple[Fraction, Fraction, Fraction
     return (g1, g2, a3 + a4, a4)
 
 
-def _half_odd(v: Fraction) -> bool:
-    return v.denominator == 2
-
-
 # Direct translation words per slot: (increment tokens, decrement tokens).
 _TRANSLATIONS = {
     System.B4: {
@@ -158,20 +118,19 @@ _TRANSLATIONS = {
     },
 }
 
+# D5 moves slot 1 by a word in s0..s4; slot k's word is its conjugate
+# by s_{k-1} ... s1.
 _D5_SLOT1_DEC = ("s0", "s1", "s2", "s3", "s4", "s3", "s2", "s1")
-_D5_SLOT1_INC = tuple(reversed(_D5_SLOT1_DEC))
-_D5_CONJ = {2: ("s1",), 3: ("s2", "s1"), 4: ("s3", "s2", "s1")}
+_D5_CONJ = {1: (), 2: ("s1",), 3: ("s2", "s1"), 4: ("s3", "s2", "s1")}
+_TRANSLATIONS[System.D5] = {
+    slot: tuple(conj + base + conj[::-1] for base in (_D5_SLOT1_DEC[::-1], _D5_SLOT1_DEC))
+    for slot, conj in _D5_CONJ.items()
+}
 
 
 def _translation_tokens(system: System, slot: int, increment: bool) -> Tuple[str, ...]:
-    if system in _TRANSLATIONS:
-        inc, dec = _TRANSLATIONS[system][slot]
-        return inc if increment else dec
-    base = _D5_SLOT1_INC if increment else _D5_SLOT1_DEC
-    if slot == 1:
-        return base
-    conj = _D5_CONJ[slot]
-    return conj + base + tuple(reversed(conj))
+    inc, dec = _TRANSLATIONS[system][slot]
+    return inc if increment else dec
 
 
 def normalize_to_standard(p: ParameterTuple) -> Tuple[GeneratorWord, ParameterTuple]:
@@ -187,55 +146,50 @@ def normalize_to_standard(p: ParameterTuple) -> Tuple[GeneratorWord, ParameterTu
 
     system = p.system
     tokens: list = []
-    current = p
+    f = list(lattice_coordinates(p))
 
-    def emit(*names: str):
-        nonlocal current
-        w = word(system, names)
-        current = act_word(w, current)[0]
-        tokens.extend(names)
+    def swap(k: int):
+        # s_k swaps slots k and k+1
+        tokens.append(f"s{k}")
+        f[k - 1], f[k] = f[k], f[k - 1]
+
+    def translate(slot: int, steps: int):
+        # each translation word moves its slot by +-1
+        for _ in range(abs(steps)):
+            tokens.extend(_translation_tokens(system, slot, increment=steps > 0))
+        f[slot - 1] += steps
 
     slot_a, slot_b = CONDITION_SLOTS[verdict.matched_condition]
-    coords = lattice_coordinates(current)
-    if _half_odd(coords[slot_a - 1]):
+    if f[slot_a - 1].denominator == 2:
         half_pos, int_pos = slot_a, slot_b
     else:
         half_pos, int_pos = slot_b, slot_a
 
-    # Sort the split pair into slots 1 (half-odd) and 3 (integer) with
-    # adjacent swaps; s1, s2, s3 swap slots (1,2), (2,3), (3,4).
-    while half_pos > 1:
-        emit(f"s{half_pos - 1}")
-        if int_pos == half_pos - 1:
-            int_pos = half_pos
-        half_pos -= 1
-    while int_pos > 3:
-        emit(f"s{int_pos - 1}")
-        int_pos -= 1
-    while int_pos < 3:
-        emit(f"s{int_pos}")
-        int_pos += 1
+    # Sort the split pair into slots 1 (half-odd) and 3 (integer): bubble
+    # the half-odd slot left, which shifts an integer slot it passes one
+    # right, then bubble the integer slot to 3.
+    for k in range(half_pos - 1, 0, -1):
+        swap(k)
+    int_pos += int_pos < half_pos
+    for k in range(int_pos - 1, 2, -1):
+        swap(k)
+    for k in range(int_pos, 3):
+        swap(k)
 
     # Translate slot 1 to exactly 1/2 and slot 3 to exactly 0.
-    delta = Fraction(1, 2) - lattice_coordinates(current)[0]
-    assert is_integer(delta)
-    for _ in range(abs(int(delta))):
-        emit(*_translation_tokens(system, 1, increment=delta > 0))
-    delta = -lattice_coordinates(current)[2]
-    assert is_integer(delta)
-    for _ in range(abs(int(delta))):
-        emit(*_translation_tokens(system, 3, increment=delta > 0))
+    translate(1, int(_HALF - f[0]))
+    translate(3, int(-f[2]))
 
     # The seed needs a4 != 0, i.e. slot 4 nonzero (and for D5 also
     # a1 != 0, i.e. slot 2 != 1/2).
-    if lattice_coordinates(current)[3] == 0:
-        emit(*_translation_tokens(system, 4, increment=True))
-    if system is System.D5 and lattice_coordinates(current)[1] == Fraction(1, 2):
-        emit(*_translation_tokens(system, 2, increment=False))
+    if f[3] == 0:
+        translate(4, 1)
+    if system is System.D5 and f[1] == _HALF:
+        translate(2, -1)
 
     result_word = word(system, tokens)
     q, _ = act_word(result_word, p)
-    if q != current or not is_standard_form(q):
+    if not is_standard_form(q) or lattice_coordinates(q) != tuple(f):
         raise NormalizationFailed(
             f"normalization left {[rat_str(a) for a in q.alphas]} off the target form"
         )
@@ -243,10 +197,9 @@ def normalize_to_standard(p: ParameterTuple) -> Tuple[GeneratorWord, ParameterTu
 
 
 def is_standard_form(p: ParameterTuple) -> bool:
-    a0, a1, a2, a3, a4 = p.alphas
-    if p.system in (System.B4, System.D4):
-        return a0 - a1 == 0 and a3 + a4 == 0 and a4 != 0
-    return a0 == 0 and a3 + a4 == 0 and a4 != 0 and a1 != 0
+    f1, f2, f3, f4 = lattice_coordinates(p)
+    return (f1 == _HALF and f3 == 0 and f4 != 0
+            and (p.system is not System.D5 or f2 != _HALF))
 
 
 def seed_solution(q: ParameterTuple) -> SolutionTuple:

@@ -18,7 +18,7 @@ from .backlund import (
     parse_word,
 )
 from .classify import classify, construct_rational_solution
-from .exactmath import laurent_expand, finite_point, INFINITY, ZERO_POINT, rat, rat_str, series_to_json
+from .exactmath import laurent_expand, finite_point, INFINITY, ZERO_POINT, rat, series_to_json
 from .systems import (
     Chart,
     ChartMismatch,
@@ -39,6 +39,16 @@ EXIT_UNDEFINED = 3
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's complaint as a UsageError naming the (sub)parser
+    that made it, so that a batch line can report it as JSON."""
+
+    def error(self, message):
+        exc = UsageError(message)
+        exc.parser = self
+        raise exc
 
 
 def _parse_alphas(system: System, text: str) -> ParameterTuple:
@@ -78,12 +88,7 @@ def _emit(payload: dict) -> None:
 
 
 def _run_classify(args) -> int:
-    params = _parse_alphas(args.system, args.alphas)
-    result = classify(params)
-    out = {"verdict": "exists" if result.exists else "not_exists"}
-    if result.exists:
-        out["condition"] = result.matched_condition
-    _emit(out)
+    _emit(classify(_parse_alphas(args.system, args.alphas)).to_json())
     return EXIT_OK
 
 
@@ -99,7 +104,7 @@ def _run_transform(args) -> int:
     w = parse_word(args.system, args.word)
     sol = _load_solution(args.solution) if args.solution else None
     new_params, new_sol = act_word(w, params, sol)
-    out = {"system": new_params.system.name, "alphas": [rat_str(a) for a in new_params.alphas]}
+    out = new_params.to_json()
     if new_sol is not None:
         out["solution"] = new_sol.to_json()
         out["chart"] = new_sol.chart.value
@@ -190,7 +195,7 @@ _RUNNERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sasano",
         description="Exact rational-solution tools for the B4(1)/D4(1)/D5(2) systems.",
     )
@@ -199,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, system=True, alphas=True):
         if system:
-            p.add_argument("--system", type=parse_system, required=True, choices=list(System))
+            p.add_argument("--system", type=parse_system, required=True, metavar="{b4,d4,d5}")
         if alphas:
             p.add_argument("--alphas", required=True, help="a0,a1,a2,a3,a4 (fifth may be 'auto')")
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -246,7 +251,9 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
                 argv.append(f"--order={request['order']}")
             if request.get("json"):
                 argv += ["--json"]
-            code = _run(parser, argv)
+            code = _dispatch(parser.parse_args(argv))
+        except SystemExit as exc:  # a help request, answered on stdout
+            code = EXIT_USAGE if exc.code else EXIT_OK
         except Exception as exc:  # keep batch lines independent
             _emit({"error": str(exc)})
             code = EXIT_USAGE
@@ -259,9 +266,13 @@ def main(argv=None) -> int:
 
 
 def _run(parser: argparse.ArgumentParser, argv) -> int:
-    """One request; a batch reuses the parser for each of its lines."""
+    """One invocation: a single request, or a batch of them."""
     try:
         args = parser.parse_args(argv)
+    except UsageError as exc:
+        exc.parser.print_usage(sys.stderr)
+        sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
+        return EXIT_USAGE
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     if args.batch:
@@ -269,6 +280,11 @@ def _run(parser: argparse.ArgumentParser, argv) -> int:
     if not args.subcommand:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    return _dispatch(args)
+
+
+def _dispatch(args) -> int:
+    """Run one parsed request; its errors are reported as JSON."""
     runner = _RUNNERS[args.subcommand]
     try:
         return runner(args)

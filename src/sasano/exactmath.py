@@ -52,10 +52,6 @@ def is_integer(value: Fraction) -> bool:
     return value.denominator == 1
 
 
-def is_odd_integer(value: Fraction) -> bool:
-    return value.denominator == 1 and value.numerator % 2 != 0
-
-
 class Polynomial:
     """Univariate polynomial in t with exact rational coefficients.
 

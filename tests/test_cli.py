@@ -343,3 +343,41 @@ def test_verify_names_the_residues_it_cannot_check_at_irrational_poles(capsys, t
     assert report["invariants"]["unchecked_irrational_poles"] is True
     assert report["invariants"]["finite_pole_residues"] == []
     assert capsys.readouterr().err == ""
+
+
+def test_batch_answers_every_line_argparse_rejects(capsys, tmp_path):
+    lines = [
+        {"subcommand": "classify", "system": "b4", "alphas": ["1/4", "1/4", "1/4", "-1/4", "1/4"]},
+        {"subcommand": "classify", "system": "b4"},
+        {"subcommand": "frobnicate", "system": "b4", "alphas": "0,0,0,0,1/2"},
+        {"subcommand": "classify", "system": "q7", "alphas": "0,0,0,0,1/2"},
+        {"subcommand": "classify", "system": "b4", "alphas": ["0", "0", "0", "0", "1/2"]},
+    ]
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    code = main(["--batch", str(batch)])
+    captured = capsys.readouterr()
+    assert code == 2
+    rows = [json.loads(line) for line in captured.out.strip().splitlines()]
+    assert len(rows) == len(lines)
+    assert rows[0] == {"verdict": "exists", "condition": 1}
+    assert "--alphas" in rows[1]["error"]
+    assert "frobnicate" in rows[2]["error"]
+    assert "q7" in rows[3]["error"]
+    assert rows[4] == {"verdict": "not_exists"}
+    assert captured.err == ""
+
+
+def test_single_request_rejected_by_argparse_prints_usage_only(capsys):
+    assert main(["classify", "--system", "b4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: sasano classify")
+    assert "sasano classify: error: the following arguments are required: --alphas" in captured.err
+
+
+def test_classify_help_shows_the_system_spellings(capsys):
+    assert main(["classify", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--system {b4,d4,d5}" in out
+    assert "System.B4" not in out
