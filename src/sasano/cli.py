@@ -51,6 +51,14 @@ class _Parser(argparse.ArgumentParser):
         raise exc
 
 
+def _system_arg(name: str) -> System:
+    """parse_system for --system; argparse reports only an ArgumentTypeError's text."""
+    try:
+        return parse_system(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_alphas(system: System, text: str) -> ParameterTuple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 5:
@@ -204,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, system=True, alphas=True):
         if system:
-            p.add_argument("--system", type=parse_system, required=True, metavar="{b4,d4,d5}")
+            p.add_argument("--system", type=_system_arg, required=True, metavar="{b4,d4,d5}")
         if alphas:
             p.add_argument("--alphas", required=True, help="a0,a1,a2,a3,a4 (fifth may be 'auto')")
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -238,6 +246,9 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
     for line in lines:
         try:
             request = json.loads(line)
+            if request["subcommand"] not in _RUNNERS:  # "-h" would print the help
+                raise UsageError(f"unknown subcommand {request['subcommand']!r}; "
+                                 f"expected one of {', '.join(_RUNNERS)}")
             argv = [request["subcommand"]]
             for key in ("system", "alphas", "word", "solution", "at"):
                 if key in request:
@@ -252,8 +263,6 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
             if request.get("json"):
                 argv += ["--json"]
             code = _dispatch(parser.parse_args(argv))
-        except SystemExit as exc:  # a help request, answered on stdout
-            code = EXIT_USAGE if exc.code else EXIT_OK
         except Exception as exc:  # keep batch lines independent
             _emit({"error": str(exc)})
             code = EXIT_USAGE

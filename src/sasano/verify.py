@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Tuple
 
 from .exactmath import (
@@ -154,19 +153,18 @@ def invariant_report(params: ParameterTuple, sol: SolutionTuple) -> InvariantRep
 
 # -- numeric cross-check ------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau, as in Hairer, Norsett and Wanner (1993)
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+# Dormand-Prince 5(4) tableau, as in Hairer, Norsett and Wanner (1993),
+# one name per weight; the zero weights b2, e2 and b7 are left out
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 # fifth-order minus embedded fourth-order weights, the last for f(t + h, y_new)
-_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_E1, _E3, _E4, _E5 = -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200
+_E6, _E7 = -22 / 525, 1 / 40
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
@@ -184,14 +182,14 @@ def _dopri5(f, t: float, y, stops, rtol: float, atol: float) -> list:
     Raises IntegratorFailed when the step size falls to the spacing of
     floats at t, as it does when the solution blows up.
     """
-    y = tuple(y)
-    k0 = f(t, y)
+    y = list(y)
+    k1 = f(t, y)
     scale = [atol + abs(v) * rtol for v in y]
     d0 = _rms([v / s for v, s in zip(y, scale)])
-    d1 = _rms([v / s for v, s in zip(k0, scale)])
+    d1 = _rms([v / s for v, s in zip(k1, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    k1 = f(t + h0, tuple(v + h0 * k for v, k in zip(y, k0)))
-    d2 = _rms([(b - a) / s for a, b, s in zip(k0, k1, scale)]) / h0
+    k_h0 = f(t + h0, [v + h0 * k for v, k in zip(y, k1)])
+    d2 = _rms([(b - a) / s for a, b, s in zip(k1, k_h0, scale)]) / h0
     h_abs = (max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15
              else (0.01 / max(d1, d2)) ** 0.2)
     h_abs = min(100 * h0, h_abs)
@@ -204,20 +202,26 @@ def _dopri5(f, t: float, y, stops, rtol: float, atol: float) -> list:
                     f"integrator failed at t = {t:.6g}: step size below float spacing")
             clipped = h_abs >= stop - t
             h = stop - t if clipped else h_abs
-            ks = [k0]
-            for c, a in zip(_DP_C[1:], _DP_A[1:]):
-                # zip(*ks) runs over components: the stage slopes of each
-                state = tuple(v + h * sum(map(mul, a, col)) for v, col in zip(y, zip(*ks)))
-                ks.append(f(t + c * h, state))
-            y_new = tuple(v + h * sum(map(mul, _DP_B, col)) for v, col in zip(y, zip(*ks)))
+            # sums run left to right in tableau order: tests compare states with ==
+            k2 = f(t + _C2 * h, [v + h * (_A21 * a) for v, a in zip(y, k1)])
+            k3 = f(t + _C3 * h, [v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
+            k4 = f(t + _C4 * h, [v + h * (_A41 * a + _A42 * b + _A43 * c)
+                                 for v, a, b, c in zip(y, k1, k2, k3)])
+            k5 = f(t + _C5 * h, [v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                                 for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = f(t + h, [v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                           for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+                     for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
             t_new = stop if clipped else t + h
-            ks.append(f(t_new, y_new))
-            error = _rms([h * sum(map(mul, _DP_E, col)) / (atol + max(abs(a), abs(b)) * rtol)
-                          for a, b, col in zip(y, y_new, zip(*ks))])
+            k7 = f(t_new, y_new)
+            error = _rms([h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
+                          / (atol + max(abs(v), abs(u)) * rtol)
+                          for v, u, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
             if error < 1:  # accept; NaN and inf reject
                 factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error ** -0.2)
                 h_abs = max(h_abs, h * factor) if clipped else h * factor
-                t, y, k0 = t_new, y_new, ks[-1]
+                t, y, k1 = t_new, y_new, k7
             else:
                 h_abs = h * max(_MIN_FACTOR, _SAFETY * error ** -0.2)
         out.append(y)
@@ -265,6 +269,8 @@ def numeric_crosscheck(
     t0, t1 = rat(t0), rat(t1)
     if t0 <= 0 or t1 <= t0:
         raise ValueError("need 0 < t0 < t1 to stay clear of the fixed singularity")
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2 (both ends of [t0, t1]), got {steps}")
     if _real_pole_in(sol, t0, t1):
         raise PoleOnPath(f"solution has a pole in [{rat_str(t0)}, {rat_str(t1)}]")
 
@@ -277,7 +283,7 @@ def numeric_crosscheck(
     den = t0.denominator * t1.denominator * (steps - 1)
     samples = [(n0 * (steps - 1) + (n1 - n0) * i) / den for i in range(steps)]
     field = vector_field(params.system, Chart.AFFINE, [float(a) for a in params.alphas])
-    states = [start] + _dopri5(lambda t, v: tuple(r / t for r in field(t, *v)), samples[0],
+    states = [start] + _dopri5(lambda t, v: [r / t for r in field(t, *v)], samples[0],
                                start, samples[1:], rtol=1e-12, atol=1e-12)
     exact = [_float_function(c) for c in sol.components()]
 

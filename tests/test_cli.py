@@ -381,3 +381,33 @@ def test_classify_help_shows_the_system_spellings(capsys):
     out = capsys.readouterr().out
     assert "--system {b4,d4,d5}" in out
     assert "System.B4" not in out
+
+
+def test_unknown_system_is_named_with_the_spellings(capsys, tmp_path):
+    expected = "unknown system 'q7'; expected b4, d4 or d5"
+    assert main(["classify", "--system", "q7", "--alphas", "0,0,0,0,1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --system: {expected}" in captured.err
+
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text(json.dumps({"subcommand": "classify", "system": "q7",
+                                 "alphas": "0,0,0,0,1/2"}) + "\n")
+    code, out = run(capsys, "--batch", str(batch))
+    assert code == 2
+    assert expected in json.loads(out)["error"]
+
+
+def test_batch_help_line_gets_one_error_line(capsys, tmp_path):
+    lines = [
+        {"subcommand": "-h"},
+        {"subcommand": "classify", "system": "b4", "alphas": ["0", "0", "0", "0", "1/2"]},
+    ]
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    code, out = run(capsys, "--batch", str(batch))
+    assert code == 2
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 2
+    assert "'-h'" in rows[0]["error"]
+    assert rows[1] == {"verdict": "not_exists"}

@@ -114,6 +114,13 @@ def test_numeric_crosscheck_pole_fixture():
     assert deviation <= 1e-8
 
 
+@pytest.mark.parametrize("steps", [0, 1])
+def test_numeric_crosscheck_rejects_fewer_than_two_steps(steps):
+    p = b4("1/4", "1/4", "1/4", "-1/4", "1/4")
+    with pytest.raises(ValueError, match="steps must be at least 2"):
+        numeric_crosscheck(p, seed_solution(p), 1, 2, steps=steps)
+
+
 def test_pole_on_path_detection():
     p = b4("1/4", "1/4", "1/4", "-1/4", "1/4")
     sol = seed_solution(p).replace(y=HALF + 1 / (T - F(3, 2)))
