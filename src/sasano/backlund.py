@@ -5,10 +5,12 @@ solutions by a birational map, possibly landing in another chart.  The
 three systems are D4 seen through charts, each side (x, y) or (z, w)
 written in D4's coordinates or inverted (`systems.INVERTED_SIDES`), and
 every B4 and D5 generator is a D4 letter under the linear parameter map
-(`D4_LETTER`).  So each solution map is written once, in `_d4_letter`,
-for plain and inverted sides, and `_settle` writes the image in the
-system's charts.  Degenerate divisions follow three rules, tried in
-order:
+`systems.to_d4_alphas` (`D4_LETTER`).  So each parameter map is D4's,
+written once in `_D4_PARAMS_MAPS`: `act_word` carries a word's parameters
+in D4 coordinates from its first letter to its last.  Each solution map
+is written once, in `_d4_letter`, for plain and inverted sides, and
+`_settle` writes the image in the system's charts.  Degenerate divisions
+follow three rules, tried in order:
 
   1. identity convention: a generator dividing by an identically zero
      component is the identity when its own parameter vanishes;
@@ -200,53 +202,6 @@ def invert_word(w: GeneratorWord) -> GeneratorWord:
 
 # -- parameter actions -------------------------------------------------------
 
-# each letter's map on (a0, ..., a4); only the applied letter's entry is computed
-_PARAMS_MAPS = {
-    System.B4: {
-        "s0": lambda a0, a1, a2, a3, a4: (-a0, a1, a2 + a0, a3, a4),
-        "s1": lambda a0, a1, a2, a3, a4: (a0, -a1, a2 + a1, a3, a4),
-        "s2": lambda a0, a1, a2, a3, a4: (a0 + a2, a1 + a2, -a2, a3 + a2, a4),
-        "s3": lambda a0, a1, a2, a3, a4: (a0, a1, a2 + a3, -a3, a4 + a3),
-        "s4": lambda a0, a1, a2, a3, a4: (a0, a1, a2, a3 + 2 * a4, -a4),
-        "pi1": lambda a0, a1, a2, a3, a4: (a1, a0, a2, a3, a4),
-        "pi2": lambda a0, a1, a2, a3, a4: (2 * a4 + a3, a3, a2, a1, (a0 - a1) / 2),
-    },
-    System.D4: {
-        "s0": lambda a0, a1, a2, a3, a4: (-a0, a1, a2 + a0, a3, a4),
-        "s1": lambda a0, a1, a2, a3, a4: (a0, -a1, a2 + a1, a3, a4),
-        "s2": lambda a0, a1, a2, a3, a4: (a0 + a2, a1 + a2, -a2, a3 + a2, a4 + a2),
-        "s3": lambda a0, a1, a2, a3, a4: (a0, a1, a2 + a3, -a3, a4),
-        "s4": lambda a0, a1, a2, a3, a4: (a0, a1, a2 + a4, a3, -a4),
-        "pi1": lambda a0, a1, a2, a3, a4: (a1, a0, a2, a3, a4),
-        "pi2": lambda a0, a1, a2, a3, a4: (a0, a1, a2, a4, a3),
-        "pi3": lambda a0, a1, a2, a3, a4: (a4, a3, a2, a1, a0),
-        "pi4": lambda a0, a1, a2, a3, a4: (a3, a4, a2, a0, a1),
-    },
-    System.D5: {
-        "s0": lambda a0, a1, a2, a3, a4: (-a0, a1 + 2 * a0, a2, a3, a4),
-        "s1": lambda a0, a1, a2, a3, a4: (a0 + a1, -a1, a2 + a1, a3, a4),
-        "s2": lambda a0, a1, a2, a3, a4: (a0, a1 + a2, -a2, a3 + a2, a4),
-        "s3": lambda a0, a1, a2, a3, a4: (a0, a1, a2 + a3, -a3, a4 + a3),
-        "s4": lambda a0, a1, a2, a3, a4: (a0, a1, a2, a3 + 2 * a4, -a4),
-        "psi": lambda a0, a1, a2, a3, a4: (a4, a3, a2, a1, a0),
-    },
-}
-
-
-def _params_map(system: System, name: str, a):
-    return _PARAMS_MAPS[system][name](*a)
-
-
-def act_params(gen: Generator, p: ParameterTuple) -> ParameterTuple:
-    if gen.system is not p.system:
-        raise ValueError("generator and parameters belong to different systems")
-    for letter in _letters(gen):
-        p = p.replace_alphas(_params_map(p.system, letter.name, p.alphas))
-    return p
-
-
-# -- solution actions --------------------------------------------------------
-
 # the D4 letter each generator is, under the linear parameter map
 # (`systems.to_d4_alphas`)
 D4_LETTER = {
@@ -256,6 +211,26 @@ D4_LETTER = {
     System.D5: {"s0": "pi1", "s1": "s1", "s2": "s2", "s3": "s3", "s4": "pi2",
                 "psi": "pi3"},
 }
+
+# each D4 letter's map on the D4 parameters (c0, ..., c4)
+_D4_PARAMS_MAPS = {
+    "s0": lambda c0, c1, c2, c3, c4: (-c0, c1, c2 + c0, c3, c4),
+    "s1": lambda c0, c1, c2, c3, c4: (c0, -c1, c2 + c1, c3, c4),
+    "s2": lambda c0, c1, c2, c3, c4: (c0 + c2, c1 + c2, -c2, c3 + c2, c4 + c2),
+    "s3": lambda c0, c1, c2, c3, c4: (c0, c1, c2 + c3, -c3, c4),
+    "s4": lambda c0, c1, c2, c3, c4: (c0, c1, c2 + c4, c3, -c4),
+    "pi1": lambda c0, c1, c2, c3, c4: (c1, c0, c2, c3, c4),
+    "pi2": lambda c0, c1, c2, c3, c4: (c0, c1, c2, c4, c3),
+    "pi3": lambda c0, c1, c2, c3, c4: (c4, c3, c2, c1, c0),
+    "pi4": lambda c0, c1, c2, c3, c4: (c3, c4, c2, c0, c1),
+}
+
+
+def act_params(gen: Generator, p: ParameterTuple) -> ParameterTuple:
+    return act_word(GeneratorWord(gen.system, (gen,)), p)[0]
+
+
+# -- solution actions --------------------------------------------------------
 
 # D4 letters whose image is a solution in the flipped variable -t
 T_FLIP = ("pi1", "pi2")
@@ -332,8 +307,9 @@ def _d4_letter(name: str, c, x_inv: bool, z_inv: bool, x, y, z, w):
     return x_inv, z_inv, x, y, z, w
 
 
-def _settle(system: System, alphas, x_inv: bool, z_inv: bool, x, y, z, w) -> SolutionTuple:
-    """The solution of `system` whose sides are given with their flags.
+def _settle(system: System, c, x_inv: bool, z_inv: bool, x, y, z, w) -> SolutionTuple:
+    """The solution of `system` at the D4 parameters c whose sides are
+    given with their flags.
 
     Each side is written as the system's affine chart writes it, except a
     side in D4's coordinates with u identically zero, which stays as the
@@ -342,10 +318,11 @@ def _settle(system: System, alphas, x_inv: bool, z_inv: bool, x, y, z, w) -> Sol
     x-side after pi2).
     """
     x_affine, z_affine = INVERTED_SIDES[system, Chart.AFFINE]
+    # c1 and c3 are every system's a1 and a3
     if x_inv != x_affine and not x.is_zero():
-        x_inv, (x, y) = x_affine, invert_side(x, y, alphas[1])
+        x_inv, (x, y) = x_affine, invert_side(x, y, c[1])
     if z_inv != z_affine and not z.is_zero():
-        z_inv, (z, w) = z_affine, invert_side(z, w, alphas[3])
+        z_inv, (z, w) = z_affine, invert_side(z, w, c[3])
     return SolutionTuple(_CHART_OF[system, x_inv, z_inv], x, y, z, w)
 
 
@@ -354,44 +331,42 @@ def act_solution(gen: Generator, p: ParameterTuple, sol: SolutionTuple) -> Solut
 
     Returns the image solution; the image parameters are act_params(gen, p).
     """
-    return _act_token(gen, p, sol)[1]
+    return act_word(GeneratorWord(gen.system, (gen,)), p, sol)[1]
 
 
-def _act_token(gen: Generator, p: ParameterTuple, sol: SolutionTuple):
-    """(act_params(gen, p), act_solution(gen, p, sol)), one letter at a time."""
-    if gen.system is not p.system:
-        raise ValueError("generator and parameters belong to different systems")
-    for letter in _letters(gen):
-        p, sol = _act_letter(letter, p, sol)
-    return p, sol
-
-
-def _act_letter(letter: Generator, p: ParameterTuple, sol: SolutionTuple):
-    """The image parameters and solution of one letter."""
-    system = p.system
+def _act_letter(system: System, name: str, c, image, sol: SolutionTuple) -> SolutionTuple:
+    """The image of sol under D4's letter `name`, from the D4 parameters c
+    to their image."""
     _check_chart(system, sol.chart)
     x_inv, z_inv = INVERTED_SIDES[system, sol.chart]
     if (x_inv and sol.x.is_zero()) or (z_inv and sol.z.is_zero()):
         raise UndefinedAction("an inverted side with u == 0 solves no system")
-    name = D4_LETTER[system][letter.name]
-    *flags, x, y, z, w = _d4_letter(
-        name, to_d4_alphas(system, p.alphas), x_inv, z_inv, *sol.components())
+    *flags, x, y, z, w = _d4_letter(name, c, x_inv, z_inv, *sol.components())
     if name in T_FLIP:
-        x, y, z, w = (c.substitute_negate() for c in (x, y, z, w))
-    p_out = p.replace_alphas(_params_map(system, letter.name, p.alphas))
-    return p_out, _settle(system, p_out.alphas, *flags, x, y, z, w)
+        x, y, z, w = (v.substitute_negate() for v in (x, y, z, w))
+    return _settle(system, image, *flags, x, y, z, w)
 
 
 def act_word(
     w: GeneratorWord, p: ParameterTuple, sol: Optional[SolutionTuple] = None
 ):
-    """Fold a word over parameters (and optionally a solution), left first."""
+    """Fold a word over parameters (and optionally a solution), left first.
+
+    The parameters are carried in D4 coordinates, c = `to_d4_alphas(p)`,
+    from the first letter to the last, each letter acting as its D4 letter.
+    """
+    system = p.system
+    if w.system is not system:
+        raise ValueError("generator and parameters belong to different systems")
+    c = to_d4_alphas(system, p.alphas)
     for tok in w.tokens:
-        if sol is not None:
-            p, sol = _act_token(tok, p, sol)
-        else:
-            p = act_params(tok, p)
-    return p, sol
+        for letter in _letters(tok):
+            name = D4_LETTER[system][letter.name]
+            image = _D4_PARAMS_MAPS[name](*c)
+            if sol is not None:
+                sol = _act_letter(system, name, c, image, sol)
+            c = image
+    return ParameterTuple(system, from_d4_alphas(system, c)), sol
 
 
 # -- birational equivalences between the systems -----------------------------
@@ -412,5 +387,5 @@ def equivalence_map(
         raise ValueError(f"unsupported equivalence {source.value} -> {target.value}")
     if sol.chart is not Chart.AFFINE:
         raise ChartMismatch("equivalence maps act on affine D4 solutions")
-    alphas = from_d4_alphas(target, p.alphas)
-    return ParameterTuple(target, alphas), _settle(target, alphas, False, False, *sol.components())
+    return (ParameterTuple(target, from_d4_alphas(target, p.alphas)),
+            _settle(target, p.alphas, False, False, *sol.components()))

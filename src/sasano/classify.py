@@ -7,6 +7,10 @@ every generator acts by signed permutations, affine flips or translations:
     D4:  a0 = 1-f1-f2, a1 = f1-f2, a2 = f2-f3, a3 = f3-f4,  a4 = f3+f4
     D5:  a0 = 1/2-f1,  a1 = f1-f2, a2 = f2-f3, a3 = f3-f4,  a4 = f4
 
+All three are D4's table read through the linear parameter map
+`systems.to_d4_alphas`, so `lattice_coordinates` computes D4's
+coordinates of the D4 parameters.
+
 In all three systems condition k (1..6) holds exactly when the slot pair
 CONDITION_SLOTS[k] contains one integer and one half-odd integer; the
 lowest matching index is reported.  Standard form I is f1 = 1/2, f3 = 0,
@@ -92,14 +96,8 @@ def classify(p: ParameterTuple) -> ClassificationResult:
 # -- lattice coordinates ------------------------------------------------------
 
 def lattice_coordinates(p: ParameterTuple) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-    a0, a1, a2, a3, a4 = p.alphas
-    if p.system is System.B4:
-        return ((1 - (a0 - a1)) / 2, (1 - (a0 + a1)) / 2, a3 + a4, a4)
-    if p.system is System.D4:
-        return ((1 - (a0 - a1)) / 2, (1 - (a0 + a1)) / 2, (a3 + a4) / 2, (a4 - a3) / 2)
-    g1 = Fraction(1, 2) - a0
-    g2 = g1 - a1
-    return (g1, g2, a3 + a4, a4)
+    c0, c1, c2, c3, c4 = to_d4_alphas(p.system, p.alphas)
+    return ((1 - (c0 - c1)) / 2, (1 - (c0 + c1)) / 2, (c3 + c4) / 2, (c4 - c3) / 2)
 
 
 # Direct translation words per slot: (increment tokens, decrement tokens).

@@ -35,7 +35,10 @@ def rat(value: RatLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
@@ -1027,7 +1030,20 @@ def rf_to_json(f: RationalFunction) -> dict:
 
 
 def rf_from_json(data) -> RationalFunction:
-    return RationalFunction(poly_from_json(data["num"]), poly_from_json(data["den"]))
+    """The inverse of `rf_to_json`.  Malformed data raises ValueError naming
+    the field: a missing one, a coefficient that is no exact rational, or a
+    zero denominator."""
+    num_den = []
+    for field in ("num", "den"):
+        if not isinstance(data, dict) or field not in data:
+            raise ValueError(f"no field {field!r}")
+        try:
+            num_den.append(poly_from_json(data[field]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"field {field!r}: {exc}") from None
+    if num_den[1].is_zero():
+        raise ValueError("field 'den' is zero")
+    return RationalFunction(*num_den)
 
 
 def series_to_json(s: LaurentSeries) -> dict:

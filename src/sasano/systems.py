@@ -19,6 +19,11 @@ needs no extra chart.  With the linear parameter map `to_d4_alphas` (and
 its inverse `from_d4_alphas`), these involutions carry every system/chart
 pair to D4 and back: the solution check (`_d4_image`), the equivalences
 and every Bäcklund letter (`backlund`) go through D4 this way.
+
+Parameters go through D4 the same way: every system's normalization is
+D4's, c0 + c1 + 2*c2 + c3 + c4 = 1 at c = `to_d4_alphas(system, alphas)`,
+which reads as a0 + a1 + 2*a2 + 2*a3 + 2*a4 = 1 for B4 and as
+a0 + ... + a4 = 1/2 for D5.
 """
 
 from __future__ import annotations
@@ -89,7 +94,7 @@ class ParameterTuple:
         object.__setattr__(self, "alphas", alphas)
         if len(alphas) != 5:
             raise ValueError("expected five parameters")
-        if constraint_sum(self.system, alphas) != constraint_level(self.system):
+        if _d4_level(to_d4_alphas(self.system, alphas)) != 1:
             raise ValueError(
                 f"parameters violate the {self.system.value} normalization: "
                 f"{[rat_str(a) for a in alphas]}"
@@ -100,9 +105,6 @@ class ParameterTuple:
 
     def __getitem__(self, i):
         return self.alphas[i]
-
-    def replace_alphas(self, alphas) -> "ParameterTuple":
-        return ParameterTuple(self.system, tuple(rat(a) for a in alphas))
 
     def to_json(self) -> dict:
         return {
@@ -117,23 +119,17 @@ class ParameterTuple:
         )
 
 
-def constraint_sum(system: System, a) -> Fraction:
-    a0, a1, a2, a3, a4 = a
-    if system is System.B4:
-        return a0 + a1 + 2 * a2 + 2 * a3 + 2 * a4
-    if system is System.D4:
-        return a0 + a1 + 2 * a2 + a3 + a4
-    return a0 + a1 + a2 + a3 + a4
-
-
-def constraint_level(system: System) -> Fraction:
-    return Fraction(1, 2) if system is System.D5 else Fraction(1)
+def _d4_level(c) -> Fraction:
+    """c0 + c1 + 2*c2 + c3 + c4, which D4's normalization sets to 1.  Read
+    through `to_d4_alphas` it is every system's normalization."""
+    c0, c1, c2, c3, c4 = c
+    return c0 + c1 + 2 * c2 + c3 + c4
 
 
 def solve_last_alpha(system: System, first_four) -> Fraction:
-    """The a4 forced by the normalization, given a0..a3."""
-    rest = constraint_level(system) - constraint_sum(system, [rat(a) for a in first_four] + [0])
-    return rest / 2 if system is System.B4 else rest
+    """The a4 forced by the normalization, given a0..a3: D4's c4, mapped back."""
+    c = to_d4_alphas(system, [rat(a) for a in first_four] + [Fraction(0)])
+    return from_d4_alphas(system, (*c[:4], c[4] + 1 - _d4_level(c)))[4]
 
 
 @dataclass(frozen=True)
@@ -158,8 +154,17 @@ class SolutionTuple:
 
     @staticmethod
     def from_json(data) -> "SolutionTuple":
-        return SolutionTuple(Chart(data.get("chart", "affine")),
-                             *(rf_from_json(data[name]) for name in "xyzw"))
+        """The inverse of `to_json`; malformed data raises ValueError naming
+        the component and the field."""
+        components = []
+        for name in "xyzw":
+            if not isinstance(data, dict) or name not in data:
+                raise ValueError(f"solution has no component {name!r}")
+            try:
+                components.append(rf_from_json(data[name]))
+            except ValueError as exc:
+                raise ValueError(f"solution component {name!r}: {exc}") from None
+        return SolutionTuple(Chart(data.get("chart", "affine")), *components)
 
 
 T = RF.t()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import resource
 from fractions import Fraction as F
 
 from sasano import (
@@ -13,6 +14,18 @@ from sasano import (
     System,
     solve_last_alpha,
 )
+
+
+# The suite peaks near 100 MB; under this cap on the address space of the
+# test process, a runaway allocation fails with MemoryError in the test
+# that makes it instead of exhausting the machine.
+MEMORY_CAP_BYTES = 2_500_000 * 1024
+
+
+def pytest_configure(config):
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard == resource.RLIM_INFINITY or hard > MEMORY_CAP_BYTES:
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP_BYTES, hard))
 
 
 def b4(a0, a1, a2, a3, a4) -> ParameterTuple:

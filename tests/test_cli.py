@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from sasano import rat, rat_str
 from sasano.cli import main
 
@@ -411,3 +413,39 @@ def test_batch_help_line_gets_one_error_line(capsys, tmp_path):
     assert len(rows) == 2
     assert "'-h'" in rows[0]["error"]
     assert rows[1] == {"verdict": "not_exists"}
+
+
+# the B4 seed solution at the parameters below, and malformed copies of it
+_ALPHAS = "1/4,1/4,1/4,-1/4,1/4"
+_SEED = {"chart": "affine", "x": {"num": [], "den": ["1"]}, "y": {"num": ["1/2"], "den": ["1"]},
+         "z": {"num": ["0", "2"], "den": ["1"]}, "w": {"num": [], "den": ["1"]}}
+_MALFORMED = {
+    "missing component": ({k: v for k, v in _SEED.items() if k != "w"}, "'w'"),
+    "number coefficient": ({**_SEED, "y": {"num": [0.5], "den": ["1"]}}, "'y': field 'num'"),
+    "zero denominator": ({**_SEED, "z": {"num": ["1"], "den": ["0"]}}, "'z': field 'den'"),
+}
+
+
+@pytest.mark.parametrize("case", [*_MALFORMED, "text 1/0"])
+@pytest.mark.parametrize("command", ["verify", "transform", "expand"])
+def test_malformed_input_is_one_json_error_line(capsys, tmp_path, command, case):
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps(_MALFORMED[case][0] if case in _MALFORMED else _SEED))
+    alphas = "1/0,1/4,1/4,-1/4,auto" if case == "text 1/0" else _ALPHAS
+    request = {"verify": {"system": "b4", "alphas": alphas},
+               "transform": {"system": "b4", "alphas": alphas, "word": "s1"},
+               "expand": {"at": "c=1/0" if case == "text 1/0" else "0"}}[command]
+    request["solution"] = str(solution)
+    expected = _MALFORMED[case][1] if case in _MALFORMED else "'1/0'"
+
+    code = main([command, *(f"--{key}={value}" for key, value in request.items())])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and expected in json.loads(lines[0])["error"]
+    assert "Traceback" not in captured.err
+
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text(json.dumps({"subcommand": command, **request}) + "\n")
+    code, out = run(capsys, "--batch", str(batch))
+    assert code == 2 and json.loads(out) == json.loads(lines[0])

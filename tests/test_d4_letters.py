@@ -32,8 +32,11 @@ from sasano import (
     UndefinedAction,
     act_params,
     act_solution,
+    act_word,
     equivalence_map,
+    parse_word,
     seed_solution,
+    shift_word,
     solve_last_alpha,
 )
 from sasano import backlund, systems
@@ -123,17 +126,56 @@ def test_each_letter_is_its_d4_letter_under_the_equivalence(target, make, letter
 
 _FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
+# the B4 and D5 parameter maps written in each system's own coordinates:
+# the reference for `act_params`, which acts by D4's maps on `to_d4_alphas`
+WRITTEN_MAPS = {
+    System.B4: {
+        "s0": lambda a0, a1, a2, a3, a4: (-a0, a1, a2 + a0, a3, a4),
+        "s1": lambda a0, a1, a2, a3, a4: (a0, -a1, a2 + a1, a3, a4),
+        "s2": lambda a0, a1, a2, a3, a4: (a0 + a2, a1 + a2, -a2, a3 + a2, a4),
+        "s3": lambda a0, a1, a2, a3, a4: (a0, a1, a2 + a3, -a3, a4 + a3),
+        "s4": lambda a0, a1, a2, a3, a4: (a0, a1, a2, a3 + 2 * a4, -a4),
+        "pi1": lambda a0, a1, a2, a3, a4: (a1, a0, a2, a3, a4),
+        "pi2": lambda a0, a1, a2, a3, a4: (2 * a4 + a3, a3, a2, a1, (a0 - a1) / 2),
+    },
+    System.D5: {
+        "s0": lambda a0, a1, a2, a3, a4: (-a0, a1 + 2 * a0, a2, a3, a4),
+        "s1": lambda a0, a1, a2, a3, a4: (a0 + a1, -a1, a2 + a1, a3, a4),
+        "s2": lambda a0, a1, a2, a3, a4: (a0, a1 + a2, -a2, a3 + a2, a4),
+        "s3": lambda a0, a1, a2, a3, a4: (a0, a1, a2 + a3, -a3, a4 + a3),
+        "s4": lambda a0, a1, a2, a3, a4: (a0, a1, a2, a3 + 2 * a4, -a4),
+        "psi": lambda a0, a1, a2, a3, a4: (a4, a3, a2, a1, a0),
+    },
+}
+
 
 @pytest.mark.parametrize("system", [System.B4, System.D5])
 @SETTINGS
-@given(first=st.lists(_FRACTIONS, min_size=4, max_size=4))
-def test_parameter_maps_are_the_d4_maps_conjugated_by_the_linear_map(system, first):
-    alphas = (*first, solve_last_alpha(system, first))
+@given(first=st.lists(_FRACTIONS, min_size=4, max_size=4),
+       tokens=st.lists(st.tuples(st.integers(0, 10), st.booleans()), max_size=6))
+def test_parameter_maps_are_the_d4_maps_conjugated_by_the_linear_map(system, first, tokens):
+    p = ParameterTuple(system, (*first, solve_last_alpha(system, first)))
     assert backlund.D4_LETTER[system] == LETTER[system]
-    for name in PRIMITIVES[system]:
-        d4_name = backlund.D4_LETTER[system][name]
-        via_d4 = backlund._params_map(System.D4, d4_name, systems.to_d4_alphas(system, alphas))
-        assert backlund._params_map(system, name, alphas) == systems.from_d4_alphas(system, via_d4)
+    for name, written in WRITTEN_MAPS[system].items():
+        assert act_params(Generator(system, name), p).alphas == written(*p.alphas)
+
+    # a random word, shift tokens included, against the written maps
+    # folded letter by letter
+    names = PRIMITIVES[system] + SHIFTS[system]
+    text, letters = [], []
+    for i, inverse in tokens:
+        name = names[i % len(names)]
+        if name in SHIFTS[system]:
+            shift = [str(g) for g in shift_word(system, int(name[1]))]
+            letters += shift[::-1] if inverse else shift
+            text.append(f"inv({name})" if inverse else name)
+        else:
+            letters.append(name)
+            text.append(name)
+    alphas = p.alphas
+    for name in letters:
+        alphas = WRITTEN_MAPS[system][name](*alphas)
+    assert act_word(parse_word(system, " ".join(text)), p)[0].alphas == alphas
 
 
 def test_t_flip_letters_are_the_d4_ones():

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
 
-from conftest import b4, b4_m3_infinite_solution, d4, from_lattice, random_standard_form
+from conftest import b4, b4_m3_infinite_solution, d4, d5, from_lattice, random_standard_form
 from sasano import (
     Chart,
     ChartMismatch,
@@ -19,8 +21,10 @@ from sasano import (
     is_solution,
     residual,
     seed_solution,
+    solve_last_alpha,
 )
 from sasano.exactmath import INFINITY, laurent_expand
+from sasano.systems import hamiltonian_polynomial, vector_field
 
 T = RF.t()
 HALF = RF.const(F(1, 2))
@@ -31,9 +35,49 @@ def test_constraint_validation():
         b4(1, 1, 1, 1, 1)
     with pytest.raises(ValueError):
         d4("1/4", "1/4", "1/4", "1/4", "1/4")
+    with pytest.raises(ValueError, match=r"violate the d5 normalization: \['1/4', '1/4', "):
+        d5("1/4", "1/4", "1/4", "1/4", "1/4")
     # valid tuples construct fine
     b4("1/4", "1/4", "1/4", "-1/4", "1/4")
     d4("1/4", "1/4", "1/4", "-1/4", "1/4")
+    d5("1/4", "1/4", "-1/4", "-1/4", "1/2")
+    d5(0, 0, 0, 0, "1/2")
+
+
+# each system's normalization as written in its own coordinates
+WRITTEN_NORMALIZATIONS = {
+    System.B4: lambda a0, a1, a2, a3, a4: a0 + a1 + 2 * a2 + 2 * a3 + 2 * a4 == 1,
+    System.D4: lambda a0, a1, a2, a3, a4: a0 + a1 + 2 * a2 + a3 + a4 == 1,
+    System.D5: lambda a0, a1, a2, a3, a4: a0 + a1 + a2 + a3 + a4 == F(1, 2),
+}
+
+
+@pytest.mark.parametrize("system", list(System))
+@settings(max_examples=60, deadline=None)
+@given(first=st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                      min_size=4, max_size=4),
+       offset=st.sampled_from([0, 0, F(1, 2), F(-1, 3), 1]))
+def test_parameter_tuple_accepts_exactly_the_written_normalization(system, first, offset):
+    holds = WRITTEN_NORMALIZATIONS[system]
+    last = solve_last_alpha(system, first)
+    assert holds(*first, last)
+    alphas = (*first, last + offset)
+    if holds(*alphas):
+        assert ParameterTuple(system, alphas).alphas == alphas
+    else:
+        with pytest.raises(ValueError, match=f"violate the {system.value} normalization"):
+            ParameterTuple(system, alphas)
+
+
+def test_b4_field_is_hamiltons_equations():
+    """t x' = H_y, t y' = -H_x, t z' = H_w, t w' = -H_z on the affine chart,
+    on sympy symbols: both functions use only +, - and *."""
+    t, x, y, z, w, a1, a2, a3, a4 = sp.symbols("t x y z w a1 a2 a3 a4")
+    alphas = (1 - a1 - 2 * a2 - 2 * a3 - 2 * a4, a1, a2, a3, a4)
+    field = vector_field(System.B4, Chart.AFFINE, alphas)(t, x, y, z, w)
+    h = hamiltonian_polynomial(alphas)(t, x, y, z, w)
+    hamilton = (sp.diff(h, y), -sp.diff(h, x), sp.diff(h, w), -sp.diff(h, z))
+    assert all(sp.expand(f - g) == 0 for f, g in zip(field, hamilton))
 
 
 def test_chart_validity():
