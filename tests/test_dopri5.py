@@ -85,18 +85,31 @@ def _same(a, b) -> bool:
     return len(a) == len(b) and all(u == v or (u != u and v != v) for u, v in zip(a, b))
 
 
+# Some drawn flows grow fast without blowing up: the step size stays above
+# float spacing, and a run to the last stop takes millions of steps.  Both
+# integrators stop at the same number of right-hand-side calls, so such a
+# run is compared call by call up to there.
+_CALL_BUDGET = 20_000
+
+
+class _BudgetSpent(Exception):
+    pass
+
+
 def _run(integrator, f, t, y, stops):
     """(calls, states or the failure's message) of one run; calls lists
-    every (t, state) the integrator handed to f."""
+    every (t, state) the integrator handed to f, at most _CALL_BUDGET."""
     calls = []
 
     def logged(s, v):
+        if len(calls) == _CALL_BUDGET:
+            raise _BudgetSpent(f"{_CALL_BUDGET} calls spent at t = {s!r}")
         calls.append((s, list(v)))
         return f(s, v)
 
     try:
         result = integrator(logged, t, y, stops, rtol=1e-12, atol=1e-12)
-    except IntegratorFailed as exc:
+    except (IntegratorFailed, _BudgetSpent) as exc:
         result = str(exc)
     return calls, result
 
