@@ -254,7 +254,11 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
                 if key in request:
                     value = request[key]
                     if key == "alphas" and isinstance(value, list):
-                        value = ",".join(value)
+                        # JSON integers and strings, as solution files take them
+                        for a in value:
+                            if isinstance(a, bool) or not isinstance(a, (int, str)):
+                                raise UsageError(f"alphas: {a!r} is neither an integer nor a string")
+                        value = ",".join(map(str, value))
                     # one token, so that a value starting with "-" is not
                     # taken for an option
                     argv.append(f"--{key}={value}")

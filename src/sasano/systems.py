@@ -11,6 +11,12 @@ screening B4 and D5 inputs at one point and then carrying them to D4,
 whose cubic field it evaluates at B + 1 points, with B a bound on the
 degree of each residual's numerator.
 
+The point values and the float right-hand side of the numeric check
+(`float_rhs`) run the same field compiled: `_program` traces
+`vector_field` once per system and chart with recording values
+(`_Traced`) and emits straight-line Python, on (numerator, denominator)
+int pairs or on floats, in the traced order of operations.
+
 Charts: the affine chart carries (x, y, z, w) directly.  Solutions with
 a component identically infinite live in an alternative chart, which
 applies `invert_side` to that component's side: B4 m3 and D5 r3 to the
@@ -164,7 +170,11 @@ class SolutionTuple:
                 components.append(rf_from_json(data[name]))
             except ValueError as exc:
                 raise ValueError(f"solution component {name!r}: {exc}") from None
-        return SolutionTuple(Chart(data.get("chart", "affine")), *components)
+        chart = data.get("chart", "affine")
+        if chart not in [c.value for c in Chart]:
+            raise ValueError(f"solution field 'chart': {chart!r} is not one of "
+                             f"{', '.join(c.value for c in Chart)}")
+        return SolutionTuple(Chart(chart), *components)
 
 
 T = RF.t()
@@ -223,9 +233,10 @@ def vector_field(system: System, chart: Chart, alphas):
     its P form into the Q form and back; `INVERTED_SIDES` says which.
 
     The returned function uses only +, - and *, so one definition serves
-    the exact residual (RationalFunctions), its degree bound and point
-    values (`_DegreeBound`, `_Pair`) and the float integrator; the alphas
-    may be Fractions or floats.
+    the exact residual (RationalFunctions), its degree bound
+    (`_DegreeBound`) and, traced once per system and chart into
+    straight-line code (`_program`), the point values in integer pairs and
+    the float integrator; the alphas may be Fractions or floats.
     """
     _check_chart(system, chart)
     a0, a1, a2, a3, a4 = alphas
@@ -246,6 +257,110 @@ def vector_field(system: System, chart: Chart, alphas):
 
 def _residuals(field, t, values, t_derivatives):
     return tuple(td - r for td, r in zip(t_derivatives, field(t, *values)))
+
+
+def _recorder(op, swap=False):
+    """The _Traced method for op; swap for the reflected one, as in 2 * x."""
+    return lambda self, other=None: self._step(op, *((other, self) if swap else (self, other)))
+
+
+class _Traced:
+    """A named value that records each +, - or * it takes part in, with
+    another _Traced or an int, Fraction or float constant, as one step
+    (out, op, a, b) of a trace.  `inner` marks the values that depend on t
+    or the state, not on the alphas alone."""
+
+    __slots__ = ("trace", "name", "inner")
+
+    def __init__(self, trace: list, name: str, inner: bool):
+        self.trace, self.name, self.inner = trace, name, inner
+
+    def _step(self, op, a, b=None):
+        inner = any(isinstance(v, _Traced) and v.inner for v in (a, b))
+        out = _Traced(self.trace, f"v{len(self.trace)}", inner)
+        self.trace.append((out, op, a, b))
+        return out
+
+    __add__, __sub__, __mul__, __neg__ = (_recorder(op) for op in ("+", "-", "*", "neg"))
+    __radd__, __rsub__, __rmul__ = (_recorder(op, swap=True) for op in "+-*")
+
+
+def _float_step(out, op, a, b, den):
+    """One traced step in floats, with each constant as the float that
+    Python's mixed arithmetic would convert it to."""
+    a, b = (v.name if isinstance(v, _Traced) else repr(float(v)) for v in (a, b or 0))
+    return [f"{out.name} = -{a}" if op == "neg" else f"{out.name} = {a} {op} {b}"]
+
+
+def _pair_step(out, op, a, b, den):
+    """One traced step on (numerator, denominator) pairs of ints, with no gcd
+    taken.  den maps each value's name to its denominator's, None for 1."""
+
+    def pair(v):
+        if isinstance(v, _Traced):
+            return f"{v.name}n", den[v.name]
+        v = Fraction(v)
+        return str(v.numerator), None if v.denominator == 1 else str(v.denominator)
+
+    def times(d, e):
+        return e if d is None else d if e is None else f"{d} * {e}"
+
+    (an, ad), (bn, bd) = pair(a), pair(b or 0)
+    d = ad if op == "neg" else times(ad, bd)
+    n = {"neg": f"-{an}", "*": f"{an} * {bn}"}.get(op, f"{times(an, bd)} {op} {times(bn, ad)}")
+    den[out.name] = d if d is None or d.isidentifier() else f"{out.name}d"
+    return [f"{out.name}n = {n}"] + ([f"{out.name}d = {d}"] if den[out.name] != d else [])
+
+
+_PROGRAMS = {}  # (system, chart, kind) -> factory; at most 7 * 2 entries
+
+
+def _program(system: System, chart: Chart, kind: str):
+    """`vector_field` of the system in the chart as straight-line Python,
+    built on first use by tracing it once.  Steps on the alphas alone run
+    once per call of the factory, the others once per call of its result.
+
+    kind "float": make(a0, ..., a4) -> field(t, v), which returns
+    [RHS_i / t] with the float operations of `vector_field` in its order,
+    so equal (==) to its values over t.  kind "pair": make(a0n, a0d, ...,
+    a4n, a4d) -> field(tn, xn, xd, ..., wn, wd, txn, txd, ..., twn, twd),
+    the numerators of `_residuals` at an integer t, given the values and
+    t-derivatives as numerators and denominators, ints.
+    """
+    key = system, chart, kind
+    if key not in _PROGRAMS:
+        trace = []
+        alphas = [_Traced(trace, f"a{i}", False) for i in range(5)]
+        t, *state = (_Traced(trace, name, True) for name in "txyzw")
+        field = vector_field(system, chart, alphas)
+        if kind == "float":
+            step, den, inner = _float_step, {}, ["x, y, z, w = v"]
+            args, inner_args = "a0, a1, a2, a3, a4", "t, v"
+            result = "[" + ", ".join(f"{v.name} / t" for v in field(t, *state)) + "]"
+        else:
+            t_derivatives = [_Traced(trace, f"t{v.name}", True) for v in state]
+            step, inner = _pair_step, []
+            den = {"t": None, **{v.name: f"{v.name}d" for v in alphas + state + t_derivatives}}
+            args = ", ".join(f"{v.name}n, {v.name}d" for v in alphas)
+            inner_args = "tn, " + ", ".join(f"{v.name}n, {v.name}d" for v in state + t_derivatives)
+            result = ", ".join(f"{v.name}n" for v in _residuals(field, t, state, t_derivatives))
+        outer = []
+        for out, op, a, b in trace:
+            (inner if out.inner else outer).extend(step(out, op, a, b, den))
+        source = "\n".join([f"def make({args}):", *(f"    {line}" for line in outer),
+                            f"    def field({inner_args}):", *(f"        {line}" for line in inner),
+                            f"        return {result}", "    return field"])
+        namespace = {}
+        exec(compile(source, f"<{kind} field of {system.value} in chart {chart.value}>", "exec"),
+             namespace)
+        _PROGRAMS[key] = namespace["make"]
+    return _PROGRAMS[key]
+
+
+def float_rhs(system: System, chart: Chart, alphas):
+    """rhs(t, v) = [RHS_i(t, *v) / t], X' of t*X' = RHS for float alphas,
+    compiled from `vector_field` and equal (==) to its values over t."""
+    return _program(system, chart, "float")(*alphas)
 
 
 def residual(params: ParameterTuple, sol: SolutionTuple):
@@ -287,39 +402,6 @@ class _DegreeBound:
     __rmul__ = __mul__
 
 
-class _Pair:
-    """An exact rational n/d kept as a pair of ints, with no gcd taken."""
-
-    __slots__ = ("n", "d")
-
-    def __init__(self, n: int, d: int):
-        self.n, self.d = n, d
-
-    def __add__(self, other):
-        if isinstance(other, _Pair):
-            return _Pair(self.n * other.d + other.n * self.d, self.d * other.d)
-        # an int or a Fraction
-        return _Pair(self.n * other.denominator + other.numerator * self.d,
-                     self.d * other.denominator)
-
-    def __mul__(self, other):
-        if isinstance(other, _Pair):
-            return _Pair(self.n * other.n, self.d * other.d)
-        return _Pair(self.n * other.numerator, self.d * other.denominator)
-
-    def __neg__(self):
-        return _Pair(-self.n, self.d)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-
 def _horner(coeffs, p: int):
     """(f(p), f'(p)) for the integer polynomial with coefficients coeffs."""
     value = slope = 0
@@ -344,12 +426,16 @@ def _degree_bounds(field, comps):
     return dens, [(r.h + sum(e * d.degree for e, d in zip(r.e, dens)), r.e) for r in residuals]
 
 
-def _residuals_vanish(field, comps, points=None) -> bool:
-    """Whether field's residuals on comps vanish at the first `points` integers
-    t >= 1 where no denominator vanishes (by default B + 1, `_degree_bounds`)."""
+def _residuals_vanish(params: ParameterTuple, sol: SolutionTuple, points=None) -> bool:
+    """Whether the residuals of sol vanish at the first `points` integers
+    t >= 1 where no denominator vanishes (by default B + 1, `_degree_bounds`),
+    evaluated by the compiled pair program of the system and chart."""
+    system, chart, alphas, comps = params.system, sol.chart, params.alphas, sol.components()
     dens = list(dict.fromkeys(c.den for c in comps))
     if points is None:
-        points = max(b for b, _ in _degree_bounds(field, comps)[1]) + 1
+        points = max(b for b, _ in _degree_bounds(vector_field(system, chart, alphas), comps)[1]) + 1
+    residuals = _program(system, chart, "pair")(
+        *(i for a in alphas for i in (a.numerator, a.denominator)))
     den_ints = [d._int_form()[0] for d in dens]
     images = []
     for c in comps:
@@ -367,9 +453,9 @@ def _residuals_vanish(field, comps, points=None) -> bool:
         for n, sn, sd, k in images:
             nv, ns = _horner(n, p)
             dv, ds = at[k]
-            values.append(_Pair(sn * nv, sd * dv))
-            t_derivatives.append(_Pair(sn * p * (ns * dv - nv * ds), sd * dv * dv))
-        if any(r.n for r in _residuals(field, p, values, t_derivatives)):
+            values += sn * nv, sd * dv
+            t_derivatives += sn * p * (ns * dv - nv * ds), sd * dv * dv
+        if any(residuals(p, *values, *t_derivatives)):
             return False
         points -= 1
     return True
@@ -394,7 +480,8 @@ def is_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
     Each residual t*X' - RHS is N / prod_k D_k**e[k] over the components'
     denominators D_k, with deg N <= B (`_degree_bounds`).  N is zero iff
     it vanishes at B + 1 distinct points, so the residuals are evaluated
-    in exact integer pairs at t = 1, 2, ..., skipping the points where
+    in exact integer pairs, by `vector_field` compiled to straight-line
+    code (`_program`), at t = 1, 2, ..., skipping the points where
     some D_k vanishes, until B + 1 points have passed (Schwartz 1980,
     Zippel 1979).  `residual` builds the same residuals symbolically.
 
@@ -405,11 +492,10 @@ def is_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
     D4's field conjugated by the same involutions, so the verdict is the same.
     """
     if any(INVERTED_SIDES[params.system, sol.chart]):
-        screen = vector_field(params.system, sol.chart, params.alphas)
-        if not _residuals_vanish(screen, sol.components(), points=1):
+        if not _residuals_vanish(params, sol, points=1):
             return False
         params, sol = _d4_image(params, sol)
-    return _residuals_vanish(vector_field(params.system, sol.chart, params.alphas), sol.components())
+    return _residuals_vanish(params, sol)
 
 
 def hamiltonian_polynomial(alphas):

@@ -12,8 +12,10 @@ All but the residues are read off one truncated Laurent expansion per
 component and point, the Hamiltonian polynomial run on those series;
 `systems.hamiltonian` runs it on rational functions, the symbolic oracle.
 
-The cross-check integrates in plain Python floats, and poles are located
-exactly, so no part of the package needs numpy or scipy here.
+The cross-check integrates in plain Python floats, with the system's
+vector field compiled to straight-line code (`systems.float_rhs`) and a
+bound on the integrator's steps, and poles are located exactly, so no
+part of the package needs numpy or scipy here.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ from .systems import (
     ParameterTuple,
     SolutionTuple,
     System,
+    float_rhs,
     hamiltonian_polynomial,
     is_solution,
-    vector_field,
 )
 
 
@@ -180,7 +182,9 @@ def _dopri5(f, t: float, y, stops, rtol: float, atol: float) -> list:
     first step follow Hairer, Norsett and Wanner, Solving ODEs I, II.4,
     with the error measured in the RMS norm scaled by atol + rtol * |y|.
     Raises IntegratorFailed when the step size falls to the spacing of
-    floats at t, as it does when the solution blows up.
+    floats at t, as it does when the solution blows up, or when the run
+    has taken max(10000, 200 * len(stops)) steps, accepted or rejected,
+    as a flow that grows fast without blowing up would.
     """
     y = list(y)
     k1 = f(t, y)
@@ -194,12 +198,17 @@ def _dopri5(f, t: float, y, stops, rtol: float, atol: float) -> list:
              else (0.01 / max(d1, d2)) ** 0.2)
     h_abs = min(100 * h0, h_abs)
 
+    budget = steps_left = max(10_000, 200 * len(stops))
     out = []
     for stop in stops:
         while t < stop:
             if h_abs < 10 * (math.nextafter(t, math.inf) - t):
                 raise IntegratorFailed(
                     f"integrator failed at t = {t:.6g}: step size below float spacing")
+            if steps_left == 0:
+                raise IntegratorFailed(
+                    f"integrator failed at t = {t:.6g}: budget of {budget} steps spent")
+            steps_left -= 1
             clipped = h_abs >= stop - t
             h = stop - t if clipped else h_abs
             # sums run left to right in tableau order: tests compare states with ==
@@ -260,9 +269,11 @@ def numeric_crosscheck(
 ) -> float:
     """Max deviation between the exact solution and an adaptive RK45 run.
 
-    Integrates t*X' = RHS from the exact initial condition sol(t0) (plus
-    an optional perturbation, used for power checks) and samples the
-    deviation at `steps` evenly spaced points of [t0, t1].
+    Integrates t*X' = RHS, with RHS compiled from `vector_field`
+    (`float_rhs`), from the exact initial condition sol(t0) (plus an
+    optional perturbation, used for power checks) and samples the
+    deviation at `steps` evenly spaced points of [t0, t1].  Raises
+    IntegratorFailed when `_dopri5` stops short.
     """
     if sol.chart is not Chart.AFFINE:
         raise ChartMismatch("numeric cross-check needs the affine chart")
@@ -282,9 +293,8 @@ def numeric_crosscheck(
     n0, n1 = t0.numerator * t1.denominator, t1.numerator * t0.denominator
     den = t0.denominator * t1.denominator * (steps - 1)
     samples = [(n0 * (steps - 1) + (n1 - n0) * i) / den for i in range(steps)]
-    field = vector_field(params.system, Chart.AFFINE, [float(a) for a in params.alphas])
-    states = [start] + _dopri5(lambda t, v: [r / t for r in field(t, *v)], samples[0],
-                               start, samples[1:], rtol=1e-12, atol=1e-12)
+    rhs = float_rhs(params.system, Chart.AFFINE, [float(a) for a in params.alphas])
+    states = [start] + _dopri5(rhs, samples[0], start, samples[1:], rtol=1e-12, atol=1e-12)
     exact = [_float_function(c) for c in sol.components()]
 
     def clamp(v: float) -> float:

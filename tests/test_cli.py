@@ -217,6 +217,8 @@ def test_batch_mode(capsys, tmp_path):
         {"subcommand": "classify", "system": "b4", "alphas": ["1/4", "1/4", "1/4", "-1/4", "1/4"]},
         {"subcommand": "classify", "system": "b4", "alphas": ["0", "0", "0", "0", "1/2"]},
         {"subcommand": "construct", "system": "d5", "alphas": ["0", "1/4", "1/4", "-1/4", "1/4"]},
+        # JSON integers, as solution files take them
+        {"subcommand": "classify", "system": "b4", "alphas": [0, 0, 0, 0, "1/2"]},
     ]
     batch = tmp_path / "requests.jsonl"
     batch.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
@@ -226,6 +228,17 @@ def test_batch_mode(capsys, tmp_path):
     assert rows[0] == {"verdict": "exists", "condition": 1}
     assert rows[1] == {"verdict": "not_exists"}
     assert rows[2]["verdict"] == "exists" and rows[2]["chart"] == "r1"
+    assert rows[3] == {"verdict": "not_exists"}
+
+
+@pytest.mark.parametrize("value", [0.5, True, None, [1]])
+def test_batch_alphas_that_are_no_integer_or_string_are_named(capsys, tmp_path, value):
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text(json.dumps({"subcommand": "classify", "system": "b4",
+                                 "alphas": [0, 0, 0, value, "1/2"]}) + "\n")
+    code, out = run(capsys, "--batch", str(batch))
+    assert code == 2
+    assert json.loads(out) == {"error": f"alphas: {value!r} is neither an integer nor a string"}
 
 
 def test_batch_mode_negative_first_alpha(capsys, tmp_path):
@@ -423,6 +436,8 @@ _MALFORMED = {
     "missing component": ({k: v for k, v in _SEED.items() if k != "w"}, "'w'"),
     "number coefficient": ({**_SEED, "y": {"num": [0.5], "den": ["1"]}}, "'y': field 'num'"),
     "zero denominator": ({**_SEED, "z": {"num": ["1"], "den": ["0"]}}, "'z': field 'den'"),
+    "unknown chart": ({**_SEED, "chart": "q7"},
+                      "field 'chart': 'q7' is not one of affine, m3, r1, r3, r5"),
 }
 
 

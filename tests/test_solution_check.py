@@ -139,6 +139,103 @@ def test_evaluation_verdict_matches_symbolic_residual(make, letters, index, powe
     assert is_solution(q, broken) == _symbolic(q, broken)
 
 
+class _Pair:
+    """An exact rational n/d kept as a pair of ints, with no gcd taken: the
+    point values that `vector_field` ran on before it was compiled, kept as
+    the reference for the compiled pair program."""
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: int, d: int):
+        self.n, self.d = n, d
+
+    def __add__(self, other):
+        if isinstance(other, _Pair):
+            return _Pair(self.n * other.d + other.n * self.d, self.d * other.d)
+        # an int or a Fraction
+        return _Pair(self.n * other.denominator + other.numerator * self.d,
+                     self.d * other.denominator)
+
+    def __mul__(self, other):
+        if isinstance(other, _Pair):
+            return _Pair(self.n * other.n, self.d * other.d)
+        return _Pair(self.n * other.numerator, self.d * other.denominator)
+
+    def __neg__(self):
+        return _Pair(-self.n, self.d)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+
+def _reference_vanish(p, sol, points=None) -> bool:
+    """`systems._residuals_vanish` as it ran `vector_field` itself on
+    `_Pair` point values."""
+    field = vector_field(p.system, sol.chart, p.alphas)
+    comps = sol.components()
+    dens = list(dict.fromkeys(c.den for c in comps))
+    if points is None:
+        points = max(b for b, _ in _degree_bounds(field, comps)[1]) + 1
+    images = []
+    for c in comps:
+        n, scale = c.num._int_form()
+        k = dens.index(c.den)
+        scale /= dens[k]._int_form()[1]
+        images.append((n, scale.numerator, scale.denominator, k))
+    t = 0
+    while points > 0:
+        t += 1
+        at = [systems._horner(d._int_form()[0], t) for d in dens]
+        if not all(v for v, _ in at):
+            continue
+        values, t_derivatives = [], []
+        for n, sn, sd, k in images:
+            nv, ns = systems._horner(n, t)
+            dv, ds = at[k]
+            values.append(_Pair(sn * nv, sd * dv))
+            t_derivatives.append(_Pair(sn * t * (ns * dv - nv * ds), sd * dv * dv))
+        if any(r.n for r in systems._residuals(field, t, values, t_derivatives)):
+            return False
+        points -= 1
+    return True
+
+
+@pytest.mark.parametrize("make", FIXTURES)
+@SETTINGS
+@given(
+    letters=st.lists(st.integers(0, 10), max_size=3),
+    index=st.integers(0, 3),
+    power=st.integers(0, 50),
+    delta=st.sampled_from([F(1), F(-1), F(1, 3), F(5, 2)]),
+)
+def test_pair_program_verdict_matches_the_pair_reference(make, letters, index, power, delta):
+    # in the solution's own chart, at one point and at B + 1 points
+    p, sol = make()
+    names = PRIMITIVES[p.system]
+    q, image = _push(p, sol, [names[i % len(names)] for i in letters])
+    for s in (image, _change_one_coefficient(image, index, power, delta)):
+        for points in (1, None):
+            assert systems._residuals_vanish(q, s, points) == _reference_vanish(q, s, points)
+
+
+@pytest.mark.parametrize("system, chart", list(systems.INVERTED_SIDES))
+@settings(max_examples=60, deadline=None)
+@given(
+    alphas=st.lists(st.floats(-4, 4), min_size=5, max_size=5),
+    t=st.floats(0.01, 8),
+    v=st.lists(st.floats(-8, 8), min_size=4, max_size=4),
+)
+def test_float_program_equals_the_written_field(system, chart, alphas, t, v):
+    field = vector_field(system, chart, alphas)
+    assert systems.float_rhs(system, chart, alphas)(t, v) == [r / t for r in field(t, *v)]
+
+
 def _random_rf(rng, dens):
     num = Polynomial([F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(rng.randint(0, 4))])
     return RF(num, rng.choice(dens))

@@ -32,7 +32,8 @@ from sasano import (
 from conftest import random_params
 from sasano.backlund import PRIMITIVES
 from sasano.classify import classify
-from sasano.systems import hamiltonian_polynomial
+from sasano import verify
+from sasano.systems import hamiltonian_polynomial, vector_field
 from sasano.verify import IntegratorFailed, _dopri5
 
 T = RF.t()
@@ -176,6 +177,51 @@ def test_dopri5_reports_blow_up():
     # y' = y**2 from y(0) = 1 is 1/(1 - t), which leaves every float before t = 1
     with pytest.raises(IntegratorFailed):
         _dopri5(lambda t, v: (v[0] * v[0],), 0.0, (1.0,), [0.5, 2.0], rtol=1e-12, atol=1e-12)
+
+
+def test_dopri5_stops_at_its_step_budget():
+    # y' = 50 y on [0, 10] stays finite but needs ~33,000 steps at these
+    # tolerances; one stop gives the floor of 10,000 steps
+    calls = []
+
+    def f(t, v):
+        calls.append(t)
+        return [50 * v[0]]
+
+    with pytest.raises(IntegratorFailed, match=r"at t = 2\.\d+: budget of 10000 steps spent"):
+        _dopri5(f, 0.0, [1.0], [10.0], rtol=1e-12, atol=1e-12)
+    assert len(calls) == 2 + 6 * 10_000
+
+
+@pytest.mark.parametrize("system", [System.B4, System.D4, System.D5])
+def test_numeric_crosscheck_deviation_equals_the_written_field(monkeypatch, system):
+    # the compiled right-hand side against vector_field's values over t, on
+    # seed solutions pushed through short words into the affine chart, from
+    # their exact and from perturbed starts
+    def written(system, chart, alphas):
+        field = vector_field(system, chart, alphas)
+        return lambda t, v: [r / t for r in field(t, *v)]
+
+    rng = random.Random(11)
+    runs = []
+    for _ in range(200):
+        p = random_standard_form(system, rng)
+        letters = rng.choices(PRIMITIVES[system], k=rng.randint(0, 2))
+        p, sol = push_word(p, seed_solution(p), letters)
+        if sol.chart is Chart.AFFINE:
+            offset = [rng.uniform(-1e-3, 1e-3) for _ in range(4)] if len(runs) % 2 else None
+            runs.append((p, sol, *pole_free_interval(sol), offset))
+        if len(runs) == 4:
+            break
+    assert len(runs) == 4
+
+    def deviations():
+        return [numeric_crosscheck(p, sol, t0, t1, initial_offset=offset)
+                for p, sol, t0, t1, offset in runs]
+
+    compiled = deviations()
+    monkeypatch.setattr(verify, "float_rhs", written)
+    assert compiled == deviations()
 
 
 # -- the invariants off truncated series, against the symbolic Hamiltonian ------
