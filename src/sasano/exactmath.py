@@ -5,11 +5,10 @@ Representation invariants:
 
   * Rational numbers are ``fractions.Fraction`` (arbitrary precision,
     positive denominator, gcd(|num|, den) = 1 by construction).
-  * ``Polynomial`` holds its coefficients by ascending power of t, as a
-    tuple of Fractions whose last entry is nonzero (the zero polynomial
-    is the empty tuple), or as a primitive integer image with one
-    positive rational scale, or both; either is derived from the other
-    on first use.
+  * ``Polynomial`` holds only a primitive integer image of its
+    coefficients (ascending powers of t, last entry nonzero; the zero
+    polynomial is empty) with one positive rational scale.  The
+    Fraction coefficients are a view built from it on first read.
   * ``RationalFunction`` stores num/den with gcd(num, den) = 1 and a
     monic denominator; this canonical form makes ``==`` structural.
   * ``LaurentSeries`` is a finite coefficient window of the expansion of
@@ -31,7 +30,7 @@ RatLike = Union[Fraction, int, str]
 
 
 def rat(value: RatLike) -> Fraction:
-    """Coerce ints and 'p/q' strings to Fraction."""
+    """Coerce ints (not bools) and 'p/q' strings to Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
@@ -39,7 +38,7 @@ def rat(value: RatLike) -> Fraction:
             return Fraction(value.strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
@@ -58,67 +57,60 @@ def is_integer(value: Fraction) -> bool:
 class Polynomial:
     """Univariate polynomial in t with exact rational coefficients.
 
-    Arithmetic (sums, products, exact division, gcd, scaling) runs on a
-    primitive integer image with one positive rational scale, which is
-    unique, so a chain of operations makes no Fraction and takes no
-    bigint gcd per coefficient.  The Fraction coefficients are built on
-    first use of `coeffs`.
+    The only state is a primitive integer image with one positive rational
+    scale, which is unique, so equality and hashing compare it, and a
+    chain of sums, products, divisions and gcds makes no Fraction and
+    takes no bigint gcd per coefficient.  `coeffs` is a view built from
+    the image on first read.
     """
 
     __slots__ = ("_coeffs", "_ints", "_n")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
-        self._ints = None
-        self._n = len(cs)
+        lcm = math.lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (lcm // c.denominator) for c in cs], Fraction(1, lcm))
 
-    @property
-    def coeffs(self) -> tuple:
-        """The coefficients as Fractions, by ascending power of t."""
-        if self._coeffs is None:
-            ints, scale = self._ints
-            sn, sd = scale.numerator, scale.denominator
-            self._coeffs = tuple(Fraction(v * sn, sd) for v in ints)
-        return self._coeffs
-
-    def _int_form(self):
-        """(primitive integer coefficients, rational scale) with
-        coeffs[i] == scale * ints[i] and scale > 0 (0 for the zero
-        polynomial)."""
-        if self._ints is None:
-            if not self._coeffs:
-                self._ints = ((), Fraction(0))
-            else:
-                lcm = math.lcm(*(c.denominator for c in self._coeffs))
-                ints = [c.numerator * (lcm // c.denominator) for c in self._coeffs]
-                content = math.gcd(*ints)
-                if content > 1:
-                    ints = [v // content for v in ints]
-                self._ints = (tuple(ints), Fraction(content, lcm))
-        return self._ints
-
-    @staticmethod
-    def _from_scaled(ints, scale: Fraction) -> "Polynomial":
-        """scale * ints for integers ints (trailing zeros allowed) and a
-        nonzero rational scale."""
-        ints = list(ints)
+    def _set(self, ints: list, scale: Fraction) -> None:
+        """Store scale * ints for integers ints (trailing zeros allowed) and
+        a nonzero rational scale: zeros stripped, the scale made positive
+        and the content of ints moved into it."""
         while ints and not ints[-1]:
             ints.pop()
-        p = Polynomial.__new__(Polynomial)
-        p._n = len(ints)
+        self._n = len(ints)
         if not ints:
-            p._coeffs, p._ints = (), None
-            return p
+            self._ints = ((), Fraction(0))
+            return
         if scale.numerator < 0:
             ints, scale = [-v for v in ints], -scale
         content = math.gcd(*ints)
         if content > 1:
             ints = [v // content for v in ints]
             scale = scale * content
-        p._coeffs, p._ints = None, (tuple(ints), scale)
+        self._ints = (tuple(ints), scale)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, by ascending power of t."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            ints, scale = self._ints
+            sn, sd = scale.numerator, scale.denominator
+            self._coeffs = tuple(Fraction(v * sn, sd) for v in ints)
+            return self._coeffs
+
+    def _int_form(self):
+        """(primitive integer coefficients, rational scale) with
+        coeffs[i] == scale * ints[i] and scale > 0 (0 for the zero
+        polynomial)."""
+        return self._ints
+
+    @staticmethod
+    def _from_scaled(ints, scale: Fraction) -> "Polynomial":
+        """scale * ints, as `_set` stores it."""
+        p = Polynomial.__new__(Polynomial)
+        p._set(list(ints), scale)
         return p
 
     @staticmethod
@@ -147,14 +139,10 @@ class Polynomial:
         return bool(self._n)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return False
-        if self._coeffs is not None and other._coeffs is not None:
-            return self._coeffs == other._coeffs
-        return self._int_form() == other._int_form()
+        return isinstance(other, Polynomial) and self._ints == other._ints
 
     def __hash__(self):
-        return hash(self._int_form())
+        return hash(self._ints)
 
     def coefficient(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
@@ -165,8 +153,6 @@ class Polynomial:
     def leading(self) -> Fraction:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        if self._coeffs is not None:
-            return self._coeffs[-1]
         ints, scale = self._ints
         return ints[-1] * scale
 
@@ -175,8 +161,8 @@ class Polynomial:
             return self
         if self.is_zero():
             return other
-        a, sa = self._int_form()
-        b, sb = other._int_form()
+        a, sa = self._ints
+        b, sb = other._ints
         # sa*a + sb*b over the common denominator of the two scales
         ma = sa.numerator * sb.denominator
         mb = sb.numerator * sa.denominator
@@ -186,9 +172,7 @@ class Polynomial:
         return Polynomial._from_scaled(out, Fraction(1, sa.denominator * sb.denominator))
 
     def __neg__(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        a, sa = self._int_form()
+        a, sa = self._ints
         return Polynomial._from_scaled([-v for v in a], sa)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -197,8 +181,8 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero() or other.is_zero():
             return Polynomial()
-        a, sa = self._int_form()
-        b, sb = other._int_form()
+        a, sa = self._ints
+        b, sb = other._ints
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -210,38 +194,27 @@ class Polynomial:
         c = rat(c)
         if not c or self.is_zero():
             return Polynomial()
-        a, sa = self._int_form()
+        a, sa = self._ints
         return Polynomial._from_scaled(a, c * sa)
 
     def __divmod__(self, other: "Polynomial"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd = other.degree
-        lead = other.leading
-        quo = [Fraction(0)] * max(len(rem) - dd, 0)
-        while rem and len(rem) - 1 >= dd:
-            k = len(rem) - 1 - dd
-            q = rem[-1] / lead
-            quo[k] = q
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= q * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial(quo), Polynomial(rem)
+        (a, sa), (b, sb) = self._ints, other._ints
+        # lc(b)**e * a = q * b + r on the images, so that
+        # self = (sa / (sb * lc**e)) q * other + (sa / lc**e) r
+        q, r, e = _int_pdivmod(a, b)
+        m = b[-1] ** e
+        return Polynomial._from_scaled(q, sa / (sb * m)), Polynomial._from_scaled(r, sa / m)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        # exact divisions (the hot path after a gcd) run on the integer
-        # images; anything with a remainder falls back to plain division
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return Polynomial()
-        a, sa = self._int_form()
-        b, sb = other._int_form()
-        quo = _int_exact_div(a, b)
-        if quo is not None:
-            return Polynomial._from_scaled(quo, sa / sb)
+        # exact divisions (the hot path after a gcd) take the synthetic
+        # division; a remainder or a zero operand goes to `divmod`
+        if self and other:
+            (a, sa), (b, sb) = self._ints, other._ints
+            quo = _int_exact_div(a, b)
+            if quo is not None:
+                return Polynomial._from_scaled(quo, sa / sb)
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
@@ -264,7 +237,7 @@ class Polynomial:
             return (g, self // g, other // g) if cofactors else g
         found = (Polynomial.ONE, self, other)
         if self.degree > 0 and other.degree > 0:
-            (a, sa), (b, sb) = self._int_form(), other._int_form()
+            (a, sa), (b, sb) = self._ints, other._ints
             g, qa, qb = _int_poly_gcd_cofactors(a, b)
             if len(g) > 1:  # self = sa * g * qa = (g / lead) * (sa * lead * qa)
                 lead = g[-1]
@@ -273,9 +246,7 @@ class Polynomial:
         return found if cofactors else found[0]
 
     def derivative(self) -> "Polynomial":
-        if self.degree < 1:
-            return Polynomial()
-        a, sa = self._int_form()
+        a, sa = self._ints
         return Polynomial._from_scaled([i * v for i, v in enumerate(a)][1:], sa)
 
     def evaluate(self, point: RatLike) -> Fraction:
@@ -284,41 +255,23 @@ class Polynomial:
         if self.is_zero():
             return Fraction(0)
         a, b = point.numerator, point.denominator
-        ints, scale = self._int_form()
+        ints, scale = self._ints
         acc, power = 0, 1
         for c in reversed(ints):
             acc = acc * a + c * power
             power *= b
         return Fraction(scale.numerator * acc, scale.denominator * (power // b))
 
-    def evaluate_float(self, point: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * point + float(c)
-        return acc
-
     def compose_negate(self) -> "Polynomial":
         """p(-t)."""
-        if self.is_zero():
-            return self
-        a, sa = self._int_form()
+        a, sa = self._ints
         return Polynomial._from_scaled([(-v if i % 2 else v) for i, v in enumerate(a)], sa)
-
-    def reversed_coeffs(self) -> "Polynomial":
-        """t**deg * p(1/t); used for expansions at infinity."""
-        if self.is_zero():
-            return self
-        a, sa = self._int_form()
-        return Polynomial._from_scaled(a[::-1], sa)
 
     def trailing_order(self) -> int:
         """Multiplicity of the root t = 0 (0 for nonzero constant term)."""
         if self.is_zero():
             raise ValueError("zero polynomial")
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        raise AssertionError("unnormalized polynomial")
+        return next(i for i, c in enumerate(self._ints[0]) if c)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -365,25 +318,23 @@ def _int_exact_div(a, b):
     return quo
 
 
-def _int_prem(a: list, b: list) -> list:
-    """Pseudo-remainder lc(b)**(deg a - deg b + 1) * a mod b over Z."""
-    db = len(b) - 1
-    lb = b[-1]
-    e = len(a) - 1 - db + 1
-    r = list(a)
-    while r and len(r) - 1 >= db:
-        lr = r[-1]
+def _int_pdivmod(a, b):
+    """Pseudo-division over Z: (q, r, e) with lc(b)**e * a == q * b + r,
+    deg r < deg b and e = max(deg a - deg b + 1, 0)."""
+    db, lb = len(b) - 1, b[-1]
+    e = max(len(a) - db, 0)
+    q, r = [0] * e, list(a)
+    for k in reversed(range(e)):  # r has degree <= k + db here
+        top = r.pop()
+        q = [lb * c for c in q]
+        q[k] = top
         r = [lb * c for c in r]
-        s = len(r) - 1 - db
-        for i, c in enumerate(b):
-            r[s + i] -= lr * c
-        while r and r[-1] == 0:
-            r.pop()
-        e -= 1
-    if e > 0 and r:
-        m = lb ** e
-        r = [c * m for c in r]
-    return r
+        if top:
+            for i in range(db):
+                r[k + i] -= top * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return q, r, e
 
 
 def _int_poly_gcd_cofactors(a, b):
@@ -491,7 +442,7 @@ def _int_poly_gcd_subresultant(a: list, b: list) -> list:
         if len(b) == 1:
             return [1]  # nonzero constant remainder: coprime
         delta = (len(a) - 1) - (len(b) - 1)
-        r = _int_prem(a, b)
+        r = _int_pdivmod(a, b)[1]
         if not r:
             content = math.gcd(*b)
             return [c // content for c in b]
@@ -786,7 +737,7 @@ class RationalFunction:
         return self.num.evaluate(point) / d
 
     def evaluate_float(self, point: float) -> float:
-        return self.num.evaluate_float(point) / self.den.evaluate_float(point)
+        return float_function(self)(point)
 
     def substitute_negate(self) -> "RationalFunction":
         """f(-t)."""
@@ -802,6 +753,21 @@ class RationalFunction:
         if self.den == Polynomial.ONE:
             return f"RF({self.num!r})"
         return f"RF({self.num!r} / {self.den!r})"
+
+
+def float_function(f: RationalFunction):
+    """t -> f(t) in floats by Horner, with the coefficients converted once."""
+    num, den = ([float(c) for c in reversed(p.coeffs)] for p in (f.num, f.den))
+
+    def value(t: float) -> float:
+        n = d = 0.0
+        for c in num:
+            n = n * t + c
+        for c in den:
+            d = d * t + c
+        return n / d
+
+    return value
 
 
 RationalFunction.ZERO = RationalFunction(Polynomial.ZERO)
@@ -949,19 +915,20 @@ def _normalize_series(point, lead, coeffs, order) -> LaurentSeries:
     return LaurentSeries(point, lead + step * i, tuple(coeffs[i:]), order)
 
 
-def _series_quotient(num: Polynomial, den: Polynomial, terms: int) -> list:
-    """Power-series coefficients of num/den at t = 0; den(0) must be nonzero."""
-    d0 = den.coefficient(0)
-    if d0 == 0:
+def _series_quotient(n, d, scale: Fraction, terms: int) -> list:
+    """Power-series coefficients at t = 0 of scale * n/d, for integer
+    coefficient lists n and d; d[0] must be nonzero.  Over Z,
+    u_k = d0**(k+1) [t**k](n/d) = d0**k n_k - sum_(j>=1) d_j d0**(j-1) u_(k-j),
+    so each coefficient takes one Fraction."""
+    d0 = d[0]
+    if not d0:
         raise ValueError("denominator vanishes at the expansion point")
-    out = []
+    dj = [c * d0 ** j for j, c in enumerate(d[1:terms])]  # d_(j+1) d0**j
+    u, power = [], 1
     for k in range(terms):
-        acc = num.coefficient(k)
-        for j in range(1, k + 1):
-            if j <= den.degree:
-                acc -= den.coefficient(j) * out[k - j]
-        out.append(acc / d0)
-    return out
+        u.append((n[k] * power if k < len(n) else 0) - sum(c * v for c, v in zip(dj, reversed(u))))
+        power *= d0
+    return [Fraction(v * scale.numerator, scale.denominator * d0 ** (k + 1)) for k, v in enumerate(u)]
 
 
 def laurent_expand(f: RationalFunction, point: ExpansionPoint, order: int | None = None) -> LaurentSeries:
@@ -985,28 +952,25 @@ def laurent_expand(f: RationalFunction, point: ExpansionPoint, order: int | None
         inner = laurent_expand(RationalFunction._coprime(num, den), ZERO_POINT, order)
         return LaurentSeries(point, inner.lead, inner.coeffs, inner.order)
 
+    (n, sn), (d, sd) = f.num._int_form(), f.den._int_form()
     if point.kind == "zero":
         a = f.num.trailing_order()
         b = f.den.trailing_order()
         lead = a - b
-        n0 = Polynomial(f.num.coeffs[a:])
-        d0 = Polynomial(f.den.coeffs[b:])
         if order is None:
             order = lead + 8
         if order < lead:
             return LaurentSeries(point, order, (), order)
-        coeffs = _series_quotient(n0, d0, order - lead + 1)
+        coeffs = _series_quotient(n[a:], d[b:], sn / sd, order - lead + 1)
         return _normalize_series(point, lead, coeffs, order)
 
-    # Infinity: substitute s = 1/t, expand at s = 0, then flip exponents.
-    rev_num = f.num.reversed_coeffs()
-    rev_den = f.den.reversed_coeffs()
-    lead_s = f.den.degree - f.num.degree  # f(1/s) = s**lead_s * rev_num/rev_den
-    lead_t = -lead_s
+    # Infinity: substitute s = 1/t, expand at s = 0, then flip exponents;
+    # f(1/s) = s**(deg den - deg num) * (reversed num) / (reversed den)
+    lead_t = len(n) - len(d)
     low = -order if order is not None else lead_t - 8
     if low > lead_t:
         return LaurentSeries(point, low, (), low)
-    coeffs = _series_quotient(rev_num, rev_den, lead_t - low + 1)
+    coeffs = _series_quotient(n[::-1], d[::-1], sn / sd, lead_t - low + 1)
     return _normalize_series(point, lead_t, coeffs, low)
 
 
@@ -1022,7 +986,9 @@ def poly_to_json(p: Polynomial) -> list:
 
 
 def poly_from_json(data) -> Polynomial:
-    return Polynomial([rat(c) for c in data])
+    if not isinstance(data, list):
+        raise TypeError(f"{data!r} is not a list of coefficients")
+    return Polynomial(data)
 
 
 def rf_to_json(f: RationalFunction) -> dict:

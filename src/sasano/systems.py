@@ -334,7 +334,7 @@ def _program(system: System, chart: Chart, kind: str):
         t, *state = (_Traced(trace, name, True) for name in "txyzw")
         field = vector_field(system, chart, alphas)
         if kind == "float":
-            step, den, inner = _float_step, {}, ["x, y, z, w = v"]
+            step, den, inner, unread = _float_step, {}, ["x, y, z, w = v"], ()
             args, inner_args = "a0, a1, a2, a3, a4", "t, v"
             result = "[" + ", ".join(f"{v.name} / t" for v in field(t, *state)) + "]"
         else:
@@ -343,10 +343,13 @@ def _program(system: System, chart: Chart, kind: str):
             den = {"t": None, **{v.name: f"{v.name}d" for v in alphas + state + t_derivatives}}
             args = ", ".join(f"{v.name}n, {v.name}d" for v in alphas)
             inner_args = "tn, " + ", ".join(f"{v.name}n, {v.name}d" for v in state + t_derivatives)
-            result = ", ".join(f"{v.name}n" for v in _residuals(field, t, state, t_derivatives))
+            residuals = _residuals(field, t, state, t_derivatives)
+            result = ", ".join(f"{v.name}n" for v in residuals)
+            unread = tuple(f"{v.name}d = " for v in residuals)  # only numerators are returned
         outer = []
         for out, op, a, b in trace:
-            (inner if out.inner else outer).extend(step(out, op, a, b, den))
+            (inner if out.inner else outer).extend(
+                line for line in step(out, op, a, b, den) if not line.startswith(unread))
         source = "\n".join([f"def make({args}):", *(f"    {line}" for line in outer),
                             f"    def field({inner_args}):", *(f"        {line}" for line in inner),
                             f"        return {result}", "    return field"])

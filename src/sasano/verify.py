@@ -28,8 +28,8 @@ from typing import Tuple
 from .exactmath import (
     INFINITY,
     LaurentSeries,
-    RationalFunction,
     ZERO_POINT,
+    float_function,
     has_real_root,
     is_integer,
     laurent_expand,
@@ -295,7 +295,7 @@ def numeric_crosscheck(
     samples = [(n0 * (steps - 1) + (n1 - n0) * i) / den for i in range(steps)]
     rhs = float_rhs(params.system, Chart.AFFINE, [float(a) for a in params.alphas])
     states = [start] + _dopri5(rhs, samples[0], start, samples[1:], rtol=1e-12, atol=1e-12)
-    exact = [_float_function(c) for c in sol.components()]
+    exact = [float_function(c) for c in sol.components()]
 
     def clamp(v: float) -> float:
         # documents the check's domain; fixture components are small
@@ -304,18 +304,3 @@ def numeric_crosscheck(
     return max(abs(clamp(n) - clamp(c(t)))
                for t, state in zip(samples, states)
                for n, c in zip(state, exact))
-
-
-def _float_function(f: RationalFunction):
-    """t -> f(t) in floats by Horner, with the coefficients converted once."""
-    num, den = ([float(c) for c in reversed(p.coeffs)] for p in (f.num, f.den))
-
-    def value(t: float) -> float:
-        n = d = 0.0
-        for c in num:
-            n = n * t + c
-        for c in den:
-            d = d * t + c
-        return n / d
-
-    return value

@@ -436,6 +436,10 @@ _MALFORMED = {
     "missing component": ({k: v for k, v in _SEED.items() if k != "w"}, "'w'"),
     "number coefficient": ({**_SEED, "y": {"num": [0.5], "den": ["1"]}}, "'y': field 'num'"),
     "zero denominator": ({**_SEED, "z": {"num": ["1"], "den": ["0"]}}, "'z': field 'den'"),
+    "string for a list": ({**_SEED, "z": {"num": "12", "den": ["1"]}},
+                          "'z': field 'num': '12' is not a list"),
+    "bool coefficient": ({**_SEED, "x": {"num": [True], "den": ["1"]}},
+                         "'x': field 'num': not an exact rational: True"),
     "unknown chart": ({**_SEED, "chart": "q7"},
                       "field 'chart': 'q7' is not one of affine, m3, r1, r3, r5"),
 }

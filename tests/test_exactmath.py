@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sasano import (
     INFINITY,
@@ -18,7 +18,7 @@ from sasano import (
     rational_roots,
     residue,
 )
-from sasano.exactmath import has_real_root
+from sasano.exactmath import _series_quotient, float_function, has_real_root
 
 T = RF.t()
 
@@ -312,8 +312,8 @@ def _fraction_poly(rng, degree):
 
 
 def _reference(coeffs):
-    """A polynomial built from Fraction coefficients, whose integer image
-    is derived on first use (the other direction from the arithmetic)."""
+    """A polynomial built from Fraction coefficients by the constructor,
+    not by the arithmetic."""
     return Polynomial(coeffs)
 
 
@@ -361,6 +361,67 @@ _FRACTIONS = st.fractions(min_value=-10 ** 12, max_value=10 ** 12, max_denominat
 
 
 @settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(_FRACTIONS, max_size=8), other=st.lists(_FRACTIONS, max_size=4))
+@example(coeffs=[], other=[])
+@example(coeffs=[F(0), F(0)], other=[F(1)])
+@example(coeffs=[F(-3, 4), F(0), F(6, 8), F(0)], other=[F(0), F(-1, 3)])
+def test_every_route_to_a_polynomial_gives_one_image(coeffs, other):
+    # from Fractions, from scaled integers (either sign of the scale) and
+    # through the arithmetic: one primitive image, so one ==, hash and view
+    p, q = Polynomial(coeffs), Polynomial(other)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    scaled = [int(c * lcm) for c in coeffs]
+    routes = [Polynomial._from_scaled(scaled, F(1, lcm)),
+              Polynomial._from_scaled([-v for v in scaled], F(-1, lcm)),
+              p * Polynomial.ONE, p + Polynomial.ZERO, (p + q) - q, p.scale(1)]
+    want = list(coeffs)
+    while want and want[-1] == 0:
+        want.pop()
+    ints, scale = p._int_form()
+    if want:
+        assert math.gcd(*ints) == 1 and ints[-1] and scale > 0
+    else:
+        assert (ints, scale) == ((), 0)
+    assert p.coeffs == tuple(want) and p.degree == len(want) - 1
+    for r in routes:
+        assert r._int_form() == (ints, scale)
+        assert r == p and p == r and hash(r) == hash(p)
+        assert r.coeffs == p.coeffs
+
+
+def _fraction_divmod(a, b):
+    """Long division on the Fraction coefficients: the reference for
+    `divmod`, which divides the integer images."""
+    rem = list(a.coeffs)
+    quo = [F(0)] * max(len(rem) - b.degree, 0)
+    while rem and len(rem) - 1 >= b.degree:
+        k = len(rem) - 1 - b.degree
+        q = rem[-1] / b.leading
+        quo[k] = q
+        for j, c in enumerate(b.coeffs):
+            rem[k + j] -= q * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return Polynomial(quo), Polynomial(rem)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.lists(_FRACTIONS, max_size=9),
+       b=st.lists(_FRACTIONS, min_size=1, max_size=5).filter(any))
+@example(a=[F(1), F(2)], b=[F(0), F(0), F(3)])  # deg a < deg b
+@example(a=[F(1, 2), F(-3), F(5, 7)], b=[F(-2, 3)])  # constant divisor
+@example(a=[], b=[F(1), F(1)])
+@example(a=[F(-1), F(0), F(1)], b=[F(-2), F(2)])  # exact
+def test_divmod_matches_fraction_long_division(a, b):
+    a, b = Polynomial(a), Polynomial(b)
+    q, r = divmod(a, b)
+    assert (q, r) == _fraction_divmod(a, b)
+    assert q * b + r == a and r.degree < b.degree
+    assert a // b == q and a % b == r
+    assert (a * b) // b == a
+
+
+@settings(max_examples=150, deadline=None)
 @given(coeffs=st.lists(_FRACTIONS, max_size=8), point=_FRACTIONS)
 @example(coeffs=[], point=F(3, 7))
 @example(coeffs=[F(-5, 3)], point=F(-2, 9))
@@ -374,6 +435,43 @@ def test_evaluate_matches_fraction_horner(coeffs, point):
     got = p.evaluate(point)
     assert type(got) is F and got == want
     assert Polynomial(coeffs).evaluate(point.numerator) == p.evaluate(F(point.numerator))
+
+
+def _fraction_series(num, den, terms):
+    """Power-series coefficients of num/den at t = 0 by the recursion on
+    Fraction coefficients: the reference for `_series_quotient`."""
+    out = []
+    for k in range(terms):
+        acc = num.coefficient(k) - sum(den.coefficient(j) * out[k - j] for j in range(1, k + 1))
+        out.append(acc / den.coefficient(0))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(num=st.lists(_FRACTIONS, max_size=6), den=st.lists(_FRACTIONS, min_size=1, max_size=6),
+       terms=st.integers(0, 10))
+@example(num=[F(1)], den=[F(1), F(-1)], terms=6)
+def test_series_quotient_matches_the_fraction_recursion(num, den, terms):
+    num, den = Polynomial(num), Polynomial(den)
+    assume(den.coefficient(0) != 0)
+    (n, sn), (d, sd) = num._int_form(), den._int_form()
+    assert _series_quotient(n, d, sn / sd, terms) == _fraction_series(num, den, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(num=st.lists(_FRACTIONS, max_size=6),
+       den=st.lists(_FRACTIONS, min_size=1, max_size=6).filter(any), t=st.floats(-50, 50))
+def test_float_function_is_horner_on_the_float_coefficients(num, den, t):
+    f = RationalFunction(Polynomial(num), Polynomial(den))
+
+    def horner(p):
+        acc = 0.0
+        for c in reversed(p.coeffs):
+            acc = acc * t + float(c)
+        return acc
+
+    assume(horner(f.den) != 0)
+    assert float_function(f)(t) == horner(f.num) / horner(f.den) == f.evaluate_float(t)
 
 
 def _random_rf(rng):

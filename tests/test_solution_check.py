@@ -8,6 +8,7 @@ formal denominator must clear each residual's denominator, and B must
 never fall below the true degree of the numerator over it.
 """
 
+import ast
 import math
 import random
 from fractions import Fraction as F
@@ -234,6 +235,31 @@ def test_pair_program_verdict_matches_the_pair_reference(make, letters, index, p
 def test_float_program_equals_the_written_field(system, chart, alphas, t, v):
     field = vector_field(system, chart, alphas)
     assert systems.float_rhs(system, chart, alphas)(t, v) == [r / t for r in field(t, *v)]
+
+
+def test_compiled_programs_store_no_value_they_never_read(monkeypatch):
+    # every name a program assigns is read by a later line or its return
+    sources = []
+
+    def capture(source, *rest):
+        sources.append(source)
+        return compile(source, *rest)
+
+    monkeypatch.setattr(systems, "_PROGRAMS", {})
+    monkeypatch.setattr(systems, "compile", capture, raising=False)
+    for system, chart in systems.INVERTED_SIDES:
+        for kind in ("float", "pair"):
+            systems._program(system, chart, kind)
+    assert len(sources) == 14
+    dead = []
+    for source in sources:
+        stores, last_read = {}, {}
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                seen = stores if isinstance(node.ctx, ast.Store) else last_read
+                seen[node.id] = max(seen.get(node.id, 0), node.lineno)
+        dead += [name for name, line in stores.items() if last_read.get(name, 0) <= line]
+    assert dead == []
 
 
 def _random_rf(rng, dens):
