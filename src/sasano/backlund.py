@@ -33,31 +33,25 @@ substitution t -> -t in every stored rational function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
+from ._record import Record, _set
 from .exactmath import RF
 from .systems import (
     Chart,
     ChartMismatch,
     INVERTED_SIDES,
+    NormalizationFailed,
     ParameterTuple,
     SolutionTuple,
     System,
+    UndefinedAction,
     _check_chart,
     from_d4_alphas,
     invert_side,
     to_d4_alphas,
 )
-
-
-class UndefinedAction(ValueError):
-    """The generator's birational map is undefined on this solution."""
-
-
-class NormalizationFailed(RuntimeError):
-    """Parameter normalization did not reach the target form (a bug)."""
 
 
 PRIMITIVES = {
@@ -73,20 +67,18 @@ SHIFTS = {
 }
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record):
     """One word token: a primitive generator or a shift operator T1..T4."""
 
-    system: System
-    name: str
-    inverse: bool = False
+    __slots__ = ("system", "name", "inverse")
 
-    def __post_init__(self):
-        if self.name not in PRIMITIVES[self.system] + SHIFTS[self.system]:
-            raise ValueError(f"unknown {self.system.value} generator {self.name!r}")
-        if self.inverse and self.name in PRIMITIVES[self.system]:
-            # primitives are involutions; normalize their inverses away
-            object.__setattr__(self, "inverse", False)
+    def __init__(self, system: System, name: str, inverse: bool = False):
+        if name not in PRIMITIVES[system] + SHIFTS[system]:
+            raise ValueError(f"unknown {system.value} generator {name!r}")
+        _set(self, "system", system)
+        _set(self, "name", name)
+        # primitives are involutions; normalize their inverses away
+        _set(self, "inverse", False if inverse and name in PRIMITIVES[system] else inverse)
 
     def inverted(self) -> "Generator":
         return Generator(self.system, self.name, not self.inverse)
@@ -95,17 +87,17 @@ class Generator:
         return f"inv({self.name})" if self.inverse else self.name
 
 
-@dataclass(frozen=True)
-class GeneratorWord:
+class GeneratorWord(Record):
     """A finite sequence of tokens sharing one system, left factor first."""
 
-    system: System
-    tokens: Tuple[Generator, ...]
+    __slots__ = ("system", "tokens")
 
-    def __post_init__(self):
-        for tok in self.tokens:
-            if tok.system is not self.system:
+    def __init__(self, system: System, tokens: Tuple[Generator, ...]):
+        for tok in tokens:
+            if tok.system is not system:
                 raise ValueError("word mixes generators of different systems")
+        _set(self, "system", system)
+        _set(self, "tokens", tokens)
 
     def __len__(self) -> int:
         return len(self.tokens)

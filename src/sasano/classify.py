@@ -25,13 +25,12 @@ inverse word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from ._record import Record, _set
 from .backlund import (
     GeneratorWord,
-    NormalizationFailed,
     act_word,
     equivalence_map,
     invert_word,
@@ -40,6 +39,7 @@ from .backlund import (
 from .exactmath import RF, rat_str
 from .systems import (
     Chart,
+    NormalizationFailed,
     ParameterTuple,
     SolutionTuple,
     System,
@@ -65,13 +65,16 @@ def condition_holds(p: ParameterTuple, index: int) -> bool:
     return {f[i - 1].denominator, f[j - 1].denominator} == {1, 2}
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
-    params: ParameterTuple
-    exists: bool
-    matched_condition: Optional[int] = None
-    witness_word: Optional[GeneratorWord] = None
-    solution: Optional[SolutionTuple] = None
+class ClassificationResult(Record):
+    __slots__ = ("params", "exists", "matched_condition", "witness_word", "solution")
+
+    def __init__(self, params: ParameterTuple, exists: bool, matched_condition: Optional[int] = None,
+                 witness_word: Optional[GeneratorWord] = None, solution: Optional[SolutionTuple] = None):
+        _set(self, "params", params)
+        _set(self, "exists", exists)
+        _set(self, "matched_condition", matched_condition)
+        _set(self, "witness_word", witness_word)
+        _set(self, "solution", solution)
 
     def to_json(self) -> dict:
         out: dict = {"verdict": "exists" if self.exists else "not_exists"}

@@ -11,20 +11,15 @@ import argparse
 import json
 import sys
 
-from .backlund import (
-    NormalizationFailed,
-    UndefinedAction,
-    act_word,
-    parse_word,
-)
-from .classify import classify, construct_rational_solution
 from .exactmath import laurent_expand, finite_point, INFINITY, ZERO_POINT, rat, series_to_json
 from .systems import (
     Chart,
     ChartMismatch,
+    NormalizationFailed,
     ParameterTuple,
     SolutionTuple,
     System,
+    UndefinedAction,
     parse_system,
     solve_last_alpha,
 )
@@ -95,12 +90,16 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload) + "\n")
 
 
+# the subcommands that run `backlund` or `classify` import them, so the others skip them
+
 def _run_classify(args) -> int:
+    from .classify import classify
     _emit(classify(_parse_alphas(args.system, args.alphas)).to_json())
     return EXIT_OK
 
 
 def _run_construct(args) -> int:
+    from .classify import construct_rational_solution
     params = _parse_alphas(args.system, args.alphas)
     result = construct_rational_solution(params)
     _emit(result.to_json())
@@ -108,6 +107,7 @@ def _run_construct(args) -> int:
 
 
 def _run_transform(args) -> int:
+    from .backlund import act_word, parse_word
     params = _parse_alphas(args.system, args.alphas)
     w = parse_word(args.system, args.word)
     sol = _load_solution(args.solution) if args.solution else None
@@ -241,11 +241,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
     worst = EXIT_OK
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line for line in fh if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        _emit({"error": f"cannot read --batch file {path!r}: {getattr(exc, 'strerror', None) or exc}"})
+        return EXIT_USAGE
     for line in lines:
         try:
             request = json.loads(line)
+            if not isinstance(request, dict) or not isinstance(request.get("subcommand"), str):
+                raise UsageError('batch line is not a JSON object with a "subcommand" string')
             if request["subcommand"] not in _RUNNERS:  # "-h" would print the help
                 raise UsageError(f"unknown subcommand {request['subcommand']!r}; "
                                  f"expected one of {', '.join(_RUNNERS)}")

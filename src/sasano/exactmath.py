@@ -21,9 +21,10 @@ Representation invariants:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
+
+from ._record import Record, _set
 
 Rat = Fraction
 RatLike = Union[Fraction, int, str]
@@ -776,7 +777,7 @@ RationalFunction.ONE = RationalFunction(Polynomial.ONE)
 RF = RationalFunction
 
 
-class ExpansionPoint:
+class ExpansionPoint(Record):
     """Expansion point of a Laurent series: Zero, Infinity, or Finite(c)."""
 
     __slots__ = ("kind", "c")
@@ -786,18 +787,8 @@ class ExpansionPoint:
             raise ValueError(f"bad expansion point kind: {kind}")
         if (kind == "finite") != (c is not None):
             raise ValueError("finite points need c, others must not carry one")
-        self.kind = kind
-        self.c = c
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExpansionPoint)
-            and self.kind == other.kind
-            and self.c == other.c
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.c))
+        _set(self, "kind", kind)
+        _set(self, "c", c)
 
     def __repr__(self):
         if self.kind == "finite":
@@ -813,8 +804,7 @@ def finite_point(c: RatLike) -> ExpansionPoint:
     return ExpansionPoint("finite", rat(c))
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(Record):
     """Truncated Laurent expansion.
 
     ``coeffs[i]`` is the coefficient of t**(lead - i) at infinity and of
@@ -824,10 +814,13 @@ class LaurentSeries:
     function vanishes identically up to the truncation.
     """
 
-    point: ExpansionPoint
-    lead: int
-    coeffs: tuple
-    order: int
+    __slots__ = ("point", "lead", "coeffs", "order")
+
+    def __init__(self, point: ExpansionPoint, lead: int, coeffs: tuple, order: int):
+        _set(self, "point", point)
+        _set(self, "lead", lead)
+        _set(self, "coeffs", coeffs)
+        _set(self, "order", order)
 
     def exponents(self):
         step = -1 if self.point.kind == "infinity" else 1

@@ -34,15 +34,15 @@ a0 + ... + a4 = 1/2 for D5.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
+from ._record import Record, _set
 from .exactmath import (
     RF,
+    RatLike,
     RationalFunction,
     rat,
     rat_str,
@@ -88,23 +88,30 @@ class ChartMismatch(ValueError):
     """Raised when a solution chart is invalid for the requested system."""
 
 
-@dataclass(frozen=True)
-class ParameterTuple:
+class UndefinedAction(ValueError):
+    """The generator's birational map is undefined on this solution."""
+
+
+class NormalizationFailed(RuntimeError):
+    """Parameter normalization did not reach the target form (a bug)."""
+
+
+class ParameterTuple(Record):
     """The five parameters a0..a4 of one system, with its affine constraint."""
 
-    system: System
-    alphas: Tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
+    __slots__ = ("system", "alphas")
 
-    def __post_init__(self):
-        alphas = tuple(rat(a) for a in self.alphas)
-        object.__setattr__(self, "alphas", alphas)
+    def __init__(self, system: System, alphas: Tuple[RatLike, ...]):
+        alphas = tuple(rat(a) for a in alphas)
         if len(alphas) != 5:
             raise ValueError("expected five parameters")
-        if _d4_level(to_d4_alphas(self.system, alphas)) != 1:
+        if _d4_level(to_d4_alphas(system, alphas)) != 1:
             raise ValueError(
-                f"parameters violate the {self.system.value} normalization: "
+                f"parameters violate the {system.value} normalization: "
                 f"{[rat_str(a) for a in alphas]}"
             )
+        _set(self, "system", system)
+        _set(self, "alphas", alphas)
 
     def __iter__(self):
         return iter(self.alphas)
@@ -138,21 +145,25 @@ def solve_last_alpha(system: System, first_four) -> Fraction:
     return from_d4_alphas(system, (*c[:4], c[4] + 1 - _d4_level(c)))[4]
 
 
-@dataclass(frozen=True)
-class SolutionTuple:
+class SolutionTuple(Record):
     """Four rational functions of t plus the chart they live in."""
 
-    chart: Chart
-    x: RationalFunction
-    y: RationalFunction
-    z: RationalFunction
-    w: RationalFunction
+    __slots__ = ("chart", "x", "y", "z", "w")
+
+    def __init__(self, chart: Chart, x: RationalFunction, y: RationalFunction,
+                 z: RationalFunction, w: RationalFunction):
+        _set(self, "chart", chart)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
+        _set(self, "w", w)
 
     def components(self):
         return (self.x, self.y, self.z, self.w)
 
     def replace(self, **kw) -> "SolutionTuple":
-        return dataclasses.replace(self, **kw)
+        """A copy with the named fields replaced."""
+        return SolutionTuple(**dict(zip(self.__slots__, self._values(self)), **kw))
 
     def to_json(self) -> dict:
         return {"chart": self.chart.value,

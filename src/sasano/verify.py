@@ -21,10 +21,10 @@ part of the package needs numpy or scipy here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
+from ._record import Record, _set
 from .exactmath import (
     INFINITY,
     LaurentSeries,
@@ -77,19 +77,25 @@ def _expansions(sol: SolutionTuple, point):
     return (t, *(laurent_expand(c, point, order=depth) for c in sol.components()))
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    a_inf_0: Fraction
-    a_0_0: Fraction
-    integrality_a: bool
-    b_inf_m1_plus_d_inf_m1: Fraction
-    h_inf_0: Fraction
-    h_0_0: Fraction
-    integrality_h: bool
-    finite_pole_residues: Tuple[Tuple[Fraction, Fraction, bool], ...]
-    # x may also have irrational poles; their residue condition is not
-    # checkable in exact rational arithmetic and is reported as such
-    unchecked_irrational_poles: bool = False
+class InvariantReport(Record):
+    __slots__ = ("a_inf_0", "a_0_0", "integrality_a", "b_inf_m1_plus_d_inf_m1", "h_inf_0",
+                 "h_0_0", "integrality_h", "finite_pole_residues", "unchecked_irrational_poles")
+
+    def __init__(self, a_inf_0: Fraction, a_0_0: Fraction, integrality_a: bool,
+                 b_inf_m1_plus_d_inf_m1: Fraction, h_inf_0: Fraction, h_0_0: Fraction,
+                 integrality_h: bool, finite_pole_residues: Tuple[Tuple[Fraction, Fraction, bool], ...],
+                 unchecked_irrational_poles: bool = False):
+        _set(self, "a_inf_0", a_inf_0)
+        _set(self, "a_0_0", a_0_0)
+        _set(self, "integrality_a", integrality_a)
+        _set(self, "b_inf_m1_plus_d_inf_m1", b_inf_m1_plus_d_inf_m1)
+        _set(self, "h_inf_0", h_inf_0)
+        _set(self, "h_0_0", h_0_0)
+        _set(self, "integrality_h", integrality_h)
+        _set(self, "finite_pole_residues", finite_pole_residues)
+        # x may also have irrational poles; their residue condition is not
+        # checkable in exact rational arithmetic and is reported as such
+        _set(self, "unchecked_irrational_poles", unchecked_irrational_poles)
 
     def all_invariants_hold(self) -> bool:
         return (

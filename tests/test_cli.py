@@ -360,6 +360,36 @@ def test_verify_names_the_residues_it_cannot_check_at_irrational_poles(capsys, t
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_unreadable_batch_file_is_one_json_error_line(capsys, tmp_path, kind):
+    path = tmp_path / "requests.jsonl"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b'{"subcommand": "classify"}\n\xff\xfe\n')
+    code = main(["--batch", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith(f"cannot read --batch file {str(path)!r}: ")
+    assert captured.err == ""
+
+
+def test_batch_line_that_is_no_request_object_is_named(capsys, tmp_path):
+    lines = ["[1, 2]", '"x"', "null", "{}", '{"subcommand": 5}', '{"system": "b4"}',
+             json.dumps({"subcommand": "classify", "system": "b4", "alphas": "0,0,0,0,1/2"})]
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text("\n".join(lines) + "\n")
+    code, out = run(capsys, "--batch", str(batch))
+    assert code == 2
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == len(lines)
+    for row in rows[:-1]:
+        assert row == {"error": 'batch line is not a JSON object with a "subcommand" string'}
+    assert rows[-1] == {"verdict": "not_exists"}
+
+
 def test_batch_answers_every_line_argparse_rejects(capsys, tmp_path):
     lines = [
         {"subcommand": "classify", "system": "b4", "alphas": ["1/4", "1/4", "1/4", "-1/4", "1/4"]},

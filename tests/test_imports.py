@@ -97,3 +97,89 @@ def test_no_subcommand_loads_numpy_or_scipy(tmp_path):
     assert min(report["far_extremes"]) > 10 ** 12
     assert "PASS finite_pole_residues" in report["far_verify_output"].splitlines()
     assert report["far"] == []
+
+
+# the public names of the package, each of which must resolve
+PUBLIC = sorted("""
+    Chart ChartMismatch ClassificationResult Generator GeneratorWord INFINITY IntegratorFailed
+    InvariantReport LaurentSeries NormalizationFailed NotStandardForm ParameterTuple PoleOnPath
+    Polynomial RF RationalFunction SolutionTuple System UndefinedAction ZERO_POINT act_params
+    act_solution act_word backlund classify condition_holds construct_rational_solution
+    equivalence_map exactmath finite_point hamiltonian hamiltonian_constant_oracle
+    invariant_report invert_word is_solution lattice_coordinates laurent_expand
+    normalize_to_standard numeric_crosscheck parse_word pole_free_interval rat rat_str
+    rational_roots residual residue seed_solution shift_word solve_last_alpha systems verify
+    verify_solution word
+""".split())
+
+GRAPH_CHILD = r"""
+import contextlib, io, json, sys, types
+
+def loaded():
+    return sorted(name for name in sys.modules
+                  if name.startswith("sasano.") or name in ("dataclasses", "inspect"))
+
+mode = sys.argv[1]
+if mode == "import":
+    import sasano
+    print(json.dumps(loaded()))
+elif mode == "names":
+    import sasano
+    # the submodule names first, before resolving another name imports them
+    kinds = [type(getattr(sasano, name, None)).__name__
+             for name in ("backlund", "exactmath", "systems", "verify")]
+    names = sorted(sasano.__all__)
+    listed = sorted(name for name in dir(sasano) if not name.startswith("_"))
+    missing = [name for name in names if getattr(sasano, name, None) is None]
+    print(json.dumps({"kinds": kinds, "all": names, "dir": listed, "missing": missing}))
+elif mode == "classify-first":
+    import sasano.classify
+    from sasano import classify
+    import sasano.systems
+    print(json.dumps([isinstance(obj, types.FunctionType)
+                      for obj in (sasano.classify, classify, sasano.__dict__["classify"])]))
+else:
+    from sasano.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[2:])
+    print(json.dumps({"code": code, "loaded": loaded()}))
+"""
+
+
+def _graph_child(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", GRAPH_CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_each_child_imports_only_what_it_runs(tmp_path):
+    """`import sasano` loads no submodule and no `dataclasses`; `expand`,
+    `verify` and `report` load neither `backlund` nor `classify`; the
+    package lists and resolves its public names; and `sasano.classify` is
+    the function whichever import came first."""
+    assert _graph_child("import") == []
+
+    names = _graph_child("names")
+    assert names["kinds"] == ["module"] * 4
+    assert names["all"] == names["dir"] == PUBLIC
+    assert names["missing"] == []
+
+    assert _graph_child("classify-first") == [True, True, True]
+
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"chart": "affine", "x": {"num": [], "den": ["1"]},
+                                "y": {"num": ["1/2"], "den": ["1"]},
+                                "z": {"num": ["0", "2"], "den": ["1"]},
+                                "w": {"num": [], "den": ["1"]}}))
+    alphas = "--alphas=1/4,1/4,1/4,-1/4,1/4"
+    for argv in (["expand", f"--solution={seed}", "--at=c=1/2"],
+                 ["verify", "--system=b4", alphas, f"--solution={seed}"],
+                 ["report", "--system=b4", alphas, f"--solution={seed}"]):
+        child = _graph_child("cli", *argv)
+        assert child["code"] == 0, argv
+        assert "sasano.backlund" not in child["loaded"], argv
+        assert "sasano.classify" not in child["loaded"], argv
+        assert "dataclasses" not in child["loaded"] and "inspect" not in child["loaded"], argv
