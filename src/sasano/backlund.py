@@ -33,8 +33,8 @@ substitution t -> -t in every stored rational function.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
 
 from ._record import Record, _set
 from .exactmath import RF
@@ -92,7 +92,7 @@ class GeneratorWord(Record):
 
     __slots__ = ("system", "tokens")
 
-    def __init__(self, system: System, tokens: Tuple[Generator, ...]):
+    def __init__(self, system: System, tokens: tuple[Generator, ...]):
         for tok in tokens:
             if tok.system is not system:
                 raise ValueError("word mixes generators of different systems")
@@ -340,7 +340,7 @@ def _act_letter(system: System, name: str, c, image, sol: SolutionTuple) -> Solu
 
 
 def act_word(
-    w: GeneratorWord, p: ParameterTuple, sol: Optional[SolutionTuple] = None
+    w: GeneratorWord, p: ParameterTuple, sol: SolutionTuple | None = None
 ):
     """Fold a word over parameters (and optionally a solution), left first.
 

@@ -14,9 +14,12 @@ coordinates of the D4 parameters.
 In all three systems condition k (1..6) holds exactly when the slot pair
 CONDITION_SLOTS[k] contains one integer and one half-odd integer; the
 lowest matching index is reported.  Standard form I is f1 = 1/2, f3 = 0,
-f4 != 0, and for D5 also f2 != 1/2.  s1, s2, s3 swap the slot pairs
-(1,2), (2,3), (3,4) and each translation word moves one slot by +-1, so
-the normalizing word is read off the coordinates alone: swaps sort the
+f4 != 0, and for D5 also f2 != 1/2.  In every system s1, s2, s3 swap
+the slot pairs (1,2), (2,3), (3,4), so one word per system moving slot 1
+by +-1 gives all the translations: slot k's word is slot 1's conjugated by
+s_{k-1} ... s1.  D4 and D5 share D5's word s0 s1 s2 s3 s4 s3 s2 s1 (read
+through `backlund.D4_LETTER`), and B4 uses its shift operator T1.  The
+normalizing word is read off the coordinates alone: swaps sort the
 split pair into slots 1 and 3, translations finish the job, and one
 `act_word` of the finished word checks it.  Construction plants the
 explicit seed solution at standard form I and pulls it back along the
@@ -26,10 +29,10 @@ inverse word.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Tuple
 
 from ._record import Record, _set
 from .backlund import (
+    D4_LETTER,
     GeneratorWord,
     act_word,
     equivalence_map,
@@ -68,8 +71,8 @@ def condition_holds(p: ParameterTuple, index: int) -> bool:
 class ClassificationResult(Record):
     __slots__ = ("params", "exists", "matched_condition", "witness_word", "solution")
 
-    def __init__(self, params: ParameterTuple, exists: bool, matched_condition: Optional[int] = None,
-                 witness_word: Optional[GeneratorWord] = None, solution: Optional[SolutionTuple] = None):
+    def __init__(self, params: ParameterTuple, exists: bool, matched_condition: int | None = None,
+                 witness_word: GeneratorWord | None = None, solution: SolutionTuple | None = None):
         _set(self, "params", params)
         _set(self, "exists", exists)
         _set(self, "matched_condition", matched_condition)
@@ -98,43 +101,30 @@ def classify(p: ParameterTuple) -> ClassificationResult:
 
 # -- lattice coordinates ------------------------------------------------------
 
-def lattice_coordinates(p: ParameterTuple) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+def lattice_coordinates(p: ParameterTuple) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     c0, c1, c2, c3, c4 = to_d4_alphas(p.system, p.alphas)
     return ((1 - (c0 - c1)) / 2, (1 - (c0 + c1)) / 2, (c3 + c4) / 2, (c4 - c3) / 2)
 
 
-# Direct translation words per slot: (increment tokens, decrement tokens).
-_TRANSLATIONS = {
-    System.B4: {
-        1: (("inv(T1)",), ("T1",)),
-        2: (("T2",), ("inv(T2)",)),
-        3: (("T3",), ("inv(T3)",)),
-        4: (("T4",), ("inv(T4)",)),
-    },
-    System.D4: {
-        1: (("T2", "inv(T1)", "T3"), ("inv(T3)", "T1", "inv(T2)")),
-        2: (("inv(T1)", "inv(T2)", "T4"), ("inv(T4)", "T2", "T1")),
-        3: (("T4",), ("inv(T4)",)),
-        4: (("inv(T3)",), ("T3",)),
-    },
-}
-
-# D5 moves slot 1 by a word in s0..s4; slot k's word is its conjugate
-# by s_{k-1} ... s1.
+# Each system's words moving slot 1 by +1 and by -1.  D4 and D5 share
+# D5's word, which D4 reads through `D4_LETTER`; B4 keeps its one-token T1,
+# which keeps its witness words short.
 _D5_SLOT1_DEC = ("s0", "s1", "s2", "s3", "s4", "s3", "s2", "s1")
-_D5_CONJ = {1: (), 2: ("s1",), 3: ("s2", "s1"), 4: ("s3", "s2", "s1")}
-_TRANSLATIONS[System.D5] = {
-    slot: tuple(conj + base + conj[::-1] for base in (_D5_SLOT1_DEC[::-1], _D5_SLOT1_DEC))
-    for slot, conj in _D5_CONJ.items()
+_D4_SLOT1_DEC = tuple(D4_LETTER[System.D5][name] for name in _D5_SLOT1_DEC)
+_SLOT1 = {
+    System.B4: (("inv(T1)",), ("T1",)),
+    System.D4: (_D4_SLOT1_DEC[::-1], _D4_SLOT1_DEC),
+    System.D5: (_D5_SLOT1_DEC[::-1], _D5_SLOT1_DEC),
 }
 
 
-def _translation_tokens(system: System, slot: int, increment: bool) -> Tuple[str, ...]:
-    inc, dec = _TRANSLATIONS[system][slot]
-    return inc if increment else dec
+def _translation_tokens(system: System, slot: int, increment: bool) -> tuple[str, ...]:
+    inc, dec = _SLOT1[system]
+    conj = tuple(f"s{k}" for k in range(slot - 1, 0, -1))
+    return conj + (inc if increment else dec) + conj[::-1]
 
 
-def normalize_to_standard(p: ParameterTuple) -> Tuple[GeneratorWord, ParameterTuple]:
+def normalize_to_standard(p: ParameterTuple) -> tuple[GeneratorWord, ParameterTuple]:
     """A word sending p to standard form I, together with its image.
 
     Requires classify(p) to report existence; raises NormalizationFailed

@@ -133,12 +133,7 @@ def _run_verify(args) -> int:
     if params.system is System.B4 and sol.chart is Chart.AFFINE:
         report = invariant_report(params, sol)
         report_json = report.to_json()
-        checks.append(("laurent_integrality_x", report.integrality_a))
-        checks.append(("series_residue_sum_yw", report.b_inf_m1_plus_d_inf_m1 == 0))
-        checks.append(("hamiltonian_integrality", report.integrality_h))
-        checks.append(
-            ("finite_pole_residues", all(f for _, _, f in report.finite_pole_residues))
-        )
+        checks.extend(report.checks())
         if report.unchecked_irrational_poles:
             skipped.append(("finite_pole_residues at irrational poles",
                             "not decidable in rational arithmetic"))

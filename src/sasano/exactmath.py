@@ -21,13 +21,13 @@ Representation invariants:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
 from ._record import Record, _set
 
 Rat = Fraction
-RatLike = Union[Fraction, int, str]
+RatLike = Fraction | int | str
 
 
 def rat(value: RatLike) -> Fraction:

@@ -37,7 +37,6 @@ from __future__ import annotations
 import enum
 import operator
 from fractions import Fraction
-from typing import Tuple
 
 from ._record import Record, _set
 from .exactmath import (
@@ -101,7 +100,7 @@ class ParameterTuple(Record):
 
     __slots__ = ("system", "alphas")
 
-    def __init__(self, system: System, alphas: Tuple[RatLike, ...]):
+    def __init__(self, system: System, alphas: tuple[RatLike, ...]):
         alphas = tuple(rat(a) for a in alphas)
         if len(alphas) != 5:
             raise ValueError("expected five parameters")

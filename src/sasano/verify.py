@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Tuple
 
 from ._record import Record, _set
 from .exactmath import (
@@ -83,7 +82,7 @@ class InvariantReport(Record):
 
     def __init__(self, a_inf_0: Fraction, a_0_0: Fraction, integrality_a: bool,
                  b_inf_m1_plus_d_inf_m1: Fraction, h_inf_0: Fraction, h_0_0: Fraction,
-                 integrality_h: bool, finite_pole_residues: Tuple[Tuple[Fraction, Fraction, bool], ...],
+                 integrality_h: bool, finite_pole_residues: tuple[tuple[Fraction, Fraction, bool], ...],
                  unchecked_irrational_poles: bool = False):
         _set(self, "a_inf_0", a_inf_0)
         _set(self, "a_0_0", a_0_0)
@@ -97,13 +96,18 @@ class InvariantReport(Record):
         # checkable in exact rational arithmetic and is reported as such
         _set(self, "unchecked_irrational_poles", unchecked_irrational_poles)
 
-    def all_invariants_hold(self) -> bool:
+    def checks(self) -> tuple[tuple[str, bool], ...]:
+        """The four invariant checks, named, in the order `sasano verify`
+        prints them."""
         return (
-            self.integrality_a
-            and self.b_inf_m1_plus_d_inf_m1 == 0
-            and self.integrality_h
-            and all(flag for _, _, flag in self.finite_pole_residues)
+            ("laurent_integrality_x", self.integrality_a),
+            ("series_residue_sum_yw", self.b_inf_m1_plus_d_inf_m1 == 0),
+            ("hamiltonian_integrality", self.integrality_h),
+            ("finite_pole_residues", all(flag for _, _, flag in self.finite_pole_residues)),
         )
+
+    def all_invariants_hold(self) -> bool:
+        return all(flag for _, flag in self.checks())
 
     def to_json(self) -> dict:
         return {
@@ -253,7 +257,7 @@ def _real_pole_in(sol: SolutionTuple, lo: Fraction, hi: Fraction) -> bool:
 _POLE_MARGIN = Fraction(1, 1000)
 
 
-def pole_free_interval(sol: SolutionTuple, width: int = 1) -> Tuple[Fraction, Fraction]:
+def pole_free_interval(sol: SolutionTuple, width: int = 1) -> tuple[Fraction, Fraction]:
     """[1, 1+width] shifted right by integers until no real pole of the
     solution lies in it or within a small safety margin of it."""
     t0 = Fraction(1)

@@ -2,7 +2,8 @@
 on an affine solution, whose numeric cross-check runs in plain floats, nor
 `report` and `verify` on a solution whose pole search meets extreme
 coefficients past 10**12.  The compiled vector fields are built lazily:
-importing the package, `classify` and `expand` build none.
+importing the package, `classify` and `expand` build none.  No module
+imports `typing`.
 
 Each check runs in a fresh interpreter, because the test process itself
 may already hold both modules.
@@ -13,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from sasano import ParameterTuple, System, seed_solution
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -183,3 +186,30 @@ def test_each_child_imports_only_what_it_runs(tmp_path):
         assert "sasano.backlund" not in child["loaded"], argv
         assert "sasano.classify" not in child["loaded"], argv
         assert "dataclasses" not in child["loaded"] and "inspect" not in child["loaded"], argv
+
+
+TYPING_CHILD = r"""
+import contextlib, io, json, sys
+from sasano.cli import main
+
+alphas = "--alphas=1/4,1/4,1/4,-1/4,1/4"
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["classify", "--system=b4", alphas]),
+             main(["verify", "--system=b4", alphas, f"--solution={sys.argv[1]}"])]
+print(json.dumps({"codes": codes, "typing": "typing" in sys.modules}))
+"""
+
+
+def test_classify_and_verify_do_not_import_typing(tmp_path):
+    """`import typing` costs tens of milliseconds; the annotations are
+    postponed and need none of it.  `python -S` keeps site hooks, which
+    may import `typing` themselves, out of the child."""
+    seed = tmp_path / "seed.json"
+    p = ParameterTuple(System.B4, ("1/4", "1/4", "1/4", "-1/4", "1/4"))
+    seed.write_text(json.dumps(seed_solution(p).to_json()))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-S", "-c", TYPING_CHILD, str(seed)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "typing": False}

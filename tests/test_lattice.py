@@ -20,12 +20,15 @@ from sasano import (
     System,
     act_word,
     condition_holds,
+    construct_rational_solution,
     lattice_coordinates,
     normalize_to_standard,
     solve_last_alpha,
     word,
 )
-from sasano.classify import is_standard_form
+from sasano.backlund import _letters
+from sasano.classify import CONDITION_SLOTS, is_standard_form
+from sasano.systems import _d4_image, from_d4_alphas
 
 # the module, which the package's `classify` function shadows
 classify_module = importlib.import_module("sasano.classify")
@@ -138,3 +141,38 @@ def test_normalization_rejects_a_wrong_translation_word(system, monkeypatch):
                         lambda system, slot, increment: right(system, slot, not increment))
     with pytest.raises(NormalizationFailed):
         normalize_to_standard(from_lattice(system, F(5, 2), F(1, 3), 2, F(2, 5)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_witness_word_letter_counts(n):
+    """Each unit step of slots 1 and 3 costs 8 + 12 letters in D4 and D5
+    (D5's slot-1 word and its conjugate by s2 s1), and 10 + 14 in B4 (T1
+    and its conjugate)."""
+    expected = {System.B4: 24 * n, System.D4: 20 * n, System.D5: 20 * n}
+    for system, letters in expected.items():
+        w, _ = normalize_to_standard(from_lattice(system, HALF + n, F(1, 3), n, F(2, 5)))
+        assert sum(len(_letters(tok)) for tok in w) == letters, (system, str(w))
+
+
+# generic coordinates: denominators 3, 4 and 5, within about 2 of 0
+_GENERIC = st.builds(F, st.integers(-8, 8), st.sampled_from([3, 4, 5]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=st.sampled_from(sorted(CONDITION_SLOTS.values())), swap=st.booleans(),
+       half=st.integers(-2, 1), integer=st.integers(-2, 2),
+       generic=st.lists(_GENERIC, min_size=4, max_size=4))
+def test_all_three_systems_construct_the_same_d4_solution(pair, swap, half, integer, generic):
+    """At a D4 lattice point within distance 2 of standard form and its B4
+    and D5 images, the three constructions are one solution: whatever
+    words reach them, B4's and D5's carried to D4 equal D4's."""
+    half_slot, int_slot = pair[::-1] if swap else pair
+    f = list(generic)
+    f[half_slot - 1] = HALF + half
+    f[int_slot - 1] = F(integer)
+    p = from_lattice(System.D4, *f)
+    expected = construct_rational_solution(p).solution
+    for system in (System.B4, System.D5):
+        q = ParameterTuple(system, from_d4_alphas(system, p.alphas))
+        image = _d4_image(q, construct_rational_solution(q).solution)
+        assert image == (p, expected), (system, f)
