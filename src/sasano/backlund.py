@@ -2,24 +2,20 @@
 
 Each generator acts on parameters by an exact affine map and on
 solutions by a birational map, possibly landing in another chart.  The
-three systems are D4 seen through charts, each side (x, y) or (z, w)
-written in D4's coordinates or inverted (`systems.INVERTED_SIDES`), and
+three systems are D4 seen through charts (`systems.INVERTED_SIDES`), and
 every B4 and D5 generator is a D4 letter under the linear parameter map
-`systems.to_d4_alphas` (`D4_LETTER`).  So each parameter map is D4's,
-written once in `_D4_PARAMS_MAPS`: `act_word` carries a word's parameters
-in D4 coordinates from its first letter to its last.  Each solution map
-is written once, in `_d4_letter`, for plain and inverted sides, and
-`_settle` writes the image in the system's charts.  Degenerate divisions
-follow three rules, tried in order:
+`systems.to_d4_alphas` (`D4_LETTER`).  So each map is written once, for
+D4: on parameters in `_D4_PARAMS_MAPS`, on solutions in `_d4_letter`.
+`act_word` runs a whole word in D4 coordinates: it enters them once by
+`systems._d4_image`, which refuses an inverted side whose u is
+identically zero, and `_settle` writes the image in the system's charts
+at the end.  Degenerate divisions follow three rules, tried in order:
 
   1. identity convention: a generator dividing by an identically zero
      component is the identity when its own parameter vanishes;
-  2. infinite image: where the system provides an alternative chart,
-     the image is computed there (the conjugated map is regular);
+  2. infinite image: a side whose u is identically zero in D4's
+     coordinates stays in them, in an alternative chart;
   3. otherwise the action is undefined and raises UndefinedAction.
-
-An inverted side whose u is identically zero solves no system, and every
-generator raises UndefinedAction on it.
 
 Words apply left factor first: the word "s4 pi1 s1" applied to p is
 s1(pi1(s4(p))) read right-to-left as functions, i.e. s4 acts first.
@@ -42,12 +38,12 @@ from .systems import (
     Chart,
     ChartMismatch,
     INVERTED_SIDES,
-    NormalizationFailed,
     ParameterTuple,
     SolutionTuple,
     System,
     UndefinedAction,
     _check_chart,
+    _d4_image,
     from_d4_alphas,
     invert_side,
     to_d4_alphas,
@@ -244,77 +240,49 @@ def _acts(name: str, d, param: Fraction) -> bool:
     return False
 
 
-def _s_side(name: str, b: Fraction, inverted: bool, u, v):
-    """s1 on (x, y) or s3 on (z, w), u -> u + b/v in either coordinates:
-    the image side's flag and components."""
-    if inverted and v.is_zero():
-        # in D4's coordinates the side is (1/u, -b*u) and its image
-        # (0, -b*u), which only D4's coordinates can hold
-        return (True, u, v) if b == 0 else (False, RF.ZERO, -b * u)
-    if not _acts(name, v, b):
-        return inverted, u, v
-    u = u + b / v
-    if inverted and u.is_zero():  # v == 0 in D4 coordinates, with b != 0
-        raise UndefinedAction(f"{name} divides by an identically zero component")
-    return inverted, u, v
-
-
-def _d4_letter(name: str, c, x_inv: bool, z_inv: bool, x, y, z, w):
-    """D4's letter `name` at the D4 parameters c on the sides (x, y) and
-    (z, w), each in D4's coordinates or, where its flag is set, inverted by
-    `invert_side`.  Returns the image's flags and components, before any
-    t -> -t.  No system meets s0, s4 or pi4 on an inverted side."""
+def _d4_letter(name: str, c, x, y, z, w):
+    """D4's letter `name` at the D4 parameters c on the D4 solution
+    (x, y, z, w): the image's components, before any t -> -t."""
     t = RF.t()
     if name == "s0":
         if _acts(name, y - 1, c[0]):
             x = x + c[0] / (y - 1)
     elif name == "s1":
-        x_inv, x, y = _s_side(name, c[1], x_inv, x, y)
+        if _acts(name, y, c[1]):
+            x = x + c[1] / y
     elif name == "s2":
-        # y and w move by -c2 * (dy, dw) / d, with d = x*z - 1 and (dy, dw)
-        # = (z, x) when both sides or neither are inverted; one inverted side
-        # turns them into x - z and (1, -1)
-        mixed = x_inv != z_inv
-        d = x - z if mixed else x * z - 1
+        d = x * z - 1
         if _acts(name, d, c[2]):
-            dy, dw = (1, -1) if mixed else (z, x)
-            y, w = y - c[2] * dy / d, w - c[2] * dw / d
+            y, w = y - c[2] * z / d, w - c[2] * x / d
     elif name == "s3":
-        z_inv, z, w = _s_side(name, c[3], z_inv, z, w)
+        if _acts(name, w, c[3]):
+            z = z + c[3] / w
     elif name == "s4":
         if _acts(name, w - t, c[4]):
             z = z + c[4] / (w - t)
     elif name == "pi1":
-        y = -y + (c[0] - c[1]) / x - 1 / (x * x) if x_inv else 1 - y
-        x, z, w = -x, -z, -w
+        x, y, z, w = -x, 1 - y, -z, -w
     elif name == "pi2":
-        w = w - (c[4] - c[3]) / z + t / (z * z) if z_inv else w - t
+        w = w - t
     elif name == "pi3":
-        # the sides swap, each keeping its coordinates
-        x_side = (z / t, t * w) if z_inv else (t * z, w / t)
-        z_side = (t * x, y / t) if x_inv else (x / t, t * y)
-        (x, y), (z, w), x_inv, z_inv = x_side, z_side, z_inv, x_inv
+        x, y, z, w = t * z, w / t, x / t, t * y
     else:  # pi4
         x, y, z, w = -(t * z), (t - w) / t, -(x / t), t - t * y
-    return x_inv, z_inv, x, y, z, w
+    return x, y, z, w
 
 
-def _settle(system: System, c, x_inv: bool, z_inv: bool, x, y, z, w) -> SolutionTuple:
-    """The solution of `system` at the D4 parameters c whose sides are
-    given with their flags.
-
-    Each side is written as the system's affine chart writes it, except a
-    side in D4's coordinates with u identically zero, which stays as the
-    marker of an infinite chart.  This inverts what the affine chart
-    inverts and undoes an inversion no chart of the system makes (B4's
-    x-side after pi2).
-    """
-    x_affine, z_affine = INVERTED_SIDES[system, Chart.AFFINE]
+def _settle(system: System, c, x, y, z, w) -> SolutionTuple:
+    """The solution of `system` at the D4 parameters c given in D4's
+    coordinates: each side is inverted where the system's affine chart
+    inverts it, unless its u is identically zero, which marks an infinite
+    chart."""
+    x_inv, z_inv = INVERTED_SIDES[system, Chart.AFFINE]
+    x_inv, z_inv = x_inv and not x.is_zero(), z_inv and not z.is_zero()
     # c1 and c3 are every system's a1 and a3
-    if x_inv != x_affine and not x.is_zero():
-        x_inv, (x, y) = x_affine, invert_side(x, y, c[1])
-    if z_inv != z_affine and not z.is_zero():
-        z_inv, (z, w) = z_affine, invert_side(z, w, c[3])
+    if x_inv:
+        x, y = invert_side(x, y, c[1])
+    if z_inv:
+        z, w = invert_side(z, w, c[3])
     return SolutionTuple(_CHART_OF[system, x_inv, z_inv], x, y, z, w)
 
 
@@ -326,38 +294,34 @@ def act_solution(gen: Generator, p: ParameterTuple, sol: SolutionTuple) -> Solut
     return act_word(GeneratorWord(gen.system, (gen,)), p, sol)[1]
 
 
-def _act_letter(system: System, name: str, c, image, sol: SolutionTuple) -> SolutionTuple:
-    """The image of sol under D4's letter `name`, from the D4 parameters c
-    to their image."""
-    _check_chart(system, sol.chart)
-    x_inv, z_inv = INVERTED_SIDES[system, sol.chart]
-    if (x_inv and sol.x.is_zero()) or (z_inv and sol.z.is_zero()):
-        raise UndefinedAction("an inverted side with u == 0 solves no system")
-    *flags, x, y, z, w = _d4_letter(name, c, x_inv, z_inv, *sol.components())
-    if name in T_FLIP:
-        x, y, z, w = (v.substitute_negate() for v in (x, y, z, w))
-    return _settle(system, image, *flags, x, y, z, w)
-
-
 def act_word(
     w: GeneratorWord, p: ParameterTuple, sol: SolutionTuple | None = None
 ):
     """Fold a word over parameters (and optionally a solution), left first.
 
-    The parameters are carried in D4 coordinates, c = `to_d4_alphas(p)`,
-    from the first letter to the last, each letter acting as its D4 letter.
+    Both are carried in D4 coordinates from the first letter to the last,
+    each letter acting as its D4 letter: the parameters as c =
+    `to_d4_alphas(p)`, the solution as its `_d4_image`, settled in the
+    system's charts once at the end.  An empty word returns sol as given.
     """
     system = p.system
     if w.system is not system:
         raise ValueError("generator and parameters belong to different systems")
+    comps = None
+    if sol is not None and w.tokens:
+        _check_chart(system, sol.chart)
+        comps = _d4_image(p, sol)[1].components()
     c = to_d4_alphas(system, p.alphas)
     for tok in w.tokens:
         for letter in _letters(tok):
             name = D4_LETTER[system][letter.name]
-            image = _D4_PARAMS_MAPS[name](*c)
-            if sol is not None:
-                sol = _act_letter(system, name, c, image, sol)
-            c = image
+            if comps is not None:
+                comps = _d4_letter(name, c, *comps)
+                if name in T_FLIP:
+                    comps = [v.substitute_negate() for v in comps]
+            c = _D4_PARAMS_MAPS[name](*c)
+    if comps is not None:
+        sol = _settle(system, c, *comps)
     return ParameterTuple(system, from_d4_alphas(system, c)), sol
 
 
@@ -380,4 +344,4 @@ def equivalence_map(
     if sol.chart is not Chart.AFFINE:
         raise ChartMismatch("equivalence maps act on affine D4 solutions")
     return (ParameterTuple(target, from_d4_alphas(target, p.alphas)),
-            _settle(target, p.alphas, False, False, *sol.components()))
+            _settle(target, p.alphas, *sol.components()))

@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from ._record import Record, _set
 
-Rat = Fraction
 RatLike = Fraction | int | str
 
 

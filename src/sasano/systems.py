@@ -23,8 +23,8 @@ applies `invert_side` to that component's side: B4 m3 and D5 r3 to the
 z-side (z == inf), D5 r1 to the x-side (x == inf), D5 r5 to both.  D4
 needs no extra chart.  With the linear parameter map `to_d4_alphas` (and
 its inverse `from_d4_alphas`), these involutions carry every system/chart
-pair to D4 and back: the solution check (`_d4_image`), the equivalences
-and every Bäcklund letter (`backlund`) go through D4 this way.
+pair to D4 (`_d4_image`, for the solution check and Bäcklund words) and
+back (`backlund._settle`, for Bäcklund words and the equivalences).
 
 Parameters go through D4 the same way: every system's normalization is
 D4's, c0 + c1 + 2*c2 + c3 + c4 = 1 at c = `to_d4_alphas(system, alphas)`,
@@ -479,6 +479,8 @@ def _d4_image(params: ParameterTuple, sol: SolutionTuple):
     sol), with every inverted side of sol's chart undone."""
     x_inverted, z_inverted = INVERTED_SIDES[params.system, sol.chart]
     x, y, z, w = sol.components()
+    if (x_inverted and x.is_zero()) or (z_inverted and z.is_zero()):
+        raise UndefinedAction("an inverted side with u == 0 solves no system")
     if x_inverted:
         x, y = invert_side(x, y, params.alphas[1])
     if z_inverted:

@@ -56,7 +56,7 @@ class IntegratorFailed(RuntimeError):
     """The integrator stopped short of the interval's end (the flow blew up)."""
 
 
-# the exact residual check, under the name the CLI reports it by
+# `is_solution` under its exported name; the CLI reports it as `residual`
 verify_solution = is_solution
 
 

@@ -4,7 +4,8 @@ The equivalence D4 -> B4 or D5 (`equivalence_map`) carries each D4 letter
 to its B4 or D5 generator: on parameters, on solutions with the charts
 they land in, and on where the action is undefined.  An inverted side
 whose u is identically zero solves no system, and every generator
-refuses it.
+refuses it.  `act_word` runs a whole word in D4's coordinates; the letters
+written on inverted sides and settled after each one are its reference.
 """
 
 import random
@@ -19,6 +20,7 @@ from conftest import (
     d5_r1_infinite_solution,
     d5_r3_infinite_solution,
     d5_r5_infinite_solution,
+    from_lattice,
     push_word,
     random_standard_form,
 )
@@ -33,6 +35,7 @@ from sasano import (
     act_params,
     act_solution,
     act_word,
+    construct_rational_solution,
     equivalence_map,
     parse_word,
     seed_solution,
@@ -149,6 +152,23 @@ WRITTEN_MAPS = {
 }
 
 
+def _random_word(system, tokens):
+    """The text of a word drawn as (index, inverse) pairs, shift tokens
+    included, and its letters in order."""
+    names = PRIMITIVES[system] + SHIFTS[system]
+    text, letters = [], []
+    for i, inverse in tokens:
+        name = names[i % len(names)]
+        if name in SHIFTS[system]:
+            shift = [str(g) for g in shift_word(system, int(name[1]))]
+            letters += shift[::-1] if inverse else shift
+            text.append(f"inv({name})" if inverse else name)
+        else:
+            letters.append(name)
+            text.append(name)
+    return " ".join(text), letters
+
+
 @pytest.mark.parametrize("system", [System.B4, System.D5])
 @SETTINGS
 @given(first=st.lists(_FRACTIONS, min_size=4, max_size=4),
@@ -161,21 +181,11 @@ def test_parameter_maps_are_the_d4_maps_conjugated_by_the_linear_map(system, fir
 
     # a random word, shift tokens included, against the written maps
     # folded letter by letter
-    names = PRIMITIVES[system] + SHIFTS[system]
-    text, letters = [], []
-    for i, inverse in tokens:
-        name = names[i % len(names)]
-        if name in SHIFTS[system]:
-            shift = [str(g) for g in shift_word(system, int(name[1]))]
-            letters += shift[::-1] if inverse else shift
-            text.append(f"inv({name})" if inverse else name)
-        else:
-            letters.append(name)
-            text.append(name)
+    text, letters = _random_word(system, tokens)
     alphas = p.alphas
     for name in letters:
         alphas = WRITTEN_MAPS[system][name](*alphas)
-    assert act_word(parse_word(system, " ".join(text)), p)[0].alphas == alphas
+    assert act_word(parse_word(system, text), p)[0].alphas == alphas
 
 
 def test_t_flip_letters_are_the_d4_ones():
@@ -197,3 +207,130 @@ def test_every_letter_refuses_an_identically_zero_inverted_side(make, index):
     for name in PRIMITIVES[p.system]:
         with pytest.raises(UndefinedAction):
             act_solution(Generator(p.system, name), p, broken)
+
+
+# -- the letters written on inverted sides -----------------------------------
+#
+# Each letter written for sides in D4's coordinates or inverted by
+# `invert_side`, with the image settled in the system's charts after every
+# letter: the reference for `act_word`, which converts a solution to D4's
+# coordinates once, runs plain D4 letters and settles once at the end.
+
+def _written_s_side(name, b, inverted, u, v):
+    """s1 on (x, y) or s3 on (z, w), u -> u + b/v in either coordinates:
+    the image side's flag and components."""
+    if inverted and v.is_zero():
+        # in D4's coordinates the side is (1/u, -b*u) and its image
+        # (0, -b*u), which only D4's coordinates can hold
+        return (True, u, v) if b == 0 else (False, RF.ZERO, -b * u)
+    if not backlund._acts(name, v, b):
+        return inverted, u, v
+    u = u + b / v
+    if inverted and u.is_zero():  # v == 0 in D4 coordinates, with b != 0
+        raise UndefinedAction(f"{name} divides by an identically zero component")
+    return inverted, u, v
+
+
+def _written_letter(name, c, x_inv, z_inv, x, y, z, w):
+    """D4's letter `name` at the D4 parameters c on the sides (x, y) and
+    (z, w), each in D4's coordinates or, where its flag is set, inverted.
+    Returns the image's flags and components, before any t -> -t.  No
+    system meets s0, s4 or pi4 on an inverted side."""
+    if name == "s0":
+        if backlund._acts(name, y - 1, c[0]):
+            x = x + c[0] / (y - 1)
+    elif name == "s1":
+        x_inv, x, y = _written_s_side(name, c[1], x_inv, x, y)
+    elif name == "s2":
+        # y and w move by -c2 * (dy, dw) / d, with d = x*z - 1 and (dy, dw)
+        # = (z, x) when both sides or neither are inverted; one inverted side
+        # turns them into x - z and (1, -1)
+        mixed = x_inv != z_inv
+        d = x - z if mixed else x * z - 1
+        if backlund._acts(name, d, c[2]):
+            dy, dw = (1, -1) if mixed else (z, x)
+            y, w = y - c[2] * dy / d, w - c[2] * dw / d
+    elif name == "s3":
+        z_inv, z, w = _written_s_side(name, c[3], z_inv, z, w)
+    elif name == "s4":
+        if backlund._acts(name, w - T, c[4]):
+            z = z + c[4] / (w - T)
+    elif name == "pi1":
+        y = -y + (c[0] - c[1]) / x - 1 / (x * x) if x_inv else 1 - y
+        x, z, w = -x, -z, -w
+    elif name == "pi2":
+        w = w - (c[4] - c[3]) / z + T / (z * z) if z_inv else w - T
+    elif name == "pi3":
+        # the sides swap, each keeping its coordinates
+        x_side = (z / T, T * w) if z_inv else (T * z, w / T)
+        z_side = (T * x, y / T) if x_inv else (x / T, T * y)
+        (x, y), (z, w), x_inv, z_inv = x_side, z_side, z_inv, x_inv
+    else:  # pi4
+        x, y, z, w = -(T * z), (T - w) / T, -(x / T), T - T * y
+    return x_inv, z_inv, x, y, z, w
+
+
+def _written_settle(system, c, x_inv, z_inv, x, y, z, w):
+    """The image written as the system's affine chart writes it, except a
+    side in D4's coordinates with u identically zero; this also undoes an
+    inversion no chart of the system makes (B4's x-side after pi2)."""
+    x_affine, z_affine = systems.INVERTED_SIDES[system, Chart.AFFINE]
+    if x_inv != x_affine and not x.is_zero():
+        x_inv, (x, y) = x_affine, systems.invert_side(x, y, c[1])
+    if z_inv != z_affine and not z.is_zero():
+        z_inv, (z, w) = z_affine, systems.invert_side(z, w, c[3])
+    return SolutionTuple(backlund._CHART_OF[system, x_inv, z_inv], x, y, z, w)
+
+
+def _written_fold(p, sol, letters):
+    """(p, sol) carried by the written letters one at a time, the image
+    settled in the system's charts after each."""
+    system = p.system
+    c = systems.to_d4_alphas(system, p.alphas)
+    for letter in letters:
+        name = backlund.D4_LETTER[system][letter]
+        image = backlund._D4_PARAMS_MAPS[name](*c)
+        x_inv, z_inv = systems.INVERTED_SIDES[system, sol.chart]
+        if (x_inv and sol.x.is_zero()) or (z_inv and sol.z.is_zero()):
+            raise UndefinedAction("an inverted side with u == 0 solves no system")
+        *flags, x, y, z, w = _written_letter(name, c, x_inv, z_inv, *sol.components())
+        if name in backlund.T_FLIP:
+            x, y, z, w = (v.substitute_negate() for v in (x, y, z, w))
+        sol = _written_settle(system, image, *flags, x, y, z, w)
+        c = image
+    return ParameterTuple(system, systems.from_d4_alphas(system, c)), sol
+
+
+CHART_FIXTURES = [pytest.param(make, id=make.__name__[1:]) for make in (
+    _b4_seed, _b4_m3, _d5_affine, _d5_r1, _d5_r3, _d5_r5, _d4_seed)]
+
+
+@pytest.mark.parametrize("make", CHART_FIXTURES)
+@SETTINGS
+@given(tokens=st.lists(st.tuples(st.integers(0, 12), st.booleans()), max_size=6))
+def test_act_word_equals_the_written_letters_folded_one_by_one(make, tokens):
+    p, sol = make()
+    text, letters = _random_word(p.system, tokens)
+    try:
+        expected = _written_fold(p, sol, letters)
+    except UndefinedAction:
+        expected = None
+    try:
+        got = act_word(parse_word(p.system, text), p, sol)
+    except UndefinedAction:
+        got = None
+    assert got == expected
+
+
+@pytest.mark.parametrize("system, chart", [(System.B4, Chart.M3), (System.D5, Chart.R5)])
+def test_an_empty_word_returns_the_solution_as_given(system, chart):
+    # a solution with both sides in D4's coordinates, where no letter's
+    # image is left unless a u is identically zero
+    p = from_lattice(system, F(3, 2), F(1, 3), 1, F(2, 5))
+    sol = systems._d4_image(p, construct_rational_solution(p).solution)[1]
+    sol = SolutionTuple(chart, *sol.components())
+    assert systems.is_solution(p, sol) and not (sol.x.is_zero() or sol.z.is_zero())
+    q, image = act_word(parse_word(system, ""), p, sol)
+    assert q == p and image is sol
+    # s1 s1 is the identity, and its image is settled in the affine chart
+    assert act_word(parse_word(system, "s1 s1"), p, sol)[1].chart is Chart.AFFINE
