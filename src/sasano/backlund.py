@@ -33,7 +33,6 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from ._record import Record, _set
-from .exactmath import RF
 from .systems import (
     Chart,
     ChartMismatch,
@@ -41,6 +40,7 @@ from .systems import (
     ParameterTuple,
     SolutionTuple,
     System,
+    T,
     UndefinedAction,
     _check_chart,
     _d4_image,
@@ -243,7 +243,6 @@ def _acts(name: str, d, param: Fraction) -> bool:
 def _d4_letter(name: str, c, x, y, z, w):
     """D4's letter `name` at the D4 parameters c on the D4 solution
     (x, y, z, w): the image's components, before any t -> -t."""
-    t = RF.t()
     if name == "s0":
         if _acts(name, y - 1, c[0]):
             x = x + c[0] / (y - 1)
@@ -258,16 +257,16 @@ def _d4_letter(name: str, c, x, y, z, w):
         if _acts(name, w, c[3]):
             z = z + c[3] / w
     elif name == "s4":
-        if _acts(name, w - t, c[4]):
-            z = z + c[4] / (w - t)
+        if _acts(name, w - T, c[4]):
+            z = z + c[4] / (w - T)
     elif name == "pi1":
         x, y, z, w = -x, 1 - y, -z, -w
     elif name == "pi2":
-        w = w - t
+        w = w - T
     elif name == "pi3":
-        x, y, z, w = t * z, w / t, x / t, t * y
+        x, y, z, w = T * z, w / T, x / T, T * y
     else:  # pi4
-        x, y, z, w = -(t * z), (t - w) / t, -(x / t), t - t * y
+        x, y, z, w = -(T * z), (T - w) / T, -(x / T), T - T * y
     return x, y, z, w
 
 

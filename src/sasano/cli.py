@@ -14,17 +14,15 @@ import sys
 from .exactmath import laurent_expand, finite_point, INFINITY, ZERO_POINT, rat, series_to_json
 from .systems import (
     Chart,
-    ChartMismatch,
     NormalizationFailed,
     ParameterTuple,
     SolutionTuple,
     System,
     UndefinedAction,
+    is_solution,
     parse_system,
     solve_last_alpha,
 )
-from .verify import (IntegratorFailed, PoleOnPath, invariant_report, numeric_crosscheck,
-                     pole_free_interval, verify_solution)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -90,7 +88,7 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload) + "\n")
 
 
-# the subcommands that run `backlund` or `classify` import them, so the others skip them
+# each subcommand imports the modules it runs (backlund, classify, verify), not the others
 
 def _run_classify(args) -> int:
     from .classify import classify
@@ -120,14 +118,18 @@ def _run_transform(args) -> int:
     return EXIT_OK
 
 
+def pole_free_interval(sol):
+    """`verify.pole_free_interval`, under a name of this module that tests patch."""
+    from .verify import pole_free_interval
+    return pole_free_interval(sol)
+
+
 def _run_verify(args) -> int:
+    from .verify import IntegratorFailed, PoleOnPath, invariant_report, numeric_crosscheck
     params = _parse_alphas(args.system, args.alphas)
     sol = _load_solution(args.solution)
-    checks: list = []
+    checks: list = [("residual", is_solution(params, sol))]
     skipped: list = []  # (check, reason), reported in text mode
-
-    ok = verify_solution(params, sol)
-    checks.append(("residual", ok))
 
     report_json = None
     if params.system is System.B4 and sol.chart is Chart.AFFINE:
@@ -181,6 +183,7 @@ def _run_expand(args) -> int:
 
 
 def _run_report(args) -> int:
+    from .verify import invariant_report
     params = _parse_alphas(args.system, args.alphas)
     sol = _load_solution(args.solution)
     _emit(invariant_report(params, sol).to_json())
@@ -305,7 +308,7 @@ def _dispatch(args) -> int:
     except (UndefinedAction, NormalizationFailed) as exc:
         _emit({"error": str(exc)})
         return EXIT_UNDEFINED
-    except (UsageError, ChartMismatch, PoleOnPath, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError, ChartMismatch, PoleOnPath, JSON errors
         _emit({"error": str(exc)})
         return EXIT_USAGE
 

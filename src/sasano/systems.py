@@ -14,8 +14,8 @@ degree of each residual's numerator.
 The point values and the float right-hand side of the numeric check
 (`float_rhs`) run the same field compiled: `_program` traces
 `vector_field` once per system and chart with recording values
-(`_Traced`) and emits straight-line Python, on (numerator, denominator)
-int pairs or on floats, in the traced order of operations.
+(`_Traced`) and emits straight-line Python, on integer numerators over
+monomial denominators or on floats, in the traced order of operations.
 
 Charts: the affine chart carries (x, y, z, w) directly.  Solutions with
 a component identically infinite live in an alternative chart, which
@@ -35,6 +35,7 @@ a0 + ... + a4 = 1/2 for D5.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from fractions import Fraction
 
@@ -245,8 +246,8 @@ def vector_field(system: System, chart: Chart, alphas):
     The returned function uses only +, - and *, so one definition serves
     the exact residual (RationalFunctions), its degree bound
     (`_DegreeBound`) and, traced once per system and chart into
-    straight-line code (`_program`), the point values in integer pairs and
-    the float integrator; the alphas may be Fractions or floats.
+    straight-line code (`_program`), the exact point values and the float
+    integrator; the alphas may be Fractions or floats.
     """
     _check_chart(system, chart)
     a0, a1, a2, a3, a4 = alphas
@@ -295,31 +296,36 @@ class _Traced:
     __radd__, __rsub__, __rmul__ = (_recorder(op, swap=True) for op in "+-*")
 
 
-def _float_step(out, op, a, b, den):
+def _float_step(out, op, a, b, exponents):
     """One traced step in floats, with each constant as the float that
     Python's mixed arithmetic would convert it to."""
     a, b = (v.name if isinstance(v, _Traced) else repr(float(v)) for v in (a, b or 0))
-    return [f"{out.name} = -{a}" if op == "neg" else f"{out.name} = {a} {op} {b}"]
+    return f"-{a}" if op == "neg" else f"{a} {op} {b}"
 
 
-def _pair_step(out, op, a, b, den):
-    """One traced step on (numerator, denominator) pairs of ints, with no gcd
-    taken.  den maps each value's name to its denominator's, None for 1."""
+_BASES = ("ad", "xd", "yd", "zd", "wd")  # the alphas' common denominator, x's at the point, ...
 
-    def pair(v):
-        if isinstance(v, _Traced):
-            return f"{v.name}n", den[v.name]
-        v = Fraction(v)
-        return str(v.numerator), None if v.denominator == 1 else str(v.denominator)
 
-    def times(d, e):
-        return e if d is None else d if e is None else f"{d} * {e}"
+def _exact_step(out, op, a, b, exponents):
+    """One traced step on exact values, each a numerator over the monomial
+    prod _BASES[k]**e[k], e = exponents[name], so that only the numerator
+    is computed.  Products add exponents; a sum raises both terms to the
+    elementwise larger ones, as `_DegreeBound` does.  Constants are ints."""
 
-    (an, ad), (bn, bd) = pair(a), pair(b or 0)
-    d = ad if op == "neg" else times(ad, bd)
-    n = {"neg": f"-{an}", "*": f"{an} * {bn}"}.get(op, f"{times(an, bd)} {op} {times(bn, ad)}")
-    den[out.name] = d if d is None or d.isidentifier() else f"{out.name}d"
-    return [f"{out.name}n = {n}"] + ([f"{out.name}d = {d}"] if den[out.name] != d else [])
+    assert all(isinstance(v, (_Traced, int)) for v in (a, b or 0)), "a constant is no int"
+    (an, ae), (bn, be) = ((v.name, exponents[v.name]) if isinstance(v, _Traced)
+                          else (str(v), (0,) * len(_BASES)) for v in (a, b or 0))
+    if op == "neg":
+        e, expr = ae, f"-{an}"
+    elif op == "*":
+        e, expr = tuple(map(operator.add, ae, be)), f"{an} * {bn}"
+    else:
+        e = tuple(map(max, ae, be))
+        an, bn = (" * ".join([n, *(base for base, k, j in zip(_BASES, e, f) for _ in range(k - j))])
+                  for n, f in ((an, ae), (bn, be)))
+        expr = f"{an} {op} {bn}"
+    exponents[out.name] = e
+    return expr
 
 
 _PROGRAMS = {}  # (system, chart, kind) -> factory; at most 7 * 2 entries
@@ -332,10 +338,11 @@ def _program(system: System, chart: Chart, kind: str):
 
     kind "float": make(a0, ..., a4) -> field(t, v), which returns
     [RHS_i / t] with the float operations of `vector_field` in its order,
-    so equal (==) to its values over t.  kind "pair": make(a0n, a0d, ...,
-    a4n, a4d) -> field(tn, xn, xd, ..., wn, wd, txn, txd, ..., twn, twd),
-    the numerators of `_residuals` at an integer t, given the values and
-    t-derivatives as numerators and denominators, ints.
+    so equal (==) to its values over t.  kind "pair": make(ad, a0, ...,
+    a4), with a_i / ad the alphas, -> field(t, x, xd, ..., w, wd, tx, ...,
+    tw), the numerators of `_residuals` over their monomial denominators
+    (`_exact_step`) at an integer t, given each component as x / xd and
+    its t-derivative as tx / xd**2, ints.
     """
     key = system, chart, kind
     if key not in _PROGRAMS:
@@ -344,22 +351,26 @@ def _program(system: System, chart: Chart, kind: str):
         t, *state = (_Traced(trace, name, True) for name in "txyzw")
         field = vector_field(system, chart, alphas)
         if kind == "float":
-            step, den, inner, unread = _float_step, {}, ["x, y, z, w = v"], ()
+            step, exponents, inner = _float_step, None, ["x, y, z, w = v"]
             args, inner_args = "a0, a1, a2, a3, a4", "t, v"
             result = "[" + ", ".join(f"{v.name} / t" for v in field(t, *state)) + "]"
         else:
             t_derivatives = [_Traced(trace, f"t{v.name}", True) for v in state]
-            step, inner = _pair_step, []
-            den = {"t": None, **{v.name: f"{v.name}d" for v in alphas + state + t_derivatives}}
-            args = ", ".join(f"{v.name}n, {v.name}d" for v in alphas)
-            inner_args = "tn, " + ", ".join(f"{v.name}n, {v.name}d" for v in state + t_derivatives)
-            residuals = _residuals(field, t, state, t_derivatives)
-            result = ", ".join(f"{v.name}n" for v in residuals)
-            unread = tuple(f"{v.name}d = " for v in residuals)  # only numerators are returned
+            step, inner = _exact_step, []
+            def over(base, power=1):
+                return tuple(power * (b == base) for b in _BASES)
+
+            # t over 1, each alpha over ad, x over xd and its t-derivative tx over xd**2, ...
+            exponents = {"t": over("", 0), **{v.name: over("ad") for v in alphas},
+                         **{v.name: over(f"{v.name}d") for v in state},
+                         **{f"t{v.name}": over(f"{v.name}d", 2) for v in state}}
+            args = "ad, a0, a1, a2, a3, a4"
+            inner_args = ", ".join(["t", *(f"{v.name}, {v.name}d" for v in state),
+                                    *(v.name for v in t_derivatives)])
+            result = ", ".join(v.name for v in _residuals(field, t, state, t_derivatives))
         outer = []
         for out, op, a, b in trace:
-            (inner if out.inner else outer).extend(
-                line for line in step(out, op, a, b, den) if not line.startswith(unread))
+            (inner if out.inner else outer).append(f"{out.name} = {step(out, op, a, b, exponents)}")
         source = "\n".join([f"def make({args}):", *(f"    {line}" for line in outer),
                             f"    def field({inner_args}):", *(f"        {line}" for line in inner),
                             f"        return {result}", "    return field"])
@@ -447,8 +458,9 @@ def _residuals_vanish(params: ParameterTuple, sol: SolutionTuple, points=None) -
     dens = list(dict.fromkeys(c.den for c in comps))
     if points is None:
         points = max(b for b, _ in _degree_bounds(vector_field(system, chart, alphas), comps)[1]) + 1
+    ad = math.lcm(*(a.denominator for a in alphas))
     residuals = _program(system, chart, "pair")(
-        *(i for a in alphas for i in (a.numerator, a.denominator)))
+        ad, *(a.numerator * (ad // a.denominator) for a in alphas))
     den_ints = [d._int_form()[0] for d in dens]
     images = []
     for c in comps:
@@ -467,7 +479,8 @@ def _residuals_vanish(params: ParameterTuple, sol: SolutionTuple, points=None) -
             nv, ns = _horner(n, p)
             dv, ds = at[k]
             values += sn * nv, sd * dv
-            t_derivatives += sn * p * (ns * dv - nv * ds), sd * dv * dv
+            # t * c' = sn * t * (n' d - n d') / (sd * d**2), over (sd * d)**2
+            t_derivatives.append(sn * sd * p * (ns * dv - nv * ds))
         if any(residuals(p, *values, *t_derivatives)):
             return False
         points -= 1
@@ -495,8 +508,8 @@ def is_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
     Each residual t*X' - RHS is N / prod_k D_k**e[k] over the components'
     denominators D_k, with deg N <= B (`_degree_bounds`).  N is zero iff
     it vanishes at B + 1 distinct points, so the residuals are evaluated
-    in exact integer pairs, by `vector_field` compiled to straight-line
-    code (`_program`), at t = 1, 2, ..., skipping the points where
+    exactly, by `vector_field` compiled to straight-line code on integer
+    numerators (`_program`), at t = 1, 2, ..., skipping the points where
     some D_k vanishes, until B + 1 points have passed (Schwartz 1980,
     Zippel 1979).  `residual` builds the same residuals symbolically.
 
@@ -506,6 +519,7 @@ def is_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
     image is checked on D4's cubic field, with a smaller B; `vector_field` is
     D4's field conjugated by the same involutions, so the verdict is the same.
     """
+    _check_chart(params.system, sol.chart)
     if any(INVERTED_SIDES[params.system, sol.chart]):
         if not _residuals_vanish(params, sol, points=1):
             return False

@@ -13,13 +13,14 @@ component and point, the Hamiltonian polynomial run on those series;
 `systems.hamiltonian` runs it on rational functions, the symbolic oracle.
 
 The cross-check integrates in plain Python floats, with the system's
-vector field compiled to straight-line code (`systems.float_rhs`) and a
-bound on the integrator's steps, and poles are located exactly, so no
-part of the package needs numpy or scipy here.
+vector field and the integrator's step compiled to straight-line code
+(`systems.float_rhs`, `_step`) and a bound on the number of steps, and
+poles are located exactly, so no part of the package needs numpy or scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ from .exactmath import (
     INFINITY,
     LaurentSeries,
     ZERO_POINT,
-    float_function,
     has_real_root,
     is_integer,
     laurent_expand,
@@ -165,23 +165,55 @@ def invariant_report(params: ParameterTuple, sol: SolutionTuple) -> InvariantRep
 
 # -- numeric cross-check ------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau, as in Hairer, Norsett and Wanner (1993),
-# one name per weight; the zero weights b2, e2 and b7 are left out
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-# fifth-order minus embedded fourth-order weights, the last for f(t + h, y_new)
-_E1, _E3, _E4, _E5 = -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200
-_E6, _E7 = -22 / 525, 1 / 40
+# Dormand-Prince 5(4) tableau, as in Hairer, Norsett and Wanner (1993): the
+# time and the weights of each stage after the first, the fifth-order
+# weights, and those minus the embedded fourth-order ones, the last for
+# f(t + h, y_new); zero weights are left out of every sum
+_STAGES = (
+    (1 / 5, (1 / 5,)),
+    (3 / 10, (3 / 40, 9 / 40)),
+    (4 / 5, (44 / 45, -56 / 15, 32 / 9)),
+    (8 / 9, (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)),
+    (1.0, (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+)
+_B = (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 def _rms(values) -> float:
     return math.sqrt(sum(v * v for v in values) / len(values))
+
+
+@functools.cache
+def _step(dim: int):
+    """step(f, t, h, t_new, y, dy, atol, rtol) -> (y_new, dy_new, error): one
+    Dormand-Prince step from (t, y), with dy = f(t, y), compiled for states of
+    `dim` floats.  It calls f with (time, list) in stage order and runs each
+    weighted sum left to right, and the RMS as `_rms`: tests compare with ==."""
+
+    def names(s):
+        return ", ".join(f"{s}{i}" for i in range(dim))
+
+    def weighted(weights, i):  # of the slopes a, b, ..., g and k, f(t_new, y_new)
+        return " + ".join(f"{w!r} * {s}{i}" for w, s in zip(weights, "abcdegk") if w)
+
+    def updates(weights):
+        return ", ".join(f"y{i} + h * ({weighted(weights, i)})" for i in range(dim))
+
+    lines = ["def step(f, t, h, t_new, y, dy, atol, rtol):",
+             f"    {names('y')}, = y", f"    {names('a')}, = dy",
+             *(f"    {names(s)}, = f(t + {c!r} * h, [{updates(weights)}])"
+               for s, (c, weights) in zip("bcdeg", _STAGES)),
+             f"    {names('n')}, = y_new = [{updates(_B)}]",
+             f"    {names('k')}, = dy_new = f(t_new, y_new)",
+             *(f"    r{i} = h * ({weighted(_E, i)}) / (atol + max(abs(y{i}), abs(n{i})) * rtol)"
+               for i in range(dim)),
+             "    return y_new, dy_new, sqrt(("
+             + " + ".join(f"r{i} * r{i}" for i in range(dim)) + f") / {dim})"]
+    namespace = {"sqrt": math.sqrt}
+    exec(compile("\n".join(lines), f"<Dormand-Prince step for {dim} floats>", "exec"), namespace)
+    return namespace["step"]
 
 
 def _dopri5(f, t: float, y, stops, rtol: float, atol: float) -> list:
@@ -197,6 +229,7 @@ def _dopri5(f, t: float, y, stops, rtol: float, atol: float) -> list:
     as a flow that grows fast without blowing up would.
     """
     y = list(y)
+    step = _step(len(y))
     k1 = f(t, y)
     scale = [atol + abs(v) * rtol for v in y]
     d0 = _rms([v / s for v, s in zip(y, scale)])
@@ -221,22 +254,8 @@ def _dopri5(f, t: float, y, stops, rtol: float, atol: float) -> list:
             steps_left -= 1
             clipped = h_abs >= stop - t
             h = stop - t if clipped else h_abs
-            # sums run left to right in tableau order: tests compare states with ==
-            k2 = f(t + _C2 * h, [v + h * (_A21 * a) for v, a in zip(y, k1)])
-            k3 = f(t + _C3 * h, [v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
-            k4 = f(t + _C4 * h, [v + h * (_A41 * a + _A42 * b + _A43 * c)
-                                 for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = f(t + _C5 * h, [v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                                 for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = f(t + h, [v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                           for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-                     for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
             t_new = stop if clipped else t + h
-            k7 = f(t_new, y_new)
-            error = _rms([h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
-                          / (atol + max(abs(v), abs(u)) * rtol)
-                          for v, u, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            y_new, k7, error = step(f, t, h, t_new, y, k1, atol, rtol)
             if error < 1:  # accept; NaN and inf reject
                 factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error ** -0.2)
                 h_abs = max(h_abs, h * factor) if clipped else h * factor
@@ -249,8 +268,8 @@ def _dopri5(f, t: float, y, stops, rtol: float, atol: float) -> list:
 
 def _real_pole_in(sol: SolutionTuple, lo: Fraction, hi: Fraction) -> bool:
     """Whether some component has a real pole, rational or not, in [lo, hi]."""
-    return any(comp.den.degree > 0 and has_real_root(comp.den, lo, hi)
-               for comp in sol.components())
+    return any(den.degree > 0 and has_real_root(den, lo, hi)
+               for den in dict.fromkeys(comp.den for comp in sol.components()))
 
 
 # poles this close to an interval's ends still break the integrator
@@ -305,12 +324,16 @@ def numeric_crosscheck(
     samples = [(n0 * (steps - 1) + (n1 - n0) * i) / den for i in range(steps)]
     rhs = float_rhs(params.system, Chart.AFFINE, [float(a) for a in params.alphas])
     states = [start] + _dopri5(rhs, samples[0], start, samples[1:], rtol=1e-12, atol=1e-12)
-    exact = [float_function(c) for c in sol.components()]
-
-    def clamp(v: float) -> float:
-        # documents the check's domain; fixture components are small
-        return min(max(v, -1e6), 1e6)
-
-    return max(abs(clamp(n) - clamp(c(t)))
-               for t, state in zip(samples, states)
-               for n, c in zip(state, exact))
+    coeffs = [[[float(c) for c in reversed(p.coeffs)] for p in (comp.num, comp.den)]
+              for comp in sol.components()]
+    worst = None  # max() of the deviations in the check's domain: a NaN wins only if first
+    for t, state in zip(samples, states):
+        for v, (num, den) in zip(state, coeffs):
+            n = d = 0.0  # Horner, as `float_function` runs it
+            for c in num:
+                n = n * t + c
+            for c in den:
+                d = d * t + c
+            deviation = abs(min(max(v, -1e6), 1e6) - min(max(n / d, -1e6), 1e6))
+            worst = deviation if worst is None or deviation > worst else worst
+    return worst

@@ -498,3 +498,24 @@ def test_malformed_input_is_one_json_error_line(capsys, tmp_path, command, case)
     batch.write_text(json.dumps({"subcommand": command, **request}) + "\n")
     code, out = run(capsys, "--batch", str(batch))
     assert code == 2 and json.loads(out) == json.loads(lines[0])
+
+
+@pytest.mark.parametrize("system, alphas, chart", [
+    ("b4", _ALPHAS, "r1"), ("d4", "1/4,1/4,1/8,1/4,0", "m3"), ("d5", "0,1/4,1/4,-1/4,1/4", "m3"),
+])
+def test_verify_names_a_chart_of_another_system(capsys, tmp_path, system, alphas, chart):
+    # the chart is checked before the residual looks up its inverted sides
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps({**_SEED, "chart": chart}))
+    request = {"system": system, "alphas": alphas, "solution": str(solution)}
+    expected = {"error": f"chart {chart} is not a {system} chart"}
+
+    code = main(["verify", *(f"--{key}={value}" for key, value in request.items())])
+    captured = capsys.readouterr()
+    assert code == 2 and json.loads(captured.out) == expected
+    assert "Traceback" not in captured.err
+
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text(json.dumps({"subcommand": "verify", **request}) + "\n")
+    code, out = run(capsys, "--batch", str(batch))
+    assert code == 2 and json.loads(out) == expected

@@ -188,6 +188,24 @@ def test_each_child_imports_only_what_it_runs(tmp_path):
         assert "dataclasses" not in child["loaded"] and "inspect" not in child["loaded"], argv
 
 
+def test_only_verify_and_report_import_verify(tmp_path):
+    """`classify`, `construct`, `transform` and `expand` children leave
+    `sasano.verify` unimported, so they never compile it."""
+    seed = tmp_path / "seed.json"
+    p = ParameterTuple(System.B4, ("1/4", "1/4", "1/4", "-1/4", "1/4"))
+    seed.write_text(json.dumps(seed_solution(p).to_json()))
+    alphas = "--alphas=1/4,1/4,1/4,-1/4,1/4"
+    for argv, imported in ((["classify", "--system=b4", alphas], False),
+                           (["construct", "--system=b4", alphas], False),
+                           (["transform", "--system=b4", alphas, "--word=s3 T1",
+                             f"--solution={seed}"], False),
+                           (["expand", f"--solution={seed}", "--at=inf"], False),
+                           (["report", "--system=b4", alphas, f"--solution={seed}"], True)):
+        child = _graph_child("cli", *argv)
+        assert child["code"] == 0, argv
+        assert ("sasano.verify" in child["loaded"]) == imported, argv
+
+
 TYPING_CHILD = r"""
 import contextlib, io, json, sys
 from sasano.cli import main
