@@ -3,11 +3,9 @@ import and to build than ``@dataclass(frozen=True)``."""
 
 from operator import attrgetter
 
-_set = object.__setattr__  # how a record's __init__ writes its fields
-
 
 class Record:
-    """Fields in ``__slots__``, written once by ``__init__`` with `_set` and
+    """Fields in ``__slots__``, written once by ``__init__`` with `_fill` and
     taken positionally in slot order.  ``==`` and ``hash`` compare the
     fields of records of one class, and assignment raises AttributeError."""
 
@@ -15,6 +13,13 @@ class Record:
 
     def __init_subclass__(cls):
         cls._values = attrgetter(*cls.__slots__)
+        # the slots' own setters, which bypass __setattr__
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def _fill(self, *values):
+        """Write the fields, one value per slot in slot order."""
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -6,10 +6,11 @@ three systems are D4 seen through charts (`systems.INVERTED_SIDES`), and
 every B4 and D5 generator is a D4 letter under the linear parameter map
 `systems.to_d4_alphas` (`D4_LETTER`).  So each map is written once, for
 D4: on parameters in `_D4_PARAMS_MAPS`, on solutions in `_d4_letter`.
-`act_word` runs a whole word in D4 coordinates: it enters them once by
-`systems._d4_image`, which refuses an inverted side whose u is
-identically zero, and `_settle` writes the image in the system's charts
-at the end.  Degenerate divisions follow three rules, tried in order:
+`act_word` runs a whole word in D4 coordinates, entered once by
+`systems._d4_image` and left once by `systems._settle`, which hold the
+chart rules; the former refuses a chart of another system and an
+inverted side whose u is identically zero.  Degenerate divisions follow
+three rules, tried in order:
 
   1. identity convention: a generator dividing by an identically zero
      component is the identity when its own parameter vanishes;
@@ -29,23 +30,22 @@ substitution t -> -t in every stored rational function.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from fractions import Fraction
 
-from ._record import Record, _set
+from ._record import Record
 from .systems import (
     Chart,
     ChartMismatch,
-    INVERTED_SIDES,
     ParameterTuple,
     SolutionTuple,
     System,
     T,
     UndefinedAction,
-    _check_chart,
     _d4_image,
+    _settle,
     from_d4_alphas,
-    invert_side,
     to_d4_alphas,
 )
 
@@ -71,10 +71,8 @@ class Generator(Record):
     def __init__(self, system: System, name: str, inverse: bool = False):
         if name not in PRIMITIVES[system] + SHIFTS[system]:
             raise ValueError(f"unknown {system.value} generator {name!r}")
-        _set(self, "system", system)
-        _set(self, "name", name)
         # primitives are involutions; normalize their inverses away
-        _set(self, "inverse", False if inverse and name in PRIMITIVES[system] else inverse)
+        self._fill(system, name, False if inverse and name in PRIMITIVES[system] else inverse)
 
     def inverted(self) -> "Generator":
         return Generator(self.system, self.name, not self.inverse)
@@ -92,8 +90,7 @@ class GeneratorWord(Record):
         for tok in tokens:
             if tok.system is not system:
                 raise ValueError("word mixes generators of different systems")
-        _set(self, "system", system)
-        _set(self, "tokens", tokens)
+        self._fill(system, tokens)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -109,40 +106,32 @@ class GeneratorWord(Record):
 
 
 def word(system: System, names: Sequence[str]) -> GeneratorWord:
-    return GeneratorWord(system, tuple(_parse_token(system, n) for n in names))
-
-
-def _parse_token(system: System, text: str) -> Generator:
-    text = text.strip()
-    if text.startswith("inv(") and text.endswith(")"):
-        return _parse_token(system, text[4:-1]).inverted()
-    canon = text.lower() if text.lower().startswith(("s", "p")) else text.upper()
-    return Generator(system, canon)
+    """The word of the tokens `names`, each read by `parse_word`."""
+    return parse_word(system, " ".join(names))
 
 
 def parse_word(system: System, text: str) -> GeneratorWord:
-    """Parse whitespace-separated tokens; inv(...) may wrap a sub-word."""
-    tokens: list = []
-    chunks = text.replace(",", " ").split()
-    i = 0
-    while i < len(chunks):
-        chunk = chunks[i]
-        if chunk.startswith("inv(") and not chunk.endswith(")"):
-            # inv( w1 w2 ... ) spanning several chunks
-            inner = [chunk[4:]]
-            i += 1
-            while i < len(chunks) and not chunks[i].endswith(")"):
-                inner.append(chunks[i])
-                i += 1
-            if i == len(chunks):
-                raise ValueError("unbalanced inv( in word")
-            inner.append(chunks[i][:-1])
-            sub = word(system, [c for c in inner if c])
-            tokens.extend(invert_word(sub).tokens)
+    """Parse a word: names separated by spaces or commas, where inv( ... )
+    inverts the sub-word it wraps, at any depth, and inv() is the empty
+    word.  Names starting with s or p are read in lower case (s1, pi2,
+    psi), the others in upper case (T1)."""
+    open_words: list = [[]]  # the tokens of each inv( not yet closed, outermost first
+    for token in re.findall(r"inv\(|[()]|[^\s,()]+", text):
+        if token == "inv(":
+            open_words.append([])
+        elif token == ")":
+            if len(open_words) == 1:
+                raise ValueError("unmatched ) in word")
+            inner = open_words.pop()
+            open_words[-1].extend(tok.inverted() for tok in reversed(inner))
+        elif token == "(":
+            raise ValueError("stray ( in word: only inv( opens a group")
         else:
-            tokens.append(_parse_token(system, chunk))
-        i += 1
-    return GeneratorWord(system, tuple(tokens))
+            canon = token.lower() if token.lower().startswith(("s", "p")) else token.upper()
+            open_words[-1].append(Generator(system, canon))
+    if len(open_words) > 1:
+        raise ValueError("unbalanced inv( in word")
+    return GeneratorWord(system, tuple(open_words[0]))
 
 
 # -- shift operators ---------------------------------------------------------
@@ -223,9 +212,6 @@ def act_params(gen: Generator, p: ParameterTuple) -> ParameterTuple:
 # D4 letters whose image is a solution in the flipped variable -t
 T_FLIP = ("pi1", "pi2")
 
-# the chart of each system that writes the sides as (x inverted, z inverted)
-_CHART_OF = {(system, *sides): chart for (system, chart), sides in INVERTED_SIDES.items()}
-
 
 def _acts(name: str, d, param: Fraction) -> bool:
     """Whether a letter dividing by d acts: if d is identically zero, the
@@ -270,21 +256,6 @@ def _d4_letter(name: str, c, x, y, z, w):
     return x, y, z, w
 
 
-def _settle(system: System, c, x, y, z, w) -> SolutionTuple:
-    """The solution of `system` at the D4 parameters c given in D4's
-    coordinates: each side is inverted where the system's affine chart
-    inverts it, unless its u is identically zero, which marks an infinite
-    chart."""
-    x_inv, z_inv = INVERTED_SIDES[system, Chart.AFFINE]
-    x_inv, z_inv = x_inv and not x.is_zero(), z_inv and not z.is_zero()
-    # c1 and c3 are every system's a1 and a3
-    if x_inv:
-        x, y = invert_side(x, y, c[1])
-    if z_inv:
-        z, w = invert_side(z, w, c[3])
-    return SolutionTuple(_CHART_OF[system, x_inv, z_inv], x, y, z, w)
-
-
 def act_solution(gen: Generator, p: ParameterTuple, sol: SolutionTuple) -> SolutionTuple:
     """Apply one token to a solution of the system with parameters p.
 
@@ -308,7 +279,6 @@ def act_word(
         raise ValueError("generator and parameters belong to different systems")
     comps = None
     if sol is not None and w.tokens:
-        _check_chart(system, sol.chart)
         comps = _d4_image(p, sol)[1].components()
     c = to_d4_alphas(system, p.alphas)
     for tok in w.tokens:

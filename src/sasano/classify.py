@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import Record, _set
+from ._record import Record
 from .backlund import (
     D4_LETTER,
     GeneratorWord,
@@ -73,11 +73,7 @@ class ClassificationResult(Record):
 
     def __init__(self, params: ParameterTuple, exists: bool, matched_condition: int | None = None,
                  witness_word: GeneratorWord | None = None, solution: SolutionTuple | None = None):
-        _set(self, "params", params)
-        _set(self, "exists", exists)
-        _set(self, "matched_condition", matched_condition)
-        _set(self, "witness_word", witness_word)
-        _set(self, "solution", solution)
+        self._fill(params, exists, matched_condition, witness_word, solution)
 
     def to_json(self) -> dict:
         out: dict = {"verdict": "exists" if self.exists else "not_exists"}

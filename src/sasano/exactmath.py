@@ -24,7 +24,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
-from ._record import Record, _set
+from ._record import Record
 
 RatLike = Fraction | int | str
 
@@ -786,8 +786,7 @@ class ExpansionPoint(Record):
             raise ValueError(f"bad expansion point kind: {kind}")
         if (kind == "finite") != (c is not None):
             raise ValueError("finite points need c, others must not carry one")
-        _set(self, "kind", kind)
-        _set(self, "c", c)
+        self._fill(kind, c)
 
     def __repr__(self):
         if self.kind == "finite":
@@ -816,10 +815,7 @@ class LaurentSeries(Record):
     __slots__ = ("point", "lead", "coeffs", "order")
 
     def __init__(self, point: ExpansionPoint, lead: int, coeffs: tuple, order: int):
-        _set(self, "point", point)
-        _set(self, "lead", lead)
-        _set(self, "coeffs", coeffs)
-        _set(self, "order", order)
+        self._fill(point, lead, coeffs, order)
 
     def exponents(self):
         step = -1 if self.point.kind == "infinity" else 1

@@ -7,9 +7,9 @@ Every system is written in the form t * X' = RHS(X, t), with one
 sides inverted (`INVERTED_SIDES`).  `residual` gives the four exact
 rational functions t*X' - RHS, which vanish identically precisely on
 solutions; `is_solution` reaches the same verdict by exact evaluation,
-screening B4 and D5 inputs at one point and then carrying them to D4,
-whose cubic field it evaluates at B + 1 points, with B a bound on the
-degree of each residual's numerator.
+carrying every B4 and D5 input to D4 (after a one-point screen where its
+chart inverts a side), whose cubic field it evaluates at B + 1 points,
+with B a bound on the degree of each residual's numerator.
 
 The point values and the float right-hand side of the numeric check
 (`float_rhs`) run the same field compiled: `_program` traces
@@ -24,7 +24,8 @@ z-side (z == inf), D5 r1 to the x-side (x == inf), D5 r5 to both.  D4
 needs no extra chart.  With the linear parameter map `to_d4_alphas` (and
 its inverse `from_d4_alphas`), these involutions carry every system/chart
 pair to D4 (`_d4_image`, for the solution check and Bäcklund words) and
-back (`backlund._settle`, for Bäcklund words and the equivalences).
+back (`_settle`, for Bäcklund words and the equivalences), both by
+`_invert_sides`; no other module inverts a side.
 
 Parameters go through D4 the same way: every system's normalization is
 D4's, c0 + c1 + 2*c2 + c3 + c4 = 1 at c = `to_d4_alphas(system, alphas)`,
@@ -39,7 +40,7 @@ import math
 import operator
 from fractions import Fraction
 
-from ._record import Record, _set
+from ._record import Record
 from .exactmath import (
     RF,
     RatLike,
@@ -75,6 +76,8 @@ INVERTED_SIDES = {
     (System.D5, Chart.R3): (True, False), (System.D5, Chart.R5): (False, False),
 }
 VALID_CHARTS = {s: tuple(c for t, c in INVERTED_SIDES if t is s) for s in System}
+# the chart of each system that writes the sides as (x inverted, z inverted)
+_CHART_OF = {(system, *sides): chart for (system, chart), sides in INVERTED_SIDES.items()}
 
 
 def parse_system(name: str) -> System:
@@ -110,8 +113,7 @@ class ParameterTuple(Record):
                 f"parameters violate the {system.value} normalization: "
                 f"{[rat_str(a) for a in alphas]}"
             )
-        _set(self, "system", system)
-        _set(self, "alphas", alphas)
+        self._fill(system, alphas)
 
     def __iter__(self):
         return iter(self.alphas)
@@ -152,11 +154,7 @@ class SolutionTuple(Record):
 
     def __init__(self, chart: Chart, x: RationalFunction, y: RationalFunction,
                  z: RationalFunction, w: RationalFunction):
-        _set(self, "chart", chart)
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "z", z)
-        _set(self, "w", w)
+        self._fill(chart, x, y, z, w)
 
     def components(self):
         return (self.x, self.y, self.z, self.w)
@@ -192,8 +190,11 @@ T = RF.t()
 
 
 def _check_chart(system: System, chart: Chart):
+    """The chart's inverted sides, `INVERTED_SIDES`; ChartMismatch if the
+    system has no such chart."""
     if chart not in VALID_CHARTS[system]:
         raise ChartMismatch(f"chart {chart.value} is not a {system.value} chart")
+    return INVERTED_SIDES[system, chart]
 
 
 def invert_side(u, v, b):
@@ -249,9 +250,8 @@ def vector_field(system: System, chart: Chart, alphas):
     straight-line code (`_program`), the exact point values and the float
     integrator; the alphas may be Fractions or floats.
     """
-    _check_chart(system, chart)
+    x_inverted, z_inverted = _check_chart(system, chart)
     a0, a1, a2, a3, a4 = alphas
-    x_inverted, z_inverted = INVERTED_SIDES[system, chart]
     # D4's s = a0 + a1 and g = 1 - a3 - a4 as each system reads them; an
     # inverted side's other form has its parameter moved by 2*b
     s = (2 if system is System.D5 else 1) * (a0 + a1) - (2 * a1 if x_inverted else 0)
@@ -487,19 +487,34 @@ def _residuals_vanish(params: ParameterTuple, sol: SolutionTuple, points=None) -
     return True
 
 
-def _d4_image(params: ParameterTuple, sol: SolutionTuple):
-    """The D4 parameters and solution equivalent to a B4 or D5 (params,
-    sol), with every inverted side of sol's chart undone."""
-    x_inverted, z_inverted = INVERTED_SIDES[params.system, sol.chart]
-    x, y, z, w = sol.components()
-    if (x_inverted and x.is_zero()) or (z_inverted and z.is_zero()):
-        raise UndefinedAction("an inverted side with u == 0 solves no system")
+def _invert_sides(c, x_inverted: bool, z_inverted: bool, x, y, z, w):
+    """(x, y, z, w) with the flagged sides inverted by `invert_side`, with
+    b = c1 and c3: every system's a1 and a3, which `to_d4_alphas` keeps."""
     if x_inverted:
-        x, y = invert_side(x, y, params.alphas[1])
+        x, y = invert_side(x, y, c[1])
     if z_inverted:
-        z, w = invert_side(z, w, params.alphas[3])
-    d4 = to_d4_alphas(params.system, params.alphas)
-    return ParameterTuple(System.D4, d4), SolutionTuple(Chart.AFFINE, x, y, z, w)
+        z, w = invert_side(z, w, c[3])
+    return x, y, z, w
+
+
+def _d4_image(params: ParameterTuple, sol: SolutionTuple):
+    """The D4 parameters and solution equivalent to (params, sol), with the
+    inverted sides of sol's chart undone; ChartMismatch for another chart."""
+    sides = _check_chart(params.system, sol.chart)
+    if any(inv and u.is_zero() for inv, u in zip(sides, (sol.x, sol.z))):
+        raise UndefinedAction("an inverted side with u == 0 solves no system")
+    comps = _invert_sides(params.alphas, *sides, *sol.components())
+    return (ParameterTuple(System.D4, to_d4_alphas(params.system, params.alphas)),
+            SolutionTuple(Chart.AFFINE, *comps))
+
+
+def _settle(system: System, c, x, y, z, w) -> SolutionTuple:
+    """The inverse of `_d4_image`, at the D4 parameters c: each side is
+    inverted where the system's affine chart inverts it, unless its u is
+    identically zero, which marks an infinite chart."""
+    affine = INVERTED_SIDES[system, Chart.AFFINE]
+    sides = [inv and not u.is_zero() for inv, u in zip(affine, (x, z))]
+    return SolutionTuple(_CHART_OF[(system, *sides)], *_invert_sides(c, *sides, x, y, z, w))
 
 
 def is_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
@@ -513,15 +528,14 @@ def is_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
     some D_k vanishes, until B + 1 points have passed (Schwartz 1980,
     Zippel 1979).  `residual` builds the same residuals symbolically.
 
-    A chart with an inverted side is first screened at one point, which
-    rejects most non-solutions and any inverted side with u == 0 (its
-    u-residual is -t or -1).  Then `_d4_image` undoes the inversions and the
-    image is checked on D4's cubic field, with a smaller B; `vector_field` is
-    D4's field conjugated by the same involutions, so the verdict is the same.
+    Every B4 and D5 input is carried to D4 by `_d4_image` and checked on
+    D4's cubic field; `vector_field` is D4's field conjugated by the same
+    involutions, so the verdict is the same.  A chart with an inverted side
+    is first screened at one point, which rejects most non-solutions and
+    any inverted side with u == 0 (its u-residual is -t or -1).
     """
-    _check_chart(params.system, sol.chart)
-    if any(INVERTED_SIDES[params.system, sol.chart]):
-        if not _residuals_vanish(params, sol, points=1):
+    if params.system is not System.D4:
+        if any(_check_chart(params.system, sol.chart)) and not _residuals_vanish(params, sol, 1):
             return False
         params, sol = _d4_image(params, sol)
     return _residuals_vanish(params, sol)

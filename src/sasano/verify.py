@@ -24,7 +24,7 @@ import functools
 import math
 from fractions import Fraction
 
-from ._record import Record, _set
+from ._record import Record
 from .exactmath import (
     INFINITY,
     LaurentSeries,
@@ -84,17 +84,10 @@ class InvariantReport(Record):
                  b_inf_m1_plus_d_inf_m1: Fraction, h_inf_0: Fraction, h_0_0: Fraction,
                  integrality_h: bool, finite_pole_residues: tuple[tuple[Fraction, Fraction, bool], ...],
                  unchecked_irrational_poles: bool = False):
-        _set(self, "a_inf_0", a_inf_0)
-        _set(self, "a_0_0", a_0_0)
-        _set(self, "integrality_a", integrality_a)
-        _set(self, "b_inf_m1_plus_d_inf_m1", b_inf_m1_plus_d_inf_m1)
-        _set(self, "h_inf_0", h_inf_0)
-        _set(self, "h_0_0", h_0_0)
-        _set(self, "integrality_h", integrality_h)
-        _set(self, "finite_pole_residues", finite_pole_residues)
         # x may also have irrational poles; their residue condition is not
         # checkable in exact rational arithmetic and is reported as such
-        _set(self, "unchecked_irrational_poles", unchecked_irrational_poles)
+        self._fill(a_inf_0, a_0_0, integrality_a, b_inf_m1_plus_d_inf_m1, h_inf_0, h_0_0,
+                   integrality_h, finite_pole_residues, unchecked_irrational_poles)
 
     def checks(self) -> tuple[tuple[str, bool], ...]:
         """The four invariant checks, named, in the order `sasano verify`
@@ -276,16 +269,15 @@ def _real_pole_in(sol: SolutionTuple, lo: Fraction, hi: Fraction) -> bool:
 _POLE_MARGIN = Fraction(1, 1000)
 
 
-def pole_free_interval(sol: SolutionTuple, width: int = 1) -> tuple[Fraction, Fraction]:
-    """[1, 1+width] shifted right by integers until no real pole of the
+def pole_free_interval(sol: SolutionTuple) -> tuple[Fraction, Fraction]:
+    """[1, 2] shifted right by integers until no real pole of the
     solution lies in it or within a small safety margin of it."""
     t0 = Fraction(1)
     for _ in range(1000):
-        t1 = t0 + width
-        if not _real_pole_in(sol, t0 - _POLE_MARGIN, t1 + _POLE_MARGIN):
-            return t0, t1
+        if not _real_pole_in(sol, t0 - _POLE_MARGIN, t0 + 1 + _POLE_MARGIN):
+            return t0, t0 + 1
         t0 += 1
-    raise PoleOnPath("no pole-free interval of the requested width found")
+    raise PoleOnPath("no pole-free interval [t0, t0 + 1] with t0 <= 1000 found")
 
 
 def numeric_crosscheck(
@@ -302,7 +294,8 @@ def numeric_crosscheck(
     (`float_rhs`), from the exact initial condition sol(t0) (plus an
     optional perturbation, used for power checks) and samples the
     deviation at `steps` evenly spaced points of [t0, t1].  Raises
-    IntegratorFailed when `_dopri5` stops short.
+    IntegratorFailed when `_dopri5` stops short, or when an alpha, a start
+    value, an offset or a coefficient lies outside the float range.
     """
     if sol.chart is not Chart.AFFINE:
         raise ChartMismatch("numeric cross-check needs the affine chart")
@@ -314,18 +307,23 @@ def numeric_crosscheck(
     if _real_pole_in(sol, t0, t1):
         raise PoleOnPath(f"solution has a pole in [{rat_str(t0)}, {rat_str(t1)}]")
 
-    start = [float(c.evaluate(t0)) for c in sol.components()]
-    if initial_offset is not None:
-        start = [v + float(o) for v, o in zip(start, initial_offset)]
+    try:
+        alphas = [float(a) for a in params.alphas]
+        start = [float(c.evaluate(t0)) for c in sol.components()]
+        if initial_offset is not None:
+            start = [v + float(o) for v, o in zip(start, initial_offset)]
+        coeffs = [[[float(c) for c in reversed(p.coeffs)] for p in (comp.num, comp.den)]
+                  for comp in sol.components()]
+    except OverflowError:
+        raise IntegratorFailed(
+            "an alpha, start value, offset or coefficient is outside the float range") from None
     # t0 + (t1 - t0) * i / (steps - 1) over one integer denominator: int
     # division rounds correctly, as float(Fraction) does
     n0, n1 = t0.numerator * t1.denominator, t1.numerator * t0.denominator
     den = t0.denominator * t1.denominator * (steps - 1)
     samples = [(n0 * (steps - 1) + (n1 - n0) * i) / den for i in range(steps)]
-    rhs = float_rhs(params.system, Chart.AFFINE, [float(a) for a in params.alphas])
+    rhs = float_rhs(params.system, Chart.AFFINE, alphas)
     states = [start] + _dopri5(rhs, samples[0], start, samples[1:], rtol=1e-12, atol=1e-12)
-    coeffs = [[[float(c) for c in reversed(p.coeffs)] for p in (comp.num, comp.den)]
-              for comp in sol.components()]
     worst = None  # max() of the deviations in the check's domain: a NaN wins only if first
     for t, state in zip(samples, states):
         for v, (num, den) in zip(state, coeffs):

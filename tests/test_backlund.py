@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     b4,
@@ -20,6 +21,7 @@ from conftest import (
 from sasano import (
     Chart,
     Generator,
+    GeneratorWord,
     ParameterTuple,
     RF,
     SolutionTuple,
@@ -36,7 +38,7 @@ from sasano import (
     shift_word,
     word,
 )
-from sasano.backlund import PRIMITIVES
+from sasano.backlund import PRIMITIVES, SHIFTS
 
 T = RF.t()
 HALF = RF.const(F(1, 2))
@@ -167,6 +169,117 @@ def test_parse_word_with_inverse():
     assert w.to_json() == ["s3", "T1", "inv(T2)", "pi2"]
     wi = parse_word(System.B4, "inv(s3 T1)")
     assert wi.to_json() == ["inv(T1)", "s3"]
+
+
+# -- the word reader ----------------------------------------------------------
+
+def _chunked_parse_token(system, text):
+    """The reader's former token rule: inv(x) inside one chunk."""
+    text = text.strip()
+    if text.startswith("inv(") and text.endswith(")"):
+        return _chunked_parse_token(system, text[4:-1]).inverted()
+    canon = text.lower() if text.lower().startswith(("s", "p")) else text.upper()
+    return Generator(system, canon)
+
+
+def _chunked_parse_word(system, text):
+    """The reader's former loop over whitespace chunks, where inv( ... )
+    may span chunks but holds no nested spanning group: the reference on
+    the words it accepts."""
+    tokens = []
+    chunks = text.replace(",", " ").split()
+    i = 0
+    while i < len(chunks):
+        chunk = chunks[i]
+        if chunk.startswith("inv(") and not chunk.endswith(")"):
+            inner = [chunk[4:]]
+            i += 1
+            while i < len(chunks) and not chunks[i].endswith(")"):
+                inner.append(chunks[i])
+                i += 1
+            if i == len(chunks):
+                raise ValueError("unbalanced inv( in word")
+            inner.append(chunks[i][:-1])
+            sub = [_chunked_parse_token(system, c) for c in inner if c]
+            tokens.extend(tok.inverted() for tok in reversed(sub))
+        else:
+            tokens.append(_chunked_parse_token(system, chunk))
+        i += 1
+    return GeneratorWord(system, tuple(tokens))
+
+
+def _flatten(system, tree):
+    """The tokens of a word tree: a name is one token, a tuple an inv( ... )
+    group, inverted as a whole."""
+    tokens = []
+    for node in tree:
+        if isinstance(node, str):
+            tokens.append(Generator(system, node))
+        else:
+            tokens.extend(tok.inverted() for tok in reversed(_flatten(system, node)))
+    return tokens
+
+
+_GAPS = st.sampled_from([" ", ",", ", ", "  ", " , ", "\t"])
+
+
+def _render(draw, tree):
+    """The tree as text, with random gaps, commas and name casing; a gap
+    may be empty only after a closing parenthesis or inside a group."""
+    text = ""
+    for k, node in enumerate(tree):
+        if k:
+            text += draw(st.just("") | _GAPS) if text.endswith(")") else draw(_GAPS)
+        if isinstance(node, str):
+            text += draw(st.sampled_from([node, node.lower(), node.upper(), node.capitalize()]))
+        else:
+            pad = st.just("") | _GAPS
+            text += f"inv({draw(pad)}{_render(draw, node)}{draw(pad)})"
+    return text
+
+
+@pytest.mark.parametrize("system", list(System))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parse_word_reads_random_nested_words(system, data):
+    names = st.sampled_from(PRIMITIVES[system] + SHIFTS[system])
+    tree = data.draw(st.lists(st.recursive(names, lambda inner: st.lists(inner, max_size=3).map(tuple),
+                                           max_leaves=10), max_size=5))
+    text = _render(data.draw, tree)
+    expected = GeneratorWord(system, tuple(_flatten(system, tree)))
+    assert parse_word(system, text) == expected
+    assert word(system, text.split()) == expected
+    try:
+        chunked = _chunked_parse_word(system, text)
+    except ValueError:
+        return  # the former reader refused nested or unspaced groups
+    assert chunked == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("inv( s2 inv(pi2) )", ["pi2", "s2"]),
+    ("inv(s1 inv(T1 s2))", ["T1", "s2", "s1"]),
+    ("inv(T1)s2", ["inv(T1)", "s2"]),
+    ("inv()", []),
+    ("inv( inv( ) ) s1", ["s1"]),
+    ("inv(inv(inv(T2)))", ["inv(T2)"]),
+    ("S1,PI1 t2", ["s1", "pi1", "T2"]),
+])
+def test_parse_word_examples(text, expected):
+    assert parse_word(System.B4, text).to_json() == expected
+
+
+@pytest.mark.parametrize("text, message", [
+    ("s1 )", "unmatched \\) in word"),
+    ("inv(s1 T1", "unbalanced inv\\( in word"),
+    ("s1 (s2)", "stray \\( in word"),
+    ("inv(s1 (s2))", "stray \\( in word"),
+    ("inv(s2 inv(pi9))", "unknown b4 generator 'pi9'"),
+    ("s1inv(s2)", "unknown b4 generator 's1inv'"),
+])
+def test_parse_word_names_its_errors(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_word(System.B4, text)
 
 
 # -- solution actions ---------------------------------------------------------

@@ -519,3 +519,22 @@ def test_verify_names_a_chart_of_another_system(capsys, tmp_path, system, alphas
     batch.write_text(json.dumps({"subcommand": "verify", **request}) + "\n")
     code, out = run(capsys, "--batch", str(batch))
     assert code == 2 and json.loads(out) == expected
+
+
+def test_verify_fails_the_crosscheck_for_values_outside_the_float_range(capsys, tmp_path):
+    # x = 10**400 has no float: the check fails, in a single request and in a batch
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps({**_SEED, "x": {"num": [str(10 ** 400)], "den": ["1"]}}))
+    args = ["verify", "--system=b4", f"--alphas={_ALPHAS}", f"--solution={solution}"]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 1 and "FAIL numeric_crosscheck" in captured.out.splitlines()
+    assert "Traceback" not in captured.err
+    code, report = run_json(capsys, *args, "--json")
+    assert code == 1 and report["checks"]["numeric_crosscheck"] is False
+
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text(json.dumps({"subcommand": "verify", "system": "b4", "alphas": _ALPHAS,
+                                 "solution": str(solution), "json": True}) + "\n")
+    code, report = run_json(capsys, "--batch", str(batch))
+    assert code == 1 and report["checks"]["numeric_crosscheck"] is False

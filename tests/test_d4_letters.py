@@ -279,7 +279,7 @@ def _written_settle(system, c, x_inv, z_inv, x, y, z, w):
         x_inv, (x, y) = x_affine, systems.invert_side(x, y, c[1])
     if z_inv != z_affine and not z.is_zero():
         z_inv, (z, w) = z_affine, systems.invert_side(z, w, c[3])
-    return SolutionTuple(backlund._CHART_OF[system, x_inv, z_inv], x, y, z, w)
+    return SolutionTuple(systems._CHART_OF[system, x_inv, z_inv], x, y, z, w)
 
 
 def _written_fold(p, sol, letters):

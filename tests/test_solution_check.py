@@ -349,6 +349,16 @@ def test_corrupted_solution_is_rejected_before_the_d4_image(monkeypatch, system)
     assert not is_solution(p, broken)
 
 
+@pytest.mark.parametrize("make", [_b4_m3, _d5_r5])
+def test_charts_without_an_inverted_side_are_decided_on_d4s_field(monkeypatch, make):
+    # B4 m3 and D5 r5 are D4 itself: only D4's pair program is built
+    p, sol = make()
+    broken = sol.replace(w=sol.w + 1)
+    monkeypatch.setattr(systems, "_PROGRAMS", {})
+    assert is_solution(p, sol) and not is_solution(p, broken) and not _symbolic(p, broken)
+    assert list(systems._PROGRAMS) == [(System.D4, Chart.AFFINE, "pair")]
+
+
 @pytest.mark.parametrize("make", [make for make in FIXTURES if make()[0].system is not System.D4])
 @SETTINGS
 @given(letters=st.lists(st.integers(0, 10), max_size=4))

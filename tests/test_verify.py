@@ -122,6 +122,23 @@ def test_numeric_crosscheck_rejects_fewer_than_two_steps(steps):
         numeric_crosscheck(p, seed_solution(p), 1, 2, steps=steps)
 
 
+@pytest.mark.parametrize("case", ["x", "coefficient", "alphas", "offset"])
+def test_values_outside_the_float_range_fail_the_crosscheck(case):
+    # each has no float; the check fails as for a flow that blows up
+    p = b4("1/4", "1/4", "1/4", "-1/4", "1/4")
+    sol, offset, huge = seed_solution(p), None, 10 ** 400
+    if case == "x":
+        sol = sol.replace(x=RF.const(huge))
+    elif case == "coefficient":  # x(1) == 0 is a float
+        sol = sol.replace(x=huge * (T - 1))
+    elif case == "alphas":
+        p = b4(huge + F(1, 2), -huge, "1/4", "-1/4", "1/4")
+    else:
+        offset = [huge, 0, 0, 0]
+    with pytest.raises(IntegratorFailed, match="outside the float range"):
+        numeric_crosscheck(p, sol, 1, 2, initial_offset=offset)
+
+
 def test_pole_on_path_detection():
     p = b4("1/4", "1/4", "1/4", "-1/4", "1/4")
     sol = seed_solution(p).replace(y=HALF + 1 / (T - F(3, 2)))
