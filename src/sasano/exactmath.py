@@ -227,11 +227,10 @@ class Polynomial:
 
     def gcd(self, other: "Polynomial", cofactors: bool = False):
         """Monic gcd g, computed over Z on the primitive integer images
-        (see `_int_poly_gcd_cofactors`: a GF(p) coprimality test, then the
-        heuristic gcd, then the subresultant sequence) to avoid the
-        coefficient blow-up of the plain Euclidean algorithm over Q.  With
-        cofactors=True, (g, self / g, other / g): the kernel has found the
-        quotients while verifying g."""
+        (see `_int_poly_gcd_cofactors`: the heuristic gcd, the subresultant
+        sequence as the fallback) to avoid the coefficient blow-up of the
+        plain Euclidean algorithm over Q.  With cofactors=True, (g, self / g,
+        other / g): the kernel has found the quotients while verifying g."""
         if self.is_zero() or other.is_zero():
             g = other.monic() if self.is_zero() else self.monic()
             return (g, self // g, other // g) if cofactors else g
@@ -341,36 +340,18 @@ def _int_poly_gcd_cofactors(a, b):
     """(g, a / g, b / g) for primitive integer polynomials a and b, with g
     their primitive gcd up to sign.
 
-    One Euclid over GF(p) bounds the degree of the gcd from above
-    whenever p misses one leading coefficient, because the image of the
-    true gcd then keeps its degree.  Bound 0 settles the coprime case,
-    which is most calls; bound deg b makes b the only candidate.
-    Otherwise the heuristic gcd reads the gcd off an integer gcd of values,
-    and the subresultant remainder sequence is the deterministic fallback.
-    Every candidate is verified by exact trial division, whose quotients
-    are the cofactors; only the subresultant gcd is divided out afresh.
+    The heuristic gcd settles nearly every pair; the subresultant
+    remainder sequence is the deterministic fallback, and only its gcd is
+    divided out afresh.
     """
     if len(a) < len(b):
         g, qb, qa = _int_poly_gcd_cofactors(b, a)
         return g, qa, qb
-    if a[-1] % _GCD_PRIME or b[-1] % _GCD_PRIME:
-        bound = _mod_gcd_degree(a, b, _GCD_PRIME)
-        if bound == 0:
-            return [1], a, b
-        if bound == len(b) - 1:
-            q = _int_exact_div(a, b)
-            if q is not None:
-                return b, q, [1]
     found = _heuristic_gcd_cofactors(a, b)
     if found is not None:
         return found
     g = _int_poly_gcd_subresultant(list(a), list(b))
     return g, _int_exact_div(a, g), _int_exact_div(b, g)
-
-
-# below 2**15, so that the products in _mod_gcd_degree stay below 2**30,
-# one CPython digit; an unlucky prime only costs a trip to the heuristic gcd
-_GCD_PRIME = 32749
 
 
 def _mod_gcd_degree(a, b, p: int) -> int:
@@ -401,21 +382,42 @@ def _heuristic_gcd_cofactors(a, b):
     """Heuristic gcd of Char, Geddes and Gonnet (1984) with its cofactors,
     (g, a / g, b / g); None on failure.
 
-    With xi >= 2 min(|a|, |b|) + 2 (max norms), the primitive part of the
-    balanced base-xi digits of gcd(a(xi), b(xi)) is the gcd whenever it
-    divides both inputs, so a verified candidate is never wrong.
+    At an integer x >= 2R + 2, R a bound on the roots of b, the value of a
+    common factor of degree >= 1 exceeds x / 2 in size and divides h =
+    gcd(a(x), b(x)): so 2h < x proves a and b coprime with no division,
+    and h == |b(x)| makes b the candidate.  The first x is 2**k + 1 with R
+    from Fujiwara's bound (`_root_bits`), a few bits wide when the
+    coefficients are wide against the roots; it is odd, because values at
+    a power of two share the powers of two that the low coefficients
+    share.  Then x = 2**k >= 2 min(|a|, |b|) + 2 (max norms), which bounds
+    the roots too (Cauchy): there the primitive part of the balanced
+    base-x digits of h is the gcd whenever it divides both inputs, so a
+    verified candidate is never wrong.
     """
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    norm_bits = (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
+    k = _root_bits(b)
+    if k < norm_bits:
+        x = (1 << k) + 1
+        vb = _int_eval(b, x)
+        h = math.gcd(_int_eval(a, x), vb)
+        if 2 * h < x:
+            return [1], a, b
+        if h == abs(vb):
+            qa = _int_exact_div(a, b)
+            if qa is not None:
+                return b, qa, [1]
+    k = norm_bits
     for _ in range(6):
-        va, vb = _int_eval(a, xi), _int_eval(b, xi)
-        if va and vb:
-            h, cand = math.gcd(va, vb), []
-            while h:  # balanced base-xi digits, lowest first
-                h, d = divmod(h, xi)
-                if d > xi // 2:
-                    d -= xi
-                    h += 1
-                cand.append(d)
+        vb = _int_pack(b, k)
+        h = math.gcd(_int_pack(a, k), vb)
+        if not h >> (k - 1):  # one balanced digit: coprime
+            return [1], a, b
+        if h == abs(vb):
+            qa = _int_exact_div(a, b)
+            if qa is not None:
+                return b, qa, [1]
+        else:
+            cand = _int_unpack(h, k)
             content = math.gcd(*cand)
             if cand[-1] < 0:
                 content = -content
@@ -425,8 +427,17 @@ def _heuristic_gcd_cofactors(a, b):
                 qb = _int_exact_div(b, cand)
                 if qb is not None:
                     return cand, qa, qb
-        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011  # the published growth
+        k += k // 4 + 2  # the published growth of xi, in bits
     return None
+
+
+def _root_bits(a) -> int:
+    """k with 2**k >= 2R + 2, R >= |r| for every complex root r of a:
+    Fujiwara's R = 2 max_i |a[n-i] / a[n]|**(1/i), each ratio rounded up
+    to a power of two."""
+    top = a[-1].bit_length() - 1
+    m = max((-((top - c.bit_length()) // i) for i, c in enumerate(reversed(a[:-1]), 1)), default=0)
+    return max(m, 0) + 3
 
 
 def _int_eval(a, x: int) -> int:
@@ -434,6 +445,29 @@ def _int_eval(a, x: int) -> int:
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def _int_pack(a, k: int) -> int:
+    """a(2**k), by shift-add Horner."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc << k) + c
+    return acc
+
+
+def _int_unpack(h: int, k: int) -> list:
+    """Balanced base-2**k digits of h, lowest first, each in
+    [-2**(k-1), 2**(k-1) - 1], for k >= 2: the inverse of `_int_pack` on
+    such coefficients."""
+    mask, half, digits = (1 << k) - 1, 1 << (k - 1), []
+    while h:
+        d = h & mask
+        h >>= k
+        if d >= half:
+            d -= mask + 1
+            h += 1
+        digits.append(d)
+    return digits
 
 
 def _int_poly_gcd_subresultant(a: list, b: list) -> list:
