@@ -6,9 +6,11 @@ Representation invariants:
   * Rational numbers are ``fractions.Fraction`` (arbitrary precision,
     positive denominator, gcd(|num|, den) = 1 by construction).
   * ``Polynomial`` holds only a primitive integer image of its
-    coefficients (ascending powers of t, last entry nonzero; the zero
-    polynomial is empty) with one positive rational scale.  The
-    Fraction coefficients are a view built from it on first read.
+    coefficients (ascending powers of t, last entry nonzero) with one
+    positive rational scale, kept as two coprime positive integers
+    (sn, sd); the zero polynomial is ((), 0, 1).  Its arithmetic is
+    integer arithmetic; the Fraction coefficients are a view built from
+    the image on first read.
   * ``RationalFunction`` stores num/den with gcd(num, den) = 1 and a
     monic denominator; this canonical form makes ``==`` structural.
   * ``LaurentSeries`` is a finite coefficient window of the expansion of
@@ -58,10 +60,10 @@ class Polynomial:
     """Univariate polynomial in t with exact rational coefficients.
 
     The only state is a primitive integer image with one positive rational
-    scale, which is unique, so equality and hashing compare it, and a
-    chain of sums, products, divisions and gcds makes no Fraction and
-    takes no bigint gcd per coefficient.  `coeffs` is a view built from
-    the image on first read.
+    scale held as two coprime integers, which is unique, so equality and
+    hashing compare it, and a chain of sums, products, divisions and gcds
+    makes no Fraction and takes no bigint gcd per coefficient.  `coeffs` is
+    a view built from the image on first read.
     """
 
     __slots__ = ("_coeffs", "_ints", "_n")
@@ -69,25 +71,8 @@ class Polynomial:
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [rat(c) for c in coeffs]
         lcm = math.lcm(*(c.denominator for c in cs))
-        self._set([c.numerator * (lcm // c.denominator) for c in cs], Fraction(1, lcm))
-
-    def _set(self, ints: list, scale: Fraction) -> None:
-        """Store scale * ints for integers ints (trailing zeros allowed) and
-        a nonzero rational scale: zeros stripped, the scale made positive
-        and the content of ints moved into it."""
-        while ints and not ints[-1]:
-            ints.pop()
-        self._n = len(ints)
-        if not ints:
-            self._ints = ((), Fraction(0))
-            return
-        if scale.numerator < 0:
-            ints, scale = [-v for v in ints], -scale
-        content = math.gcd(*ints)
-        if content > 1:
-            ints = [v // content for v in ints]
-            scale = scale * content
-        self._ints = (tuple(ints), scale)
+        p = Polynomial._from_ints([c.numerator * (lcm // c.denominator) for c in cs], 1, lcm)
+        self._n, self._ints = p._n, p._ints
 
     @property
     def coeffs(self) -> tuple:
@@ -95,8 +80,7 @@ class Polynomial:
         try:
             return self._coeffs
         except AttributeError:
-            ints, scale = self._ints
-            sn, sd = scale.numerator, scale.denominator
+            ints, sn, sd = self._ints
             self._coeffs = tuple(Fraction(v * sn, sd) for v in ints)
             return self._coeffs
 
@@ -104,14 +88,41 @@ class Polynomial:
         """(primitive integer coefficients, rational scale) with
         coeffs[i] == scale * ints[i] and scale > 0 (0 for the zero
         polynomial)."""
-        return self._ints
+        ints, sn, sd = self._ints
+        return ints, Fraction(sn, sd)
+
+    @staticmethod
+    def _from_ints(ints: list, sn: int, sd: int) -> "Polynomial":
+        """(sn / sd) * ints for a list of integers ints (trailing zeros
+        allowed; the list is consumed) and nonzero integers sn and sd: zeros
+        stripped, the content of ints moved into the scale, then as
+        `_from_primitive`."""
+        while ints and not ints[-1]:
+            ints.pop()
+        content = math.gcd(*ints)  # 0 when no entry is left: then sn = 0
+        if content != 1:
+            ints = [v // content for v in ints]
+            sn *= content
+        return Polynomial._from_primitive(ints, sn, sd)
+
+    @staticmethod
+    def _from_primitive(ints, sn: int, sd: int) -> "Polynomial":
+        """(sn / sd) * ints for primitive integers ints with a nonzero last
+        entry (or none, with sn = 0) and sd != 0, stored with the scale
+        made positive and reduced to coprime sn and sd."""
+        if sd < 0:
+            sn, sd = -sn, -sd
+        if sn < 0:
+            ints, sn = [-v for v in ints], -sn
+        g = math.gcd(sn, sd)
+        p = Polynomial.__new__(Polynomial)
+        p._n, p._ints = len(ints), (tuple(ints), sn // g, sd // g)
+        return p
 
     @staticmethod
     def _from_scaled(ints, scale: Fraction) -> "Polynomial":
-        """scale * ints, as `_set` stores it."""
-        p = Polynomial.__new__(Polynomial)
-        p._set(list(ints), scale)
-        return p
+        """scale * ints for a nonzero rational scale, as `_from_ints` stores it."""
+        return Polynomial._from_ints(list(ints), scale.numerator, scale.denominator)
 
     @staticmethod
     def const(c: RatLike) -> "Polynomial":
@@ -153,27 +164,31 @@ class Polynomial:
     def leading(self) -> Fraction:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        ints, scale = self._ints
-        return ints[-1] * scale
+        ints, sn, sd = self._ints
+        return Fraction(ints[-1] * sn, sd)
+
+    # Gauss's lemma: a product of primitive integer polynomials is
+    # primitive, and so is a quotient of one by another that divides it.
+    # Products, exact quotients, gcd cofactors, negation and t -> -t thus
+    # keep the content 1 and reduce only the scale pair.
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if other.is_zero():
             return self
         if self.is_zero():
             return other
-        a, sa = self._ints
-        b, sb = other._ints
-        # sa*a + sb*b over the common denominator of the two scales
-        ma = sa.numerator * sb.denominator
-        mb = sb.numerator * sa.denominator
+        a, an, ad = self._ints
+        b, bn, bd = other._ints
+        # (an/ad) a + (bn/bd) b over the common denominator ad * bd
+        ma, mb = an * bd, bn * ad
         out = [ma * v for v in a] + [0] * (len(b) - len(a))
         for i, v in enumerate(b):
             out[i] += mb * v
-        return Polynomial._from_scaled(out, Fraction(1, sa.denominator * sb.denominator))
+        return Polynomial._from_ints(out, 1, ad * bd)
 
     def __neg__(self) -> "Polynomial":
-        a, sa = self._ints
-        return Polynomial._from_scaled([-v for v in a], sa)
+        a, an, ad = self._ints
+        return Polynomial._from_primitive([-v for v in a], an, ad)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -181,40 +196,40 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero() or other.is_zero():
             return Polynomial()
-        a, sa = self._ints
-        b, sb = other._ints
+        a, an, ad = self._ints
+        b, bn, bd = other._ints
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return Polynomial._from_scaled(out, sa * sb)
+        return Polynomial._from_primitive(out, an * bn, ad * bd)
 
     def scale(self, c: RatLike) -> "Polynomial":
         c = rat(c)
         if not c or self.is_zero():
             return Polynomial()
-        a, sa = self._ints
-        return Polynomial._from_scaled(a, c * sa)
+        a, an, ad = self._ints
+        return Polynomial._from_primitive(a, c.numerator * an, c.denominator * ad)
 
     def __divmod__(self, other: "Polynomial"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        (a, sa), (b, sb) = self._ints, other._ints
-        # lc(b)**e * a = q * b + r on the images, so that
-        # self = (sa / (sb * lc**e)) q * other + (sa / lc**e) r
+        (a, an, ad), (b, bn, bd) = self._ints, other._ints
+        # lc(b)**e * a = q * b + r on the images, so that with sa = an/ad
+        # and sb = bn/bd, self = (sa / (sb * lc**e)) q * other + (sa / lc**e) r
         q, r, e = _int_pdivmod(a, b)
         m = b[-1] ** e
-        return Polynomial._from_scaled(q, sa / (sb * m)), Polynomial._from_scaled(r, sa / m)
+        return Polynomial._from_ints(q, an * bd, ad * bn * m), Polynomial._from_ints(r, an, ad * m)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         # exact divisions (the hot path after a gcd) take the synthetic
         # division; a remainder or a zero operand goes to `divmod`
         if self and other:
-            (a, sa), (b, sb) = self._ints, other._ints
+            (a, an, ad), (b, bn, bd) = self._ints, other._ints
             quo = _int_exact_div(a, b)
             if quo is not None:
-                return Polynomial._from_scaled(quo, sa / sb)
+                return Polynomial._from_primitive(quo, an * bd, ad * bn)
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
@@ -223,7 +238,8 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        return self.scale(1 / self.leading)
+        a = self._ints[0]
+        return Polynomial._from_primitive(a, 1, a[-1])
 
     def gcd(self, other: "Polynomial", cofactors: bool = False):
         """Monic gcd g, computed over Z on the primitive integer images
@@ -236,17 +252,18 @@ class Polynomial:
             return (g, self // g, other // g) if cofactors else g
         found = (Polynomial.ONE, self, other)
         if self.degree > 0 and other.degree > 0:
-            (a, sa), (b, sb) = self._ints, other._ints
+            (a, an, ad), (b, bn, bd) = self._ints, other._ints
             g, qa, qb = _int_poly_gcd_cofactors(a, b)
             if len(g) > 1:  # self = sa * g * qa = (g / lead) * (sa * lead * qa)
                 lead = g[-1]
-                found = (Polynomial._from_scaled(g, Fraction(1, lead)),
-                         Polynomial._from_scaled(qa, sa * lead), Polynomial._from_scaled(qb, sb * lead))
+                found = (Polynomial._from_primitive(g, 1, lead),
+                         Polynomial._from_primitive(qa, an * lead, ad),
+                         Polynomial._from_primitive(qb, bn * lead, bd))
         return found if cofactors else found[0]
 
     def derivative(self) -> "Polynomial":
-        a, sa = self._ints
-        return Polynomial._from_scaled([i * v for i, v in enumerate(a)][1:], sa)
+        a, an, ad = self._ints
+        return Polynomial._from_ints([i * v for i, v in enumerate(a)][1:], an, ad)
 
     def evaluate(self, point: RatLike) -> Fraction:
         """p(a/b) by homogeneous Horner on the integer image, one Fraction in all."""
@@ -254,17 +271,17 @@ class Polynomial:
         if self.is_zero():
             return Fraction(0)
         a, b = point.numerator, point.denominator
-        ints, scale = self._ints
+        ints, sn, sd = self._ints
         acc, power = 0, 1
         for c in reversed(ints):
             acc = acc * a + c * power
             power *= b
-        return Fraction(scale.numerator * acc, scale.denominator * (power // b))
+        return Fraction(sn * acc, sd * (power // b))
 
     def compose_negate(self) -> "Polynomial":
         """p(-t)."""
-        a, sa = self._ints
-        return Polynomial._from_scaled([(-v if i % 2 else v) for i, v in enumerate(a)], sa)
+        a, an, ad = self._ints
+        return Polynomial._from_primitive([(-v if i % 2 else v) for i, v in enumerate(a)], an, ad)
 
     def trailing_order(self) -> int:
         """Multiplicity of the root t = 0 (0 for nonzero constant term)."""
@@ -506,14 +523,14 @@ def rational_roots(p: Polynomial) -> dict:
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
-    ints = p._int_form()[0]
+    ints = p._ints[0]
     k = next(i for i, c in enumerate(ints) if c)
     roots = {Fraction(0): k} if k else {}
     ints = ints[k:]
     if len(ints) < 2:
         return roots
-    p = Polynomial._from_scaled(ints, Fraction(1))
-    f = p.gcd(p.derivative(), cofactors=True)[1]._int_form()[0]
+    p = Polynomial._from_primitive(ints, 1, 1)
+    f = p.gcd(p.derivative(), cofactors=True)[1]._ints[0]
     df = [i * c for i, c in enumerate(f)][1:]
     head, lead = abs(f[0]), abs(f[-1])
     q = 3
@@ -565,7 +582,7 @@ def has_real_root(p: Polynomial, lo: RatLike, hi: RatLike, depth: int = 20) -> b
     # so that the roots of p in [lo, hi] are those of q in [0, 1]
     d = math.lcm(lo.denominator, hi.denominator)
     a, w = lo.numerator * (d // lo.denominator), int((hi - lo) * d)
-    q = _int_compose_affine(p._int_form()[0], a, d, w)
+    q = _int_compose_affine(p._ints[0], a, d, w)
     if q[0] == 0 or sum(q) == 0:
         return True
     return _root_in_unit_interval(q, depth)
@@ -634,13 +651,13 @@ class RationalFunction:
             self.num = Polynomial.ZERO
             self.den = Polynomial.ONE
             return
-        d, sd = den._int_form()
+        d, dn, dd = den._ints
         lead = d[-1]
-        if sd.numerator != 1 or sd.denominator != lead:  # den is not monic
-            # den / (sd * lead) is d / lead: the scale moves to num alone
-            n, sn = num._int_form()
-            num = Polynomial._from_scaled(n, sn / (sd * lead))
-            den = Polynomial._from_scaled(d, Fraction(1, lead))
+        if dn != 1 or dd != lead:  # den is not monic
+            # den / ((dn / dd) * lead) is d / lead: the scale moves to num alone
+            n, nn, nd = num._ints
+            num = Polynomial._from_primitive(n, nn * dd, nd * dn * lead)
+            den = Polynomial._from_primitive(d, 1, lead)
         self.num = num
         self.den = den
 

@@ -389,6 +389,56 @@ def test_every_route_to_a_polynomial_gives_one_image(coeffs, other):
         assert r.coeffs == p.coeffs
 
 
+def _assert_stored_reduced(p):
+    """The scale pair is coprime and positive, the image primitive, and the
+    state the one that `Polynomial(p.coeffs)` builds from scratch."""
+    ints, sn, sd = p._ints
+    if ints:
+        assert math.gcd(sn, sd) == 1 and sn > 0 and sd > 0
+        assert math.gcd(*ints) == 1 and ints[-1]
+    else:
+        assert (sn, sd) == (0, 1)
+    fresh = Polynomial(p.coeffs)
+    assert fresh._ints == p._ints
+    assert fresh == p and hash(fresh) == hash(p) and fresh.coeffs == p.coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.lists(_FRACTIONS, max_size=6),
+       b=st.lists(_FRACTIONS, min_size=1, max_size=4).filter(any),
+       common=st.lists(_FRACTIONS, min_size=2, max_size=3).filter(lambda cs: cs[-1]),
+       c=_FRACTIONS.filter(bool))
+@example(a=[F(3, 4), F(-6, 5)], b=[F(-2, 3)], common=[F(1), F(-7, 2)], c=F(-9, 4))
+@example(a=[], b=[F(5), F(-10)], common=[F(0), F(-3)], c=F(1))
+def test_every_arithmetic_route_stores_a_reduced_scale_pair(a, b, common, c):
+    # each route is checked against its Fraction reference, and its stored
+    # state against the one built from those coefficients
+    p, q, g = Polynomial(a), Polynomial(b), Polynomial(common)
+    prod = p * q
+    want = [F(0)] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for i, x in enumerate(p.coeffs):
+        for j, y in enumerate(q.coeffs):
+            want[i + j] += x * y
+    assert prod == Polynomial(want)
+    quo, rem = divmod(p, q)
+    assert quo * q + rem == p and prod // q == p
+    pg, qg = p * g, q * g
+    gcd, pa, qb = pg.gcd(qg, cofactors=True)
+    assert gcd.leading == 1 and gcd * pa == pg and gcd * qb == qg
+    assert p.derivative().coeffs == tuple(i * x for i, x in enumerate(p.coeffs))[1:]
+    assert p.compose_negate().coeffs == tuple(-x if i % 2 else x for i, x in enumerate(p.coeffs))
+    negative = -abs(c)
+    assert p.scale(negative).coeffs == tuple(negative * x for x in p.coeffs)
+    f = RationalFunction(pg, qg)
+    assert f.num * qg == f.den * pg
+    if f.num:
+        d = f.den._ints
+        assert d[1:] == (1, d[0][-1])  # monic: (sn, sd) == (1, lead)
+    for r in (prod, prod // q, quo, rem, gcd, pa, qb, p.derivative(), p.compose_negate(),
+              p.scale(negative), p.scale(c), -p, p + q, q.monic(), f.num, f.den):
+        _assert_stored_reduced(r)
+
+
 def _fraction_divmod(a, b):
     """Long division on the Fraction coefficients: the reference for
     `divmod`, which divides the integer images."""

@@ -49,3 +49,24 @@ def test_every_private_function_and_class_has_a_caller():
                     and everywhere[node.name] == list(_names(node)).count(node.name)):
                 uncalled.append(f"{module}:{node.name}")
     assert uncalled == []
+
+
+# The arithmetic under every Bäcklund letter works on a primitive integer
+# image and a scale held as two coprime integers, so it builds no Fraction.
+# `leading`, `evaluate`, `coeffs` and `_int_form` return rationals, and
+# `_from_scaled` takes one, so they stay out.
+INTEGER_ONLY = {
+    "Polynomial": ("_from_ints", "_from_primitive", "__add__", "__neg__", "__sub__", "__mul__",
+                   "scale", "__divmod__", "__floordiv__", "__mod__", "monic", "gcd", "derivative",
+                   "compose_negate"),
+    "RationalFunction": ("_set_canonical", "_coprime"),
+}
+
+
+def test_polynomial_arithmetic_names_no_fraction():
+    methods = {(cls.name, node.name): node
+               for cls in SOURCES["exactmath.py"].body if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)}
+    listed = [(cls, name) for cls, names in INTEGER_ONLY.items() for name in names]
+    assert [key for key in listed if key not in methods] == []
+    assert [key for key in listed if "Fraction" in set(_names(methods[key]))] == []
