@@ -253,8 +253,13 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
             if request["subcommand"] not in _RUNNERS:  # "-h" would print the help
                 raise UsageError(f"unknown subcommand {request['subcommand']!r}; "
                                  f"expected one of {', '.join(_RUNNERS)}")
+            options = ("system", "alphas", "word", "solution", "at", "order")
+            for key in request:
+                if key not in ("subcommand", "json", *options):
+                    raise UsageError(f"unknown request key {key!r}; expected subcommand, json, "
+                                     + ", ".join(options))
             argv = [request["subcommand"]]
-            for key in ("system", "alphas", "word", "solution", "at"):
+            for key in options:
                 if key in request:
                     value = request[key]
                     if key == "alphas" and isinstance(value, list):
@@ -266,8 +271,6 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
                     # one token, so that a value starting with "-" is not
                     # taken for an option
                     argv.append(f"--{key}={value}")
-            if "order" in request:
-                argv.append(f"--order={request['order']}")
             if request.get("json"):
                 argv += ["--json"]
             code = _dispatch(parser.parse_args(argv))

@@ -14,10 +14,11 @@ Representation invariants:
   * ``RationalFunction`` stores num/den with gcd(num, den) = 1 and a
     monic denominator; this canonical form makes ``==`` structural.
   * ``LaurentSeries`` is a finite coefficient window of the expansion of
-    a rational function at t = 0, t = infinity, or a finite point c.
-    At infinity the window runs in descending powers of t.  Sums and
-    products keep the window both operands support; a coefficient read
-    outside it raises.
+    a rational function at t = 0, t = infinity, or a finite point c, a
+    series in the local parameter u = t, 1/t or t - c.  One sign,
+    ``ExpansionPoint._sign``, orients it: at infinity the window runs in
+    descending powers of t.  Sums and products keep the window both
+    operands support; a coefficient read outside it raises.
 """
 
 from __future__ import annotations
@@ -371,30 +372,6 @@ def _int_poly_gcd_cofactors(a, b):
     return g, _int_exact_div(a, g), _int_exact_div(b, g)
 
 
-def _mod_gcd_degree(a, b, p: int) -> int:
-    """Degree of gcd(a mod p, b mod p) over GF(p), for polynomials whose
-    images are nonzero (primitive inputs); plain Python ints throughout."""
-    f = [c % p for c in a]
-    g = [c % p for c in b]
-    while f and not f[-1]:
-        f.pop()
-    while g and not g[-1]:
-        g.pop()
-    while g:
-        inv = pow(g[-1], -1, p)
-        low = [c * inv % p for c in g[:-1]]  # g made monic, leading 1 implied
-        m = len(low)
-        while len(f) > m:
-            top = f.pop()
-            if top:
-                k = len(f) - m
-                f[k:] = [(x - top * c) % p for x, c in zip(f[k:], low)]
-        while f and not f[-1]:
-            f.pop()
-        f, g = g, f
-    return len(f) - 1
-
-
 def _heuristic_gcd_cofactors(a, b):
     """Heuristic gcd of Char, Geddes and Gonnet (1984) with its cofactors,
     (g, a / g, b / g); None on failure.
@@ -511,13 +488,14 @@ def rational_roots(p: Polynomial) -> dict:
 
     Let f be the primitive integer image of the square-free part of p
     without its roots at 0, and q the smallest odd prime with q not
-    dividing lc(f) and f mod q square-free.  Every root a/b in lowest
-    terms is found: bt - a divides f over Z (Gauss's lemma), so b | lc(f)
-    and a | f(0); b is invertible mod q, so a * b**-1 is a root of f mod q,
-    and a simple one; a simple root lifts to exactly one root mod every
-    power M of q, which must then be a * b**-1 mod M; and once
-    M > 2 |f(0)| |lc(f)| >= 2 |a| |b|, a/b is the only fraction with
-    |a| <= |f(0)| and 0 < b <= |lc(f)| congruent to the lift, so the
+    dividing lc(f) and every root of f mod q simple (f' nonzero there),
+    which holds for every q prime to the discriminant of f.  Every root
+    a/b in lowest terms is found: bt - a divides f over Z (Gauss's lemma),
+    so b | lc(f) and a | f(0); b is invertible mod q, so a * b**-1 is a
+    root of f mod q, hence a simple one; a simple root lifts to exactly
+    one root mod every power M of q, which must then be a * b**-1 mod M;
+    and once M > 2 |f(0)| |lc(f)| >= 2 |a| |b|, a/b is the only fraction
+    with |a| <= |f(0)| and 0 < b <= |lc(f)| congruent to the lift, so the
     reconstruction returns it.  A candidate counts only if bt - a divides
     p exactly, and the number of divisions is its multiplicity.
     """
@@ -534,12 +512,13 @@ def rational_roots(p: Polynomial) -> dict:
     df = [i * c for i, c in enumerate(f)][1:]
     head, lead = abs(f[0]), abs(f[-1])
     q = 3
-    while (any(q % d == 0 for d in range(3, math.isqrt(q) + 1, 2))
-           or lead % q == 0 or _mod_gcd_degree(f, df, q)):
+    while True:
+        if lead % q and all(q % d for d in range(3, math.isqrt(q) + 1, 2)):
+            roots_mod_q = [x for x in range(q) if not _eval_mod(f, x, q)]
+            if all(_eval_mod(df, x, q) for x in roots_mod_q):
+                break
         q += 2
-    for x in range(q):
-        if _eval_mod(f, x, q):
-            continue
+    for x in roots_mod_q:
         m = q
         while m <= 2 * head * lead:  # Newton: a root mod m lifts to one mod m**2
             m *= m
@@ -564,14 +543,17 @@ def _eval_mod(a, x: int, m: int) -> int:
     return acc
 
 
-def has_real_root(p: Polynomial, lo: RatLike, hi: RatLike, depth: int = 20) -> bool:
+_BISECTIONS = 20
+
+
+def has_real_root(p: Polynomial, lo: RatLike, hi: RatLike) -> bool:
     """Whether p has a real root in the closed interval [lo, hi], decided
     in integer arithmetic by Descartes' rule of signs with bisection.
 
     A sign-variation count of 0 proves an interval root-free and 1 proves
-    one root in it.  A count of 2 or more that survives `depth` halvings
-    (width (hi - lo) / 2**depth) comes from a multiple root or a cluster
-    of roots within that width of the real axis and answers True.
+    one root in it.  A count of 2 or more that survives `_BISECTIONS`
+    halvings (width (hi - lo) / 2**20) comes from a multiple root or a
+    cluster of roots within that width of the real axis and answers True.
     """
     lo, hi = rat(lo), rat(hi)
     if p.is_zero():
@@ -585,7 +567,7 @@ def has_real_root(p: Polynomial, lo: RatLike, hi: RatLike, depth: int = 20) -> b
     q = _int_compose_affine(p._ints[0], a, d, w)
     if q[0] == 0 or sum(q) == 0:
         return True
-    return _root_in_unit_interval(q, depth)
+    return _root_in_unit_interval(q, _BISECTIONS)
 
 
 def _int_compose_affine(ints, a: int, d: int, w: int) -> list:
@@ -749,8 +731,6 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other is self:  # a square: num and den are coprime already
-            return RationalFunction._coprime(self.num * self.num, self.den * self.den)
         _, a, b = self.num.gcd(other.den, cofactors=True)
         _, c, d = other.num.gcd(self.den, cofactors=True)
         return RationalFunction._coprime(a * c, d * b)
@@ -844,6 +824,12 @@ class ExpansionPoint(Record):
             return f"Finite({rat_str(self.c)})"
         return self.kind.capitalize()
 
+    @property
+    def _sign(self) -> int:
+        """Orientation of series here: exponents of t are _sign times those of
+        the local parameter u, 1/t at infinity (-1), t or t - c elsewhere."""
+        return -1 if self.kind == "infinity" else 1
+
 
 ZERO_POINT = ExpansionPoint("zero")
 INFINITY = ExpansionPoint("infinity")
@@ -869,23 +855,17 @@ class LaurentSeries(Record):
         self._fill(point, lead, coeffs, order)
 
     def exponents(self):
-        step = -1 if self.point.kind == "infinity" else 1
+        step = self.point._sign
         return range(self.lead, self.lead + step * len(self.coeffs), step)
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of exponent k; raises outside the known window."""
-        if self.point.kind == "infinity":
-            if k > self.lead:
-                return Fraction(0)
-            if k < self.order:
-                raise ValueError(f"exponent {k} below truncation {self.order}")
-            i = self.lead - k
-        else:
-            if k < self.lead:
-                return Fraction(0)
-            if k > self.order:
-                raise ValueError(f"exponent {k} above truncation {self.order}")
-            i = k - self.lead
+        sign = self.point._sign
+        i = sign * (k - self.lead)
+        if i < 0:
+            return Fraction(0)
+        if sign * (k - self.order) > 0:
+            raise ValueError(f"exponent {k} {'below' if sign < 0 else 'above'} truncation {self.order}")
         return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
 
     def __add__(self, other) -> "LaurentSeries":
@@ -897,9 +877,10 @@ class LaurentSeries(Record):
             return NotImplemented
         elif self.point != other.point:
             raise ValueError("series expanded at different points")
-        pick = max if self.point.kind == "infinity" else min
+        sign = self.point._sign
+        pick = min if sign > 0 else max
         lead, order = pick(self.lead, other.lead), pick(self.order, other.order)
-        out = [Fraction(0)] * max((lead - order if pick is max else order - lead) + 1, 0)
+        out = [Fraction(0)] * max(sign * (order - lead) + 1, 0)
         for s in (self, other):
             off = abs(s.lead - lead)  # where s's coefficients start in out
             for k, c in enumerate(s.coeffs[:max(len(out) - off, 0)], off):
@@ -928,11 +909,10 @@ class LaurentSeries(Record):
             return NotImplemented
         if self.point != other.point:
             raise ValueError("series expanded at different points")
-        at_inf = self.point.kind == "infinity"
+        sign = self.point._sign
         lead = self.lead + other.lead
-        order = (max if at_inf else min)(self.order + other.lead, other.order + self.lead)
-        n = (lead - order if at_inf else order - lead) + 1
-        out = [Fraction(0)] * max(n, 0)
+        order = (min if sign > 0 else max)(self.order + other.lead, other.order + self.lead)
+        out = [Fraction(0)] * max(sign * (order - lead) + 1, 0)
         for i, a in enumerate(self.coeffs[:len(out)]):
             if not a:
                 continue
@@ -945,7 +925,7 @@ class LaurentSeries(Record):
 
 
 def _normalize_series(point, lead, coeffs, order) -> LaurentSeries:
-    step = -1 if point.kind == "infinity" else 1
+    step = point._sign
     i = 0
     while i < len(coeffs) and coeffs[i] == 0:
         i += 1
@@ -955,62 +935,54 @@ def _normalize_series(point, lead, coeffs, order) -> LaurentSeries:
 
 
 def _series_quotient(n, d, scale: Fraction, terms: int) -> list:
-    """Power-series coefficients at t = 0 of scale * n/d, for integer
-    coefficient lists n and d; d[0] must be nonzero.  Over Z,
-    u_k = d0**(k+1) [t**k](n/d) = d0**k n_k - sum_(j>=1) d_j d0**(j-1) u_(k-j),
+    """Power-series coefficients at u = 0 of scale * n/d, for integer
+    coefficient lists n and d in u; d[0] must be nonzero.  Over Z,
+    v_k = d0**(k+1) [u**k](n/d) = d0**k n_k - sum_(j>=1) d_j d0**(j-1) v_(k-j),
     so each coefficient takes one Fraction."""
     d0 = d[0]
     if not d0:
         raise ValueError("denominator vanishes at the expansion point")
     dj = [c * d0 ** j for j, c in enumerate(d[1:terms])]  # d_(j+1) d0**j
-    u, power = [], 1
+    v, power = [], 1
     for k in range(terms):
-        u.append((n[k] * power if k < len(n) else 0) - sum(c * v for c, v in zip(dj, reversed(u))))
+        v.append((n[k] * power if k < len(n) else 0) - sum(c * w for c, w in zip(dj, reversed(v))))
         power *= d0
-    return [Fraction(v * scale.numerator, scale.denominator * d0 ** (k + 1)) for k, v in enumerate(u)]
+    return [Fraction(w * scale.numerator, scale.denominator * d0 ** (k + 1)) for k, w in enumerate(v)]
 
 
 def laurent_expand(f: RationalFunction, point: ExpansionPoint, order: int | None = None) -> LaurentSeries:
     """Laurent expansion of f at the point, truncated at ``order``.
 
-    At finite points the window keeps exponents lead..order (ascending);
-    at infinity ``order`` bounds the depth in powers of 1/t: exponents
-    lead..-order (descending) are kept.  By default the window extends 8
-    exponents past the lead.
+    At t = 0 and finite points the window keeps exponents lead..order
+    (ascending); at infinity ``order`` bounds the depth in powers of 1/t:
+    exponents lead..-order (descending) are kept.  By default the window
+    extends 8 exponents past the lead.  Every point takes one power-series
+    quotient in its local parameter u (t, 1/t or t - c).
     """
+    sign = point._sign
     if f.is_zero():
-        edge = 0 if order is None else -order if point.kind == "infinity" else order
+        edge = 0 if order is None else sign * order
         return LaurentSeries(point, edge, (), edge)
-
-    if point.kind == "finite":
-        # f(t + a/b): b**n p(t + a/b) is an integer Taylor shift of the
-        # integer image, and a shift keeps num and den coprime
-        a, b = point.c.numerator, point.c.denominator
-        num, den = (Polynomial._from_scaled(_int_compose_affine(v, a, b, b), s / b ** (len(v) - 1))
-                    for v, s in (f.num._int_form(), f.den._int_form()))
-        inner = laurent_expand(RationalFunction._coprime(num, den), ZERO_POINT, order)
-        return LaurentSeries(point, inner.lead, inner.coeffs, inner.order)
-
-    (n, sn), (d, sd) = f.num._int_form(), f.den._int_form()
-    if point.kind == "zero":
-        a = f.num.trailing_order()
-        b = f.den.trailing_order()
-        lead = a - b
-        if order is None:
-            order = lead + 8
-        if order < lead:
-            return LaurentSeries(point, order, (), order)
-        coeffs = _series_quotient(n[a:], d[b:], sn / sd, order - lead + 1)
-        return _normalize_series(point, lead, coeffs, order)
-
-    # Infinity: substitute s = 1/t, expand at s = 0, then flip exponents;
-    # f(1/s) = s**(deg den - deg num) * (reversed num) / (reversed den)
-    lead_t = len(n) - len(d)
-    low = -order if order is not None else lead_t - 8
-    if low > lead_t:
-        return LaurentSeries(point, low, (), low)
-    coeffs = _series_quotient(n[::-1], d[::-1], sn / sd, lead_t - low + 1)
-    return _normalize_series(point, lead_t, coeffs, low)
+    # f = scale * n(u) / d(u) over integer lists in the local parameter u
+    (n, nn, nd), (d, dn, dd) = f.num._ints, f.den._ints
+    b = point.c.denominator if point.kind == "finite" else 1
+    scale = Fraction(nn * dd * b ** len(d), nd * dn * b ** len(n))
+    if point.kind == "infinity":
+        # u**m f(1/u) has the reversed images padded to one length m
+        m = max(len(n), len(d))
+        n, d = ((0,) * (m - len(v)) + v[::-1] for v in (n, d))
+    elif point.kind == "finite":
+        # b**deg v(u + a/b) is an integer Taylor shift of each image v
+        n, d = (_int_compose_affine(v, point.c.numerator, b, b) for v in (n, d))
+    i = next(k for k, c in enumerate(n) if c)
+    j = next(k for k, c in enumerate(d) if c)
+    lead = i - j
+    if order is None:
+        order = lead + 8
+    if order < lead:
+        return LaurentSeries(point, sign * order, (), sign * order)
+    coeffs = _series_quotient(n[i:], d[j:], scale, order - lead + 1)
+    return _normalize_series(point, sign * lead, coeffs, sign * order)
 
 
 def residue(f: RationalFunction, c: RatLike) -> Fraction:

@@ -27,8 +27,9 @@ from fractions import Fraction
 from ._record import Record
 from .exactmath import (
     INFINITY,
-    LaurentSeries,
+    RationalFunction,
     ZERO_POINT,
+    float_function,
     has_real_root,
     is_integer,
     laurent_expand,
@@ -68,12 +69,11 @@ def _expansions(sol: SolutionTuple, point):
     t), lets each factor reach past the poles of the three others.  Too
     short a window makes `coefficient(0)` raise, never answer wrongly.
     """
-    at_inf = point == INFINITY
-    depth = 3 * max([1] + [c.num.degree - c.den.degree if at_inf
+    depth = 3 * max([1] + [c.num.degree - c.den.degree if point == INFINITY
                            else c.den.trailing_order() - c.num.trailing_order()
                            for c in sol.components() if c]) + 1
-    t = LaurentSeries(point, 1, (Fraction(1),), -depth if at_inf else depth)
-    return (t, *(laurent_expand(c, point, order=depth) for c in sol.components()))
+    return tuple(laurent_expand(c, point, order=depth)
+                 for c in (RationalFunction.t(), *sol.components()))
 
 
 class InvariantReport(Record):
@@ -312,8 +312,7 @@ def numeric_crosscheck(
         start = [float(c.evaluate(t0)) for c in sol.components()]
         if initial_offset is not None:
             start = [v + float(o) for v, o in zip(start, initial_offset)]
-        coeffs = [[[float(c) for c in reversed(p.coeffs)] for p in (comp.num, comp.den)]
-                  for comp in sol.components()]
+        exact = [float_function(comp) for comp in sol.components()]
     except OverflowError:
         raise IntegratorFailed(
             "an alpha, start value, offset or coefficient is outside the float range") from None
@@ -326,12 +325,7 @@ def numeric_crosscheck(
     states = [start] + _dopri5(rhs, samples[0], start, samples[1:], rtol=1e-12, atol=1e-12)
     worst = None  # max() of the deviations in the check's domain: a NaN wins only if first
     for t, state in zip(samples, states):
-        for v, (num, den) in zip(state, coeffs):
-            n = d = 0.0  # Horner, as `float_function` runs it
-            for c in num:
-                n = n * t + c
-            for c in den:
-                d = d * t + c
-            deviation = abs(min(max(v, -1e6), 1e6) - min(max(n / d, -1e6), 1e6))
+        for v, value in zip(state, exact):
+            deviation = abs(min(max(v, -1e6), 1e6) - min(max(value(t), -1e6), 1e6))
             worst = deviation if worst is None or deviation > worst else worst
     return worst

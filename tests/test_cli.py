@@ -538,3 +538,24 @@ def test_verify_fails_the_crosscheck_for_values_outside_the_float_range(capsys, 
                                  "solution": str(solution), "json": True}) + "\n")
     code, report = run_json(capsys, "--batch", str(batch))
     assert code == 1 and report["checks"]["numeric_crosscheck"] is False
+
+
+def test_batch_names_a_request_key_no_subcommand_takes(capsys, tmp_path):
+    # "ordre" for "order" is a usage error as an option, and so in a batch
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps(_SEED))
+    request = {"solution": str(solution), "at": "inf"}
+    assert main(["expand", *(f"--{key}={value}" for key, value in request.items()),
+                 "--ordre=1", "--json"]) == 2
+    capsys.readouterr()
+
+    lines = [{"subcommand": "expand", **request, "ordre": 1, "json": True},
+             {"subcommand": "expand", **request, "order": 1, "json": True}]
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    code, out = run(capsys, "--batch", str(batch))
+    assert code == 2
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert rows[0] == {"error": "unknown request key 'ordre'; expected subcommand, json, "
+                                "system, alphas, word, solution, at, order"}
+    assert rows[1]["x"]["order"] == -1 and set(rows[1]) == set("xyzw")

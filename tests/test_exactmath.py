@@ -171,6 +171,18 @@ def test_rational_roots_with_large_or_divisor_rich_extremes(factors, roots):
     assert rational_roots(_from_factors(*factors).scale(F(-7, 3))) == roots
 
 
+@pytest.mark.parametrize("factors, roots", [
+    # t**2 + 4 = t**2 + 1 mod 3, so f mod 3 is not square-free, but its one
+    # root mod 3, that of 2t - 1, is simple: 3 serves as the prime
+    ([(1, 0, 1), (4, 0, 1), (-1, 2)], {F(1, 2): 1}),
+    ([(1, 0, 1), (4, 0, 1), (-1, 2), (-1, 2)], {F(1, 2): 2}),
+    # the roots 1 and 4 meet mod 3 in a double root: 3 must be refused
+    ([(-1, 1), (-4, 1)], {F(1): 1, F(4): 1}),
+])
+def test_rational_roots_need_only_the_roots_mod_the_prime_simple(factors, roots):
+    assert rational_roots(_from_factors(*factors)) == roots
+
+
 _BIG = st.integers(-2 ** 80, 2 ** 80)
 
 
@@ -634,3 +646,30 @@ def test_series_arithmetic_matches_expansion_of_the_result(f, g, c, point, order
     ]
     for got, exact in cases:
         assert got == laurent_expand(exact, point, _window_arg(got))
+
+
+def _inverted(p):
+    """p(1/u) as a rational function of u, term by term."""
+    return sum((RF.t(-i, a) for i, a in enumerate(p.coeffs)), RF.ZERO)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_rational_functions(), c=_SMALL, order=st.one_of(st.none(), st.integers(-4, 6)))
+@example(f=RF.ZERO, c=F(1, 2), order=None)
+@example(f=RF.t(-2) / (T - F(1, 2)), c=F(1, 2), order=-3)
+def test_expansions_are_expansions_at_zero_in_the_local_parameter(f, c, order):
+    # at c: the expansion at t = 0 of f(t + c), shifted by Horner on Polynomials
+    got = laurent_expand(f, finite_point(c), order)
+    want = laurent_expand(RF(_horner_shift(f.num, c), _horner_shift(f.den, c)), ZERO_POINT, order)
+    assert (got.lead, got.coeffs, got.order) == (want.lead, want.coeffs, want.order)
+    assert list(got.exponents()) == list(want.exponents())
+    for s in (got, want):
+        with pytest.raises(ValueError, match=f"^exponent {want.order + 1} above truncation {want.order}$"):
+            s.coefficient(want.order + 1)
+    # at infinity: the expansion at u = 0 of f(1/u), its exponents negated
+    got = laurent_expand(f, INFINITY, order)
+    want = laurent_expand(_inverted(f.num) / _inverted(f.den), ZERO_POINT, order)
+    assert (got.lead, got.coeffs, got.order) == (-want.lead, want.coeffs, -want.order)
+    assert list(got.exponents()) == [-k for k in want.exponents()]
+    with pytest.raises(ValueError, match=f"^exponent {got.order - 1} below truncation {got.order}$"):
+        got.coefficient(got.order - 1)

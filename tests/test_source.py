@@ -1,7 +1,8 @@
 """Source hygiene of the package, read with `ast`: every import in a module
-is used there, and every private top-level function or class is called
-from somewhere in the package, not only from itself.  A move between
-modules leaves such remnants behind."""
+is used there, every private top-level function or class is called
+from somewhere in the package, not only from itself, and every private
+module-level constant is read somewhere in it.  A move between modules
+leaves such remnants behind."""
 
 import ast
 from collections import Counter
@@ -49,6 +50,24 @@ def test_every_private_function_and_class_has_a_caller():
                     and everywhere[node.name] == list(_names(node)).count(node.name)):
                 uncalled.append(f"{module}:{node.name}")
     assert uncalled == []
+
+
+def test_every_private_constant_is_read():
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in SOURCES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, tree in SOURCES.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name) and name.id.startswith("_")
+                            and not name.id.startswith("__") and name.id not in read):
+                        unread.append(f"{module}:{name.id}")
+    assert unread == []
 
 
 # The arithmetic under every Bäcklund letter works on a primitive integer
