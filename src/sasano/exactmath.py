@@ -121,11 +121,6 @@ class Polynomial:
         return p
 
     @staticmethod
-    def _from_scaled(ints, scale: Fraction) -> "Polynomial":
-        """scale * ints for a nonzero rational scale, as `_from_ints` stores it."""
-        return Polynomial._from_ints(list(ints), scale.numerator, scale.denominator)
-
-    @staticmethod
     def const(c: RatLike) -> "Polynomial":
         return Polynomial([rat(c)])
 
@@ -224,13 +219,6 @@ class Polynomial:
         return Polynomial._from_ints(q, an * bd, ad * bn * m), Polynomial._from_ints(r, an, ad * m)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        # exact divisions (the hot path after a gcd) take the synthetic
-        # division; a remainder or a zero operand goes to `divmod`
-        if self and other:
-            (a, an, ad), (b, bn, bd) = self._ints, other._ints
-            quo = _int_exact_div(a, b)
-            if quo is not None:
-                return Polynomial._from_primitive(quo, an * bd, ad * bn)
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
@@ -244,9 +232,9 @@ class Polynomial:
 
     def gcd(self, other: "Polynomial", cofactors: bool = False):
         """Monic gcd g, computed over Z on the primitive integer images
-        (see `_int_poly_gcd_cofactors`: the heuristic gcd, the subresultant
-        sequence as the fallback) to avoid the coefficient blow-up of the
-        plain Euclidean algorithm over Q.  With cofactors=True, (g, self / g,
+        (see `_int_poly_gcd_cofactors`: the heuristic gcd, whose loop
+        provably ends) to avoid the coefficient blow-up of the plain
+        Euclidean algorithm over Q.  With cofactors=True, (g, self / g,
         other / g): the kernel has found the quotients while verifying g."""
         if self.is_zero() or other.is_zero():
             g = other.monic() if self.is_zero() else self.monic()
@@ -356,25 +344,8 @@ def _int_pdivmod(a, b):
 
 def _int_poly_gcd_cofactors(a, b):
     """(g, a / g, b / g) for primitive integer polynomials a and b, with g
-    their primitive gcd up to sign.
-
-    The heuristic gcd settles nearly every pair; the subresultant
-    remainder sequence is the deterministic fallback, and only its gcd is
-    divided out afresh.
-    """
-    if len(a) < len(b):
-        g, qb, qa = _int_poly_gcd_cofactors(b, a)
-        return g, qa, qb
-    found = _heuristic_gcd_cofactors(a, b)
-    if found is not None:
-        return found
-    g = _int_poly_gcd_subresultant(list(a), list(b))
-    return g, _int_exact_div(a, g), _int_exact_div(b, g)
-
-
-def _heuristic_gcd_cofactors(a, b):
-    """Heuristic gcd of Char, Geddes and Gonnet (1984) with its cofactors,
-    (g, a / g, b / g); None on failure.
+    their primitive gcd up to sign: the heuristic gcd of Char, Geddes and
+    Gonnet (1984).
 
     At an integer x >= 2R + 2, R a bound on the roots of b, the value of a
     common factor of degree >= 1 exceeds x / 2 in size and divides h =
@@ -387,7 +358,17 @@ def _heuristic_gcd_cofactors(a, b):
     the roots too (Cauchy): there the primitive part of the balanced
     base-x digits of h is the gcd whenever it divides both inputs, so a
     verified candidate is never wrong.
+
+    The loop ends (J. Symb. Comput. 7, 1989): with a = g A and b = g B,
+    h = |g(x)| e for e = gcd(A(x), B(x)), a divisor of Res(A, B) != 0.
+    Once x > 2 e |g| (max norm), the digits of h read e g up to sign, whose
+    primitive part is g; and h == |b(x)| needs e = |B(x)|, which fails once
+    |B(x)| > |Res(A, B)| unless B is a constant and b divides a.  x grows
+    at least fourfold per round: the rounds are logarithmic in |Res| |g|.
     """
+    if len(a) < len(b):
+        g, qb, qa = _int_poly_gcd_cofactors(b, a)
+        return g, qa, qb
     norm_bits = (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
     k = _root_bits(b)
     if k < norm_bits:
@@ -401,7 +382,7 @@ def _heuristic_gcd_cofactors(a, b):
             if qa is not None:
                 return b, qa, [1]
     k = norm_bits
-    for _ in range(6):
+    while True:
         vb = _int_pack(b, k)
         h = math.gcd(_int_pack(a, k), vb)
         if not h >> (k - 1):  # one balanced digit: coprime
@@ -422,7 +403,6 @@ def _heuristic_gcd_cofactors(a, b):
                 if qb is not None:
                     return cand, qa, qb
         k += k // 4 + 2  # the published growth of xi, in bits
-    return None
 
 
 def _root_bits(a) -> int:
@@ -462,23 +442,6 @@ def _int_unpack(h: int, k: int) -> list:
             h += 1
         digits.append(d)
     return digits
-
-
-def _int_poly_gcd_subresultant(a: list, b: list) -> list:
-    g = h = 1
-    while True:
-        if len(b) == 1:
-            return [1]  # nonzero constant remainder: coprime
-        delta = (len(a) - 1) - (len(b) - 1)
-        r = _int_pdivmod(a, b)[1]
-        if not r:
-            content = math.gcd(*b)
-            return [c // content for c in b]
-        divisor = g * h ** delta
-        a, b = b, [c // divisor for c in r]
-        g = a[-1]
-        if delta > 0:
-            h = g ** delta // h ** (delta - 1)
 
 
 def rational_roots(p: Polynomial) -> dict:
@@ -766,9 +729,6 @@ class RationalFunction:
         if d == 0:
             raise ZeroDivisionError(f"pole at t = {rat_str(point)}")
         return self.num.evaluate(point) / d
-
-    def evaluate_float(self, point: float) -> float:
-        return float_function(self)(point)
 
     def substitute_negate(self) -> "RationalFunction":
         """f(-t)."""

@@ -1,9 +1,11 @@
 """The integer polynomial gcd kernel against the subresultant reference.
 
 Inputs carry a planted common factor and mix small coefficients with ones
-past 2**64, so that the heuristic gcd, its coprime and divisor exits and
-its fallback all run; products of factors with small roots give
+past 2**64, so that the heuristic gcd's coprime and divisor exits and its
+retries at a wider xi all run; products of factors with small roots give
 coefficients wide against the roots, where the first point is narrow.
+The subresultant remainder sequence below is the reference only: the
+kernel has no other path.
 """
 
 import math
@@ -12,14 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sasano import Polynomial, exactmath
-from sasano.exactmath import (
-    _heuristic_gcd_cofactors,
-    _int_pack,
-    _int_poly_gcd_cofactors,
-    _int_poly_gcd_subresultant,
-    _int_unpack,
-    _root_bits,
-)
+from sasano.exactmath import _int_pack, _int_pdivmod, _int_poly_gcd_cofactors, _int_unpack, _root_bits
 
 
 @st.composite
@@ -45,6 +40,24 @@ def _normal(a):
     return [c // content for c in a]
 
 
+def _int_poly_gcd_subresultant(a, b):
+    """Primitive gcd up to sign by the subresultant remainder sequence, for
+    len(a) >= len(b) >= 1."""
+    g = h = 1
+    while True:
+        if len(b) == 1:
+            return [1]  # nonzero constant remainder: coprime
+        delta = len(a) - len(b)
+        r = _int_pdivmod(a, b)[1]
+        if not r:
+            return _normal(b)
+        divisor = g * h ** delta
+        a, b = b, [c // divisor for c in r]
+        g = a[-1]
+        if delta > 0:
+            h = g ** delta // h ** (delta - 1)
+
+
 def _reference(a, b):
     if len(a) < len(b):
         a, b = b, a
@@ -59,9 +72,7 @@ def test_gcd_matches_subresultant_reference(g, u, v):
     expected = _reference(a, b)
     assert len(expected) >= len(_normal(g))
     assert _normal(_int_poly_gcd_cofactors(a, b)[0]) == expected
-    big, small = (a, b) if len(a) >= len(b) else (b, a)
-    heuristic = _heuristic_gcd_cofactors(big, small)
-    assert heuristic is None or _normal(heuristic[0]) == expected
+    assert _normal(_int_poly_gcd_cofactors(b, a)[0]) == expected
 
 
 # the cases below mislead a gcd taken modulo this prime
@@ -102,19 +113,7 @@ def _spy(monkeypatch, name):
 ])
 def test_heuristic_gcd_candidates(a, b, gcd):
     assert _reference(a, b) == gcd
-    assert _normal(_heuristic_gcd_cofactors(a, b)[0]) == gcd
-
-
-def test_heuristic_failure_falls_back_to_subresultant(monkeypatch):
-    monkeypatch.setattr(exactmath, "_heuristic_gcd_cofactors", lambda a, b: None)
-    calls = []
-    subresultant = exactmath._int_poly_gcd_subresultant
-    monkeypatch.setattr(exactmath, "_int_poly_gcd_subresultant",
-                        lambda a, b: calls.append((a, b)) or subresultant(a, b))
-    a = _mul([1, 1], [5, 0, 7])
-    b = _mul([1, 1], [-2, 3])
-    assert _normal(exactmath._int_poly_gcd_cofactors(a, b)[0]) == [1, 1]
-    assert len(calls) == 1
+    assert _normal(_int_poly_gcd_cofactors(a, b)[0]) == gcd
 
 
 def _assert_cofactors(a, b, found):
@@ -130,17 +129,6 @@ def test_gcd_cofactors_rebuild_the_inputs(g, u, v):
     assume(len(a) > 1 and len(b) > 1)
     _assert_cofactors(a, b, _int_poly_gcd_cofactors(a, b))
     _assert_cofactors(b, a, _int_poly_gcd_cofactors(b, a))
-    big, small = (a, b) if len(a) >= len(b) else (b, a)
-    found = _heuristic_gcd_cofactors(big, small)
-    if found is not None:
-        _assert_cofactors(big, small, found)
-
-
-def test_subresultant_fallback_returns_cofactors(monkeypatch):
-    monkeypatch.setattr(exactmath, "_heuristic_gcd_cofactors", lambda a, b: None)
-    a = _mul([1, 1], [5, 0, 7])
-    b = _mul([1, 1], [-2, 3])
-    _assert_cofactors(a, b, exactmath._int_poly_gcd_cofactors(a, b))
 
 
 _SMALL_POLY = st.lists(st.fractions(-4, 4, max_denominator=4), max_size=4)
@@ -181,14 +169,14 @@ def test_heuristic_retries_with_a_wider_xi(monkeypatch):
     a, b = [2, 0, 1], [0, 1]
     assert _int_unpack(math.gcd(_int_pack(a, 2), _int_pack(b, 2)), 2) == [-2, 1]
     packs = _spy(monkeypatch, "_int_pack")
-    assert _heuristic_gcd_cofactors(a, b) == ([1], a, b)
+    assert _int_poly_gcd_cofactors(a, b) == ([1], a, b)
     assert [args[1] for args, _ in packs] == [2, 2, 4, 4]
 
 
 def test_a_constant_candidate_returns_the_inputs_without_division(monkeypatch):
     divisions = _spy(monkeypatch, "_int_exact_div")
     a, b = [1, 0, 1], [-1, 1]
-    g, qa, qb = _heuristic_gcd_cofactors(a, b)
+    g, qa, qb = _int_poly_gcd_cofactors(a, b)
     assert g == [1] and qa is a and qb is b
     assert divisions == []
 
@@ -196,7 +184,7 @@ def test_a_constant_candidate_returns_the_inputs_without_division(monkeypatch):
 def test_a_candidate_equal_to_b_divides_a_only(monkeypatch):
     divisions = _spy(monkeypatch, "_int_exact_div")
     a, b = _mul([-1, 1], [2, 1]), [-1, 1]
-    assert _heuristic_gcd_cofactors(a, b) == (b, [2, 1], [1])
+    assert _int_poly_gcd_cofactors(a, b) == (b, [2, 1], [1])
     assert divisions == [((a, b), [2, 1])]
 
 
@@ -204,7 +192,7 @@ def test_a_candidate_that_divides_a_only_is_retried(monkeypatch):
     # xi = 8 reads t - 3 off gcd(20, 125) = 5; xi = 32 proves coprimality
     divisions = _spy(monkeypatch, "_int_exact_div")
     a, b = _mul([-3, 1], [-4, 1]), [-3, 0, 2]
-    assert _heuristic_gcd_cofactors(a, b) == ([1], a, b)
+    assert _int_poly_gcd_cofactors(a, b) == ([1], a, b)
     assert divisions == [((a, [-3, 1]), [-4, 1]), ((b, [-3, 1]), None)]
 
 
@@ -213,8 +201,8 @@ def test_heuristic_xi_clears_the_roots(r):
     # the root r of the common factor sits just below xi / 2; a narrower
     # xi makes gcd(a(xi), b(xi)) one digit and the pair look coprime
     a, b = [-r, 1], _mul([-r, 1], [1, 1])
-    assert _heuristic_gcd_cofactors(a, b) == (a, [1], [1, 1])
-    assert _heuristic_gcd_cofactors(b, a) == (a, [1, 1], [1])
+    assert _int_poly_gcd_cofactors(a, b) == (a, [1], [1, 1])
+    assert _int_poly_gcd_cofactors(b, a) == (a, [1, 1], [1])
 
 
 def _roots_product(roots):
@@ -249,12 +237,18 @@ SCALED = [[c << 2 * (len(h) - 1 - i) for i, c in enumerate(h)]
 
 
 def test_a_narrow_odd_point_proves_a_wide_pair_coprime(monkeypatch):
+    # one pair of values at a point narrower than the packing's first xi
+    # settles the pair; the power of two just below that point would not
     a, b = SCALED
-    k = _root_bits(b)
-    assert math.gcd(_int_pack(a, k), _int_pack(b, k)) >> k
+    norm_bits = (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
     evals, packs, divisions = _narrow_point(monkeypatch, a, b)
-    assert _heuristic_gcd_cofactors(a, b) == ([1], a, b)
-    assert [args for args, _ in evals] == [(b, 2 ** k + 1), (a, 2 ** k + 1)]
+    assert _int_poly_gcd_cofactors(a, b) == ([1], a, b)
+    polys, points = zip(*(args for args, _ in evals))
+    assert sorted(polys) == sorted((a, b)) and len(set(points)) == 1
+    x = points[0]
+    assert x % 2 and x < 2 ** norm_bits
+    k = x.bit_length() - 1
+    assert math.gcd(_int_pack(a, k), _int_pack(b, k)) >> k
     assert packs == [] and divisions == []
 
 
@@ -263,14 +257,14 @@ def test_a_narrow_point_does_not_take_a_common_root_for_coprimality(monkeypatch)
     a, b = (_mul(h, [-5, 1]) for h in SCALED)
     x = 2 ** _root_bits(b) + 1
     evals, packs, divisions = _narrow_point(monkeypatch, a, b)
-    assert _heuristic_gcd_cofactors(a, b) == ([-5, 1], *SCALED)
+    assert _int_poly_gcd_cofactors(a, b) == ([-5, 1], *SCALED)
     assert math.gcd(*(value for _, value in evals)) == x - 5
 
 
 def test_a_narrow_point_finds_b_dividing_a(monkeypatch):
     b = _roots_product(range(3, 11))
     evals, packs, divisions = _narrow_point(monkeypatch, WIDE, b)
-    g, qa, qb = _heuristic_gcd_cofactors(WIDE, b)
+    g, qa, qb = _int_poly_gcd_cofactors(WIDE, b)
     assert g == b and qb == [1] and _mul(b, qa) == WIDE
     assert len(evals) == 2 and packs == [] and len(divisions) == 1
 
@@ -280,7 +274,7 @@ def test_a_narrow_point_reads_no_candidate(monkeypatch):
     b = _roots_product(range(15, 26))
     evals, packs, divisions = _narrow_point(monkeypatch, WIDE, b)
     unpacks = _spy(monkeypatch, "_int_unpack")
-    _assert_cofactors(WIDE, b, _heuristic_gcd_cofactors(WIDE, b))
+    _assert_cofactors(WIDE, b, _int_poly_gcd_cofactors(WIDE, b))
     assert len(evals) == 2
     norm_bits = (2 * max(map(abs, b)) + 1).bit_length()
     assert [args[1] for args, _ in unpacks] == [norm_bits]
@@ -299,5 +293,29 @@ def small_root_polys(draw, max_degree):
 @given(st.one_of(st.just([1]), small_root_polys(6)), small_root_polys(12), small_root_polys(12))
 def test_gcd_of_small_root_products_matches_the_reference(g, u, v):
     a, b = _normal(_mul(g, u)), _normal(_mul(g, v))
+    _assert_cofactors(a, b, _int_poly_gcd_cofactors(a, b))
+    _assert_cofactors(b, a, _int_poly_gcd_cofactors(b, a))
+
+
+# b = +-t against a of degree 6 with 2**v dividing a(0): gcd(a(xi), xi) is
+# xi itself at every xi = 2**k with k <= v, so b is the candidate there and
+# fails to divide a, and only the first k past v + 1 settles the pair
+@pytest.mark.parametrize("v, rounds", [(19, 7), (25, 8), (200, 16)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_b_linear_at_zero_against_a_divisible_by_a_power_of_two(monkeypatch, v, rounds, sign):
+    a, b = [3 << v, -5, 0, 7, 2, -1, 4], [0, sign]
+    assert _reference(a, b) == [1]
+    packs = _spy(monkeypatch, "_int_pack")
+    _assert_cofactors(a, b, _int_poly_gcd_cofactors(a, b))
+    assert len(packs) == 2 * rounds
+    _assert_cofactors(b, a, _int_poly_gcd_cofactors(b, a))
+
+
+# A = t and B = t + 2 share the factor 2 at every power of two, so the
+# digits of gcd(a(xi), b(xi)) are those of 2 g until xi outgrows it
+@pytest.mark.parametrize("g", [[1], [-3, 1], [5, -1, 3]])
+def test_values_sharing_a_constant_at_every_power_of_two(g):
+    a, b = _mul(g, [0, 1]), _mul(g, [2, 1])
+    assert _reference(a, b) == _normal(g)
     _assert_cofactors(a, b, _int_poly_gcd_cofactors(a, b))
     _assert_cofactors(b, a, _int_poly_gcd_cofactors(b, a))

@@ -1,8 +1,8 @@
 """Source hygiene of the package, read with `ast`: every import in a module
-is used there, every private top-level function or class is called
-from somewhere in the package, not only from itself, and every private
-module-level constant is read somewhere in it.  A move between modules
-leaves such remnants behind."""
+is used there, every private top-level function or class and every private
+method of a top-level class is called from somewhere in the package, not
+only from itself, and every private module-level constant is read
+somewhere in it.  A move between modules leaves such remnants behind."""
 
 import ast
 from collections import Counter
@@ -41,10 +41,12 @@ def test_every_import_is_used_in_its_module(module):
 
 
 def test_every_private_function_and_class_has_a_caller():
+    # top-level functions and classes, and the methods of top-level classes
     everywhere = Counter(name for tree in SOURCES.values() for name in _names(tree))
     uncalled = []
     for module, tree in SOURCES.items():
-        for node in tree.body:
+        members = [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+        for node in tree.body + members:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
                     and not node.name.startswith("__")
                     and everywhere[node.name] == list(_names(node)).count(node.name)):
@@ -72,8 +74,8 @@ def test_every_private_constant_is_read():
 
 # The arithmetic under every Bäcklund letter works on a primitive integer
 # image and a scale held as two coprime integers, so it builds no Fraction.
-# `leading`, `evaluate`, `coeffs` and `_int_form` return rationals, and
-# `_from_scaled` takes one, so they stay out.
+# `leading`, `evaluate`, `coeffs` and `_int_form` return rationals, so they
+# stay out.
 INTEGER_ONLY = {
     "Polynomial": ("_from_ints", "_from_primitive", "__add__", "__neg__", "__sub__", "__mul__",
                    "scale", "__divmod__", "__floordiv__", "__mod__", "monic", "gcd", "derivative",
