@@ -13,8 +13,7 @@ _EXPORTS = {
     "exactmath": "INFINITY LaurentSeries Polynomial RF RationalFunction ZERO_POINT finite_point "
                  "laurent_expand rat rat_str rational_roots residue",
     "systems": "Chart ChartMismatch NormalizationFailed ParameterTuple SolutionTuple System "
-               "UndefinedAction hamiltonian hamiltonian_constant_oracle is_solution residual "
-               "solve_last_alpha",
+               "UndefinedAction is_solution solve_last_alpha",
     "backlund": "Generator GeneratorWord act_params act_solution act_word equivalence_map "
                 "invert_word parse_word shift_word word",
     "classify": "ClassificationResult NotStandardForm classify condition_holds "

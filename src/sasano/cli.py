@@ -118,14 +118,9 @@ def _run_transform(args) -> int:
     return EXIT_OK
 
 
-def pole_free_interval(sol):
-    """`verify.pole_free_interval`, under a name of this module that tests patch."""
-    from .verify import pole_free_interval
-    return pole_free_interval(sol)
-
-
 def _run_verify(args) -> int:
-    from .verify import IntegratorFailed, PoleOnPath, invariant_report, numeric_crosscheck
+    from .verify import (IntegratorFailed, PoleOnPath, invariant_report, numeric_crosscheck,
+                         pole_free_interval)
     params = _parse_alphas(args.system, args.alphas)
     sol = _load_solution(args.solution)
     checks: list = [("residual", is_solution(params, sol))]
@@ -208,11 +203,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--batch", metavar="FILE.jsonl", help="process one JSON request per line")
     sub = parser.add_subparsers(dest="subcommand")
 
-    def common(p, system=True, alphas=True):
-        if system:
-            p.add_argument("--system", type=_system_arg, required=True, metavar="{b4,d4,d5}")
-        if alphas:
-            p.add_argument("--alphas", required=True, help="a0,a1,a2,a3,a4 (fifth may be 'auto')")
+    def common(p):
+        p.add_argument("--system", type=_system_arg, required=True, metavar="{b4,d4,d5}")
+        p.add_argument("--alphas", required=True, help="a0,a1,a2,a3,a4 (fifth may be 'auto')")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("classify", help="decide existence of a rational solution")
@@ -282,11 +275,8 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
 
 
 def main(argv=None) -> int:
-    return _run(_build_parser(), argv)
-
-
-def _run(parser: argparse.ArgumentParser, argv) -> int:
     """One invocation: a single request, or a batch of them."""
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

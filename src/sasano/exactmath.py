@@ -85,13 +85,6 @@ class Polynomial:
             self._coeffs = tuple(Fraction(v * sn, sd) for v in ints)
             return self._coeffs
 
-    def _int_form(self):
-        """(primitive integer coefficients, rational scale) with
-        coeffs[i] == scale * ints[i] and scale > 0 (0 for the zero
-        polynomial)."""
-        ints, sn, sd = self._ints
-        return ints, Fraction(sn, sd)
-
     @staticmethod
     def _from_ints(ints: list, sn: int, sd: int) -> "Polynomial":
         """(sn / sd) * ints for a list of integers ints (trailing zeros
@@ -506,17 +499,17 @@ def _eval_mod(a, x: int, m: int) -> int:
     return acc
 
 
-_BISECTIONS = 20
-
-
 def has_real_root(p: Polynomial, lo: RatLike, hi: RatLike) -> bool:
     """Whether p has a real root in the closed interval [lo, hi], decided
     in integer arithmetic by Descartes' rule of signs with bisection.
 
     A sign-variation count of 0 proves an interval root-free and 1 proves
-    one root in it.  A count of 2 or more that survives `_BISECTIONS`
-    halvings (width (hi - lo) / 2**20) comes from a multiple root or a
-    cluster of roots within that width of the real axis and answers True.
+    one root in it.  If the whole interval counts 2 or more, p is replaced
+    by its square-free part, which has the same roots, and the halves are
+    bisected until every count is 0 or 1, or a midpoint is a root.  On a
+    square-free polynomial that always ends (Vincent's theorem; Collins and
+    Akritas, SYMSAC 1976), so there is no cap: a pair of complex roots
+    within 10**-400 of the interval costs about 1,330 halvings.
     """
     lo, hi = rat(lo), rat(hi)
     if p.is_zero():
@@ -530,7 +523,26 @@ def has_real_root(p: Polynomial, lo: RatLike, hi: RatLike) -> bool:
     q = _int_compose_affine(p._ints[0], a, d, w)
     if q[0] == 0 or sum(q) == 0:
         return True
-    return _root_in_unit_interval(q, _BISECTIONS)
+    variations = _sign_variations(q)
+    if variations < 2:
+        return variations == 1
+    q = Polynomial._from_ints(q, 1, 1)  # q need not be primitive
+    stack = [q.gcd(q.derivative(), cofactors=True)[1]._ints[0]]
+    while stack:  # each q has q(0) and q(1) nonzero
+        q = stack.pop()
+        variations = _sign_variations(q)
+        if variations == 1:
+            return True
+        if variations:
+            n = len(q) - 1
+            left = [c << (n - i) for i, c in enumerate(q)]  # 2**n q(u / 2)
+            content = math.gcd(*left)
+            left = [c // content for c in left]
+            right = _taylor_shift(left, 1)  # 2**n q((u + 1) / 2)
+            if right[0] == 0:  # q(1/2) = 0
+                return True
+            stack += right, left
+    return False
 
 
 def _int_compose_affine(ints, a: int, d: int, w: int) -> list:
@@ -551,23 +563,11 @@ def _taylor_shift(coeffs: list, a: int) -> list:
     return c
 
 
-def _root_in_unit_interval(q: list, depth: int) -> bool:
-    """Whether q, with q(0) and q(1) nonzero, has a root in (0, 1)."""
-    # roots in (0, 1) of q are the positive roots of (1 + y)**n q(1/(1 + y))
+def _sign_variations(q: list) -> int:
+    """Descartes' bound on the number of roots of q in (0, 1): the sign
+    variations of (1 + y)**n q(1/(1 + y)), whose positive roots they are."""
     signs = [c > 0 for c in _taylor_shift(q[::-1], 1) if c]
-    variations = sum(s != t for s, t in zip(signs, signs[1:]))
-    if variations < 2:
-        return variations == 1
-    if depth == 0:
-        return True
-    n = len(q) - 1
-    left = [c << (n - i) for i, c in enumerate(q)]  # 2**n q(u / 2)
-    content = math.gcd(*left)
-    left = [c // content for c in left]
-    right = _taylor_shift(left, 1)  # 2**n q((u + 1) / 2)
-    if right[0] == 0:  # q(1/2) = 0
-        return True
-    return _root_in_unit_interval(left, depth - 1) or _root_in_unit_interval(right, depth - 1)
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 class RationalFunction:

@@ -1,15 +1,15 @@
 """The three coupled Painlevé-III type systems (B4, D4, D5), their
 alternative coordinate charts, parameter normalizations, the solution
-check and the B4 Hamiltonian.
+check and the B4 Hamiltonian polynomial.
 
 Every system is written in the form t * X' = RHS(X, t), with one
 `vector_field` for all seven system/chart pairs: D4 with some of its
-sides inverted (`INVERTED_SIDES`).  `residual` gives the four exact
-rational functions t*X' - RHS, which vanish identically precisely on
-solutions; `is_solution` reaches the same verdict by exact evaluation,
-carrying every B4 and D5 input to D4 (after a one-point screen where its
-chart inverts a side), whose cubic field it evaluates at B + 1 points,
-with B a bound on the degree of each residual's numerator.
+sides inverted (`INVERTED_SIDES`).  The residuals t*X' - RHS vanish
+identically precisely on solutions; `is_solution` decides that by exact
+evaluation, carrying every B4 and D5 input to D4 (after a one-point
+screen where its chart inverts a side), whose cubic field it evaluates
+at B + 1 points, with B a bound on the degree of each residual's
+numerator.
 
 The point values and the float right-hand side of the numeric check
 (`float_rhs`) run the same field compiled: `_program` traces
@@ -245,10 +245,9 @@ def vector_field(system: System, chart: Chart, alphas):
     its P form into the Q form and back; `INVERTED_SIDES` says which.
 
     The returned function uses only +, - and *, so one definition serves
-    the exact residual (RationalFunctions), its degree bound
-    (`_DegreeBound`) and, traced once per system and chart into
-    straight-line code (`_program`), the exact point values and the float
-    integrator; the alphas may be Fractions or floats.
+    the residuals' degree bound (`_DegreeBound`) and, traced once per
+    system and chart into straight-line code (`_program`), the exact point
+    values and the float integrator; the alphas may be Fractions or floats.
     """
     x_inverted, z_inverted = _check_chart(system, chart)
     a0, a1, a2, a3, a4 = alphas
@@ -387,17 +386,6 @@ def float_rhs(system: System, chart: Chart, alphas):
     return _program(system, chart, "float")(*alphas)
 
 
-def residual(params: ParameterTuple, sol: SolutionTuple):
-    """The four exact residuals t*X' - RHS of the system/chart pair.
-
-    All four are identically zero iff sol solves the selected system in
-    the selected chart.
-    """
-    field = vector_field(params.system, sol.chart, params.alphas)
-    comps = sol.components()
-    return _residuals(field, T, comps, [T * c.derivative() for c in comps])
-
-
 class _DegreeBound:
     """A bound for a value N / prod_k D_k**e[k] built from the components
     c = N_c / D_c: deg N - sum_k e[k] * deg D_k <= h.  Products add h and
@@ -461,13 +449,15 @@ def _residuals_vanish(params: ParameterTuple, sol: SolutionTuple, points=None) -
     ad = math.lcm(*(a.denominator for a in alphas))
     residuals = _program(system, chart, "pair")(
         ad, *(a.numerator * (ad // a.denominator) for a in alphas))
-    den_ints = [d._int_form()[0] for d in dens]
+    den_ints = [d._ints[0] for d in dens]
     images = []
     for c in comps:
-        n, scale = c.num._int_form()
-        k = dens.index(c.den)
-        scale /= dens[k]._int_form()[1]  # c = scale * n / d on the integer images
-        images.append((n, scale.numerator, scale.denominator, k))
+        n, nn, nd = c.num._ints
+        _, dn, dd = c.den._ints
+        # c = (sn / sd) * n / d on the integer images, sn / sd = (nn / nd) / (dn / dd)
+        sn, sd = nn * dd, nd * dn
+        g = math.gcd(sn, sd)
+        images.append((n, sn // g, sd // g, dens.index(c.den)))
     p = 0
     while points > 0:
         p += 1
@@ -526,7 +516,7 @@ def is_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
     exactly, by `vector_field` compiled to straight-line code on integer
     numerators (`_program`), at t = 1, 2, ..., skipping the points where
     some D_k vanishes, until B + 1 points have passed (Schwartz 1980,
-    Zippel 1979).  `residual` builds the same residuals symbolically.
+    Zippel 1979).
 
     Every B4 and D5 input is carried to D4 by `_d4_image` and checked on
     D4's cubic field; `vector_field` is D4's field conjugated by the same
@@ -543,8 +533,9 @@ def is_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
 
 def hamiltonian_polynomial(alphas):
     """H(t, x, y, z, w), the B4 Hamiltonian, with +, - and * only: like
-    `vector_field`, one definition for RationalFunctions (`hamiltonian`)
-    and truncated Laurent series (`verify.invariant_report`)."""
+    `vector_field`, one definition for any values with those operations:
+    truncated Laurent series in `verify.invariant_report`, and rational
+    functions in the tests' symbolic reference."""
     a0, a1, a2, a3, a4 = alphas
     beta = 1 - 2 * a2 - 2 * a3 - 2 * a4
 
@@ -554,27 +545,3 @@ def hamiltonian_polynomial(alphas):
                 + 2 * y * z * (z * w + a3))
 
     return h
-
-
-def hamiltonian(params: ParameterTuple, sol: SolutionTuple) -> RationalFunction:
-    """The B4 Hamiltonian evaluated along an affine-chart solution."""
-    if params.system is not System.B4:
-        raise ValueError("the Hamiltonian is only defined for the B4 system")
-    if sol.chart is not Chart.AFFINE:
-        raise ChartMismatch("Hamiltonian evaluation needs the affine chart")
-    return hamiltonian_polynomial(params.alphas)(T, *sol.components())
-
-
-def hamiltonian_constant_oracle(params: ParameterTuple, pole_order_one: bool) -> Fraction:
-    """Closed form of the constant term of the B4 Hamiltonian at t = infinity.
-
-    The two cases correspond to z having a pole of order one (True) or of
-    order at least two (False) at infinity.
-    """
-    if params.system is not System.B4:
-        raise ValueError("oracle defined for B4 parameters only")
-    a0, a1, a2, a3, a4 = params.alphas
-    base = Fraction(1, 4) * (a0 - a1) ** 2
-    if pole_order_one:
-        return base + (a3 + a4) ** 2 - (a3 + a4)
-    return base + a3 * (a3 + 2 * a4 - 1)

@@ -9,13 +9,13 @@ rational poles.  For genuine rational solutions the two constant-term
 differences are integers, the y/w residue coefficients cancel, and each
 finite residue of x is an integer multiple of the pole location.
 All but the residues are read off one truncated Laurent expansion per
-component and point, the Hamiltonian polynomial run on those series;
-`systems.hamiltonian` runs it on rational functions, the symbolic oracle.
+component and point, the Hamiltonian polynomial run on those series.
 
 The cross-check integrates in plain Python floats, with the system's
 vector field and the integrator's step compiled to straight-line code
 (`systems.float_rhs`, `_step`) and a bound on the number of steps, and
-poles are located exactly, so no part of the package needs numpy or scipy.
+poles are located exactly (`exactmath.has_real_root`, with no cap on its
+bisection), so no part of the package needs numpy or scipy.
 """
 
 from __future__ import annotations
@@ -267,6 +267,8 @@ def _real_pole_in(sol: SolutionTuple, lo: Fraction, hi: Fraction) -> bool:
 
 # poles this close to an interval's ends still break the integrator
 _POLE_MARGIN = Fraction(1, 1000)
+# the cross-check's evenly spaced samples of [t0, t1], both ends included
+_SAMPLES = 64
 
 
 def pole_free_interval(sol: SolutionTuple) -> tuple[Fraction, Fraction]:
@@ -285,7 +287,6 @@ def numeric_crosscheck(
     sol: SolutionTuple,
     t0,
     t1,
-    steps: int = 64,
     initial_offset=None,
 ) -> float:
     """Max deviation between the exact solution and an adaptive RK45 run.
@@ -293,7 +294,8 @@ def numeric_crosscheck(
     Integrates t*X' = RHS, with RHS compiled from `vector_field`
     (`float_rhs`), from the exact initial condition sol(t0) (plus an
     optional perturbation, used for power checks) and samples the
-    deviation at `steps` evenly spaced points of [t0, t1].  Raises
+    deviation at `_SAMPLES` = 64 evenly spaced points of [t0, t1].  A
+    real pole in [t0, t1], found exactly, raises PoleOnPath.  Raises
     IntegratorFailed when `_dopri5` stops short, or when an alpha, a start
     value, an offset or a coefficient lies outside the float range.
     """
@@ -302,8 +304,6 @@ def numeric_crosscheck(
     t0, t1 = rat(t0), rat(t1)
     if t0 <= 0 or t1 <= t0:
         raise ValueError("need 0 < t0 < t1 to stay clear of the fixed singularity")
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2 (both ends of [t0, t1]), got {steps}")
     if _real_pole_in(sol, t0, t1):
         raise PoleOnPath(f"solution has a pole in [{rat_str(t0)}, {rat_str(t1)}]")
 
@@ -316,11 +316,11 @@ def numeric_crosscheck(
     except OverflowError:
         raise IntegratorFailed(
             "an alpha, start value, offset or coefficient is outside the float range") from None
-    # t0 + (t1 - t0) * i / (steps - 1) over one integer denominator: int
+    # t0 + (t1 - t0) * i / (_SAMPLES - 1) over one integer denominator: int
     # division rounds correctly, as float(Fraction) does
     n0, n1 = t0.numerator * t1.denominator, t1.numerator * t0.denominator
-    den = t0.denominator * t1.denominator * (steps - 1)
-    samples = [(n0 * (steps - 1) + (n1 - n0) * i) / den for i in range(steps)]
+    den = t0.denominator * t1.denominator * (_SAMPLES - 1)
+    samples = [(n0 * (_SAMPLES - 1) + (n1 - n0) * i) / den for i in range(_SAMPLES)]
     rhs = float_rhs(params.system, Chart.AFFINE, alphas)
     states = [start] + _dopri5(rhs, samples[0], start, samples[1:], rtol=1e-12, atol=1e-12)
     worst = None  # max() of the deviations in the check's domain: a NaN wins only if first

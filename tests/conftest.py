@@ -1,4 +1,5 @@
-"""Shared fixture builders for the test suite."""
+"""Shared fixture builders for the test suite, and the symbolic
+references that the exact checks of the package are compared against."""
 
 from __future__ import annotations
 
@@ -8,12 +9,15 @@ from fractions import Fraction as F
 
 from sasano import (
     Chart,
+    ChartMismatch,
     ParameterTuple,
     RF,
+    RationalFunction,
     SolutionTuple,
     System,
     solve_last_alpha,
 )
+from sasano.systems import hamiltonian_polynomial, vector_field
 
 
 # The suite peaks near 100 MB; under this cap on the address space of the
@@ -155,3 +159,42 @@ def push_word(p: ParameterTuple, sol: SolutionTuple, names):
             break
         p = act_params(g, p)
     return p, sol
+
+
+# -- symbolic references --------------------------------------------------------
+
+T = RF.t()
+
+
+def residual(params: ParameterTuple, sol: SolutionTuple):
+    """The four exact residuals t*X' - RHS of the system/chart pair, as
+    rational functions: all four are identically zero iff sol solves the
+    system in its chart.  `is_solution` decides the same by evaluation."""
+    field = vector_field(params.system, sol.chart, params.alphas)
+    comps = sol.components()
+    return tuple(T * c.derivative() - r for c, r in zip(comps, field(T, *comps)))
+
+
+def hamiltonian(params: ParameterTuple, sol: SolutionTuple) -> RationalFunction:
+    """The B4 Hamiltonian evaluated along an affine-chart solution, the
+    symbolic reference for `verify.invariant_report`."""
+    if params.system is not System.B4:
+        raise ValueError("the Hamiltonian is only defined for the B4 system")
+    if sol.chart is not Chart.AFFINE:
+        raise ChartMismatch("Hamiltonian evaluation needs the affine chart")
+    return hamiltonian_polynomial(params.alphas)(T, *sol.components())
+
+
+def hamiltonian_constant_oracle(params: ParameterTuple, pole_order_one: bool) -> F:
+    """Closed form of the constant term of the B4 Hamiltonian at t = infinity.
+
+    The two cases correspond to z having a pole of order one (True) or of
+    order at least two (False) at infinity.
+    """
+    if params.system is not System.B4:
+        raise ValueError("oracle defined for B4 parameters only")
+    a0, a1, a2, a3, a4 = params.alphas
+    base = F(1, 4) * (a0 - a1) ** 2
+    if pole_order_one:
+        return base + (a3 + a4) ** 2 - (a3 + a4)
+    return base + a3 * (a3 + 2 * a4 - 1)

@@ -9,7 +9,13 @@ from fractions import Fraction as F
 
 import sympy as sp
 
-from conftest import b4, b4_m3_infinite_solution, from_lattice, random_standard_form
+from conftest import (
+    b4,
+    b4_m3_infinite_solution,
+    from_lattice,
+    hamiltonian_constant_oracle,
+    random_standard_form,
+)
 from sasano import (
     Chart,
     Generator,
@@ -22,7 +28,6 @@ from sasano import (
     classify,
     construct_rational_solution,
     equivalence_map,
-    hamiltonian_constant_oracle,
     invariant_report,
     is_solution,
     numeric_crosscheck,

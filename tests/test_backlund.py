@@ -419,7 +419,7 @@ def test_word_inverse_restores_solution():
 def test_residual_is_deterministic():
     p = b4("1/4", "1/4", "1/4", "-1/4", "1/4")
     sol = seed_solution(p)
-    from sasano import residual
+    from conftest import residual
 
     assert residual(p, sol) == residual(p, sol)
 

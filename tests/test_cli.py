@@ -324,9 +324,9 @@ def test_verify_names_the_checks_it_skips_off_the_affine_chart(capsys, tmp_path)
 
 def test_verify_names_a_crosscheck_skipped_for_a_pole_on_path(capsys, tmp_path, monkeypatch):
     # y has a pole at t = 3/2; an interval across it makes the cross-check refuse
-    import sasano.cli
+    import sasano.verify
 
-    monkeypatch.setattr(sasano.cli, "pole_free_interval", lambda sol: (1, 2))
+    monkeypatch.setattr(sasano.verify, "pole_free_interval", lambda sol: (1, 2))
     alphas = "1/4,1/4,1/4,-1/4,1/4"
     _, data = run_json(capsys, "construct", "--system", "b4", "--alphas", alphas)
     solution = dict(data["solution"], y={"num": ["-1/4", "1/2"], "den": ["-3/2", "1"]})

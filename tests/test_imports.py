@@ -72,7 +72,7 @@ far = "--alphas=-11/6,13/6,-5/3,8/5,2/5"
 data = json.loads(run("construct", "--system", "b4", far, "--json"))
 (workdir / "far.json").write_text(json.dumps(data["solution"]))
 den = rf_from_json(data["solution"]["x"]).den
-ints = den.gcd(den.derivative(), cofactors=True)[1]._int_form()[0]
+ints = den.gcd(den.derivative(), cofactors=True)[1]._ints[0]
 report["far_extremes"] = [abs(ints[0]), abs(ints[-1])]
 run("report", "--system", "b4", far, "--solution", str(workdir / "far.json"))
 report["far_verify_output"] = run("verify", "--system", "b4", far, "--solution", str(workdir / "far.json"))
@@ -108,11 +108,10 @@ PUBLIC = sorted("""
     InvariantReport LaurentSeries NormalizationFailed NotStandardForm ParameterTuple PoleOnPath
     Polynomial RF RationalFunction SolutionTuple System UndefinedAction ZERO_POINT act_params
     act_solution act_word backlund classify condition_holds construct_rational_solution
-    equivalence_map exactmath finite_point hamiltonian hamiltonian_constant_oracle
-    invariant_report invert_word is_solution lattice_coordinates laurent_expand
-    normalize_to_standard numeric_crosscheck parse_word pole_free_interval rat rat_str
-    rational_roots residual residue seed_solution shift_word solve_last_alpha systems verify
-    verify_solution word
+    equivalence_map exactmath finite_point invariant_report invert_word is_solution
+    lattice_coordinates laurent_expand normalize_to_standard numeric_crosscheck parse_word
+    pole_free_interval rat rat_str rational_roots residue seed_solution shift_word
+    solve_last_alpha systems verify verify_solution word
 """.split())
 
 GRAPH_CHILD = r"""

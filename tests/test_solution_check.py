@@ -26,6 +26,7 @@ from conftest import (
     from_lattice,
     random_params,
     random_standard_form,
+    residual,
 )
 from sasano import (
     Chart,
@@ -40,7 +41,6 @@ from sasano import (
     construct_rational_solution,
     equivalence_map,
     is_solution,
-    residual,
     seed_solution,
 )
 from sasano import systems
@@ -185,14 +185,14 @@ def _reference_vanish(p, sol, points=None) -> bool:
         points = max(b for b, _ in _degree_bounds(field, comps)[1]) + 1
     images = []
     for c in comps:
-        n, scale = c.num._int_form()
+        n, nn, nd = c.num._ints
         k = dens.index(c.den)
-        scale /= dens[k]._int_form()[1]
+        scale = F(nn, nd) / F(*dens[k]._ints[1:])
         images.append((n, scale.numerator, scale.denominator, k))
     t = 0
     while points > 0:
         t += 1
-        at = [systems._horner(d._int_form()[0], t) for d in dens]
+        at = [systems._horner(d._ints[0], t) for d in dens]
         if not all(v for v, _ in at):
             continue
         values, t_derivatives = [], []

@@ -1,14 +1,18 @@
 """Source hygiene of the package, read with `ast`: every import in a module
 is used there, every private top-level function or class and every private
 method of a top-level class is called from somewhere in the package, not
-only from itself, and every private module-level constant is read
-somewhere in it.  A move between modules leaves such remnants behind."""
+only from itself, every public top-level function or class is exported by
+`sasano` or called in the package, and every private module-level constant
+is read somewhere in it.  A move between modules leaves such remnants
+behind."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import sasano
 
 SOURCES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted((Path(__file__).parent.parent / "src" / "sasano").glob("*.py"))}
@@ -54,6 +58,18 @@ def test_every_private_function_and_class_has_a_caller():
     assert uncalled == []
 
 
+def test_every_public_function_and_class_is_exported_or_called():
+    # a public top-level name that neither `import sasano` offers nor the
+    # package calls serves only the tests, which keep such references
+    exported = set(sasano.__all__)
+    everywhere = Counter(name for tree in SOURCES.values() for name in _names(tree))
+    unused = [f"{module}:{node.name}" for module, tree in SOURCES.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in exported
+              and everywhere[node.name] == list(_names(node)).count(node.name)]
+    assert unused == []
+
+
 def test_every_private_constant_is_read():
     read = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in SOURCES.values() for node in ast.walk(tree)
@@ -74,8 +90,7 @@ def test_every_private_constant_is_read():
 
 # The arithmetic under every Bäcklund letter works on a primitive integer
 # image and a scale held as two coprime integers, so it builds no Fraction.
-# `leading`, `evaluate`, `coeffs` and `_int_form` return rationals, so they
-# stay out.
+# `leading`, `evaluate` and `coeffs` return rationals, so they stay out.
 INTEGER_ONLY = {
     "Polynomial": ("_from_ints", "_from_primitive", "__add__", "__neg__", "__sub__", "__mul__",
                    "scale", "__divmod__", "__floordiv__", "__mod__", "monic", "gcd", "derivative",

@@ -7,7 +7,17 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from conftest import b4, b4_m3_infinite_solution, d4, d5, from_lattice, random_standard_form
+from conftest import (
+    b4,
+    b4_m3_infinite_solution,
+    d4,
+    d5,
+    from_lattice,
+    hamiltonian,
+    hamiltonian_constant_oracle,
+    random_standard_form,
+    residual,
+)
 from sasano import (
     Chart,
     ChartMismatch,
@@ -16,10 +26,7 @@ from sasano import (
     SolutionTuple,
     System,
     construct_rational_solution,
-    hamiltonian,
-    hamiltonian_constant_oracle,
     is_solution,
-    residual,
     seed_solution,
     solve_last_alpha,
 )

@@ -7,7 +7,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from conftest import b4, prop_x_zero_branch_solution, push_word, random_standard_form
+from conftest import (
+    b4,
+    hamiltonian,
+    hamiltonian_constant_oracle,
+    prop_x_zero_branch_solution,
+    push_word,
+    random_standard_form,
+)
 from sasano import (
     INFINITY,
     Chart,
@@ -20,8 +27,6 @@ from sasano import (
     System,
     ZERO_POINT,
     construct_rational_solution,
-    hamiltonian,
-    hamiltonian_constant_oracle,
     invariant_report,
     laurent_expand,
     numeric_crosscheck,
@@ -113,13 +118,6 @@ def test_numeric_crosscheck_pole_fixture():
     p = b4("1/2", "1/2", "-1/2", "1/4", "1/4")
     deviation = numeric_crosscheck(p, prop_x_zero_branch_solution(p), 1, 2)
     assert deviation <= 1e-8
-
-
-@pytest.mark.parametrize("steps", [0, 1])
-def test_numeric_crosscheck_rejects_fewer_than_two_steps(steps):
-    p = b4("1/4", "1/4", "1/4", "-1/4", "1/4")
-    with pytest.raises(ValueError, match="steps must be at least 2"):
-        numeric_crosscheck(p, seed_solution(p), 1, 2, steps=steps)
 
 
 @pytest.mark.parametrize("case", ["x", "coefficient", "alphas", "offset"])
