@@ -747,16 +747,31 @@ class RationalFunction:
 
 
 def float_function(f: RationalFunction):
-    """t -> f(t) in floats by Horner, with the coefficients converted once."""
-    num, den = ([float(c) for c in reversed(p.coeffs)] for p in (f.num, f.den))
+    """t -> f(t) in floats, with no step that can overflow or raise: Horner
+    on each integer image shifted right to entries below about 2**900, in t
+    where |t| <= 1 and in 1/t beyond (the lower degree padded), the scale
+    pairs exact up to one rounding, the final scaling saturating to +-inf."""
+    images = []
+    for ints, sn, sd in (f.num._ints, f.den._ints):
+        shift = max(max(map(abs, ints), default=0).bit_length() - 900, 0)
+        images.append(([float(c >> shift) for c in ints], shift, sn, sd))
+    (num, ns, nn, nd), (den, ds, dn, dd) = images
+    e = (nn * dd).bit_length() - (nd * dn).bit_length()
+    scale, shift = (nn * dd << max(-e, 0)) / (nd * dn << max(e, 0)), ns - ds + e
+    k = len(num) - len(den)
+    near_num, near_den, far_num, far_den = num[::-1], den[::-1], num + [0.0] * -k, den + [0.0] * k
 
     def value(t: float) -> float:
+        nums, dens, u = (near_num, near_den, t) if -1.0 <= t <= 1.0 else (far_num, far_den, 1 / t)
         n = d = 0.0
-        for c in num:
-            n = n * t + c
-        for c in den:
-            d = d * t + c
-        return n / d
+        for c in nums:
+            n = n * u + c
+        for c in dens:
+            d = d * u + c
+        try:
+            return math.ldexp(n / d * scale, shift)
+        except (OverflowError, ZeroDivisionError):  # past the float range, or d rounded to 0.0
+            return math.copysign(math.inf, n * d) if n else math.nan
 
     return value
 

@@ -11,11 +11,11 @@ screen where its chart inverts a side), whose cubic field it evaluates
 at B + 1 points, with B a bound on the degree of each residual's
 numerator.
 
-The point values and the float right-hand side of the numeric check
-(`float_rhs`) run the same field compiled: `_program` traces
-`vector_field` once per system and chart with recording values
-(`_Traced`) and emits straight-line Python, on integer numerators over
-monomial denominators or on floats, in the traced order of operations.
+One trace has three readings: `_program` traces `vector_field` once per
+system and chart with recording values (`_Traced`) and emits the trace as
+straight-line Python, on floats for the numeric check (`float_rhs`) and
+on integer numerators over monomial denominators for the point values;
+`_degree_bounds` runs the latter trace again on exponents to find B.
 
 Charts: the affine chart carries (x, y, z, w) directly.  Solutions with
 a component identically infinite live in an alternative chart, which
@@ -244,10 +244,10 @@ def vector_field(system: System, chart: Chart, alphas):
     is either in D4's coordinates or inverted by `invert_side`, which turns
     its P form into the Q form and back; `INVERTED_SIDES` says which.
 
-    The returned function uses only +, - and *, so one definition serves
-    the residuals' degree bound (`_DegreeBound`) and, traced once per
-    system and chart into straight-line code (`_program`), the exact point
-    values and the float integrator; the alphas may be Fractions or floats.
+    The returned function uses only +, - and *, so one definition, traced
+    once per system and chart (`_program`), serves the residuals' degree
+    bound, the exact point values and the float integrator; the alphas may
+    be Fractions, floats or the tracer's recording values.
     """
     x_inverted, z_inverted = _check_chart(system, chart)
     a0, a1, a2, a3, a4 = alphas
@@ -263,10 +263,6 @@ def vector_field(system: System, chart: Chart, alphas):
                 *_side(z_inverted, g, a3, z_inverted, t, z, w, ky))
 
     return field
-
-
-def _residuals(field, t, values, t_derivatives):
-    return tuple(td - r for td, r in zip(t_derivatives, field(t, *values)))
 
 
 def _recorder(op, swap=False):
@@ -305,54 +301,60 @@ def _float_step(out, op, a, b, exponents):
 _BASES = ("ad", "xd", "yd", "zd", "wd")  # the alphas' common denominator, x's at the point, ...
 
 
+def _combine(op, a, b):
+    """The exponents of `a op b`, for `_exact_step` and `_degree_bounds`
+    alike: a product adds those of a and b, a sum or difference takes the
+    elementwise larger ones, and a negation passes a's through."""
+    if op == "neg":
+        return a
+    return tuple(map(operator.add if op == "*" else max, a, b))
+
+
 def _exact_step(out, op, a, b, exponents):
     """One traced step on exact values, each a numerator over the monomial
-    prod _BASES[k]**e[k], e = exponents[name], so that only the numerator
-    is computed.  Products add exponents; a sum raises both terms to the
-    elementwise larger ones, as `_DegreeBound` does.  Constants are ints."""
-
+    prod _BASES[k]**e[k], e = exponents[name] (`_combine`), so that only
+    the numerator is computed; a sum first raises both terms to its
+    exponents.  Constants are ints."""
     assert all(isinstance(v, (_Traced, int)) for v in (a, b or 0)), "a constant is no int"
     (an, ae), (bn, be) = ((v.name, exponents[v.name]) if isinstance(v, _Traced)
                           else (str(v), (0,) * len(_BASES)) for v in (a, b or 0))
+    e = exponents[out.name] = _combine(op, ae, be)
     if op == "neg":
-        e, expr = ae, f"-{an}"
-    elif op == "*":
-        e, expr = tuple(map(operator.add, ae, be)), f"{an} * {bn}"
-    else:
-        e = tuple(map(max, ae, be))
+        return f"-{an}"
+    if op != "*":
         an, bn = (" * ".join([n, *(base for base, k, j in zip(_BASES, e, f) for _ in range(k - j))])
                   for n, f in ((an, ae), (bn, be)))
-        expr = f"{an} {op} {bn}"
-    exponents[out.name] = e
-    return expr
+    return f"{an} {op} {bn}"
 
 
-_PROGRAMS = {}  # (system, chart, kind) -> factory; at most 7 * 2 entries
+_PROGRAMS = {}  # (system, chart, kind) -> (factory, trace, result names); at most 7 * 2 entries
 
 
 def _program(system: System, chart: Chart, kind: str):
-    """`vector_field` of the system in the chart as straight-line Python,
-    built on first use by tracing it once.  Steps on the alphas alone run
-    once per call of the factory, the others once per call of its result.
+    """(make, trace, result names): `vector_field` of the system in the
+    chart as straight-line Python, built on first use by tracing it once,
+    with that trace, which `_degree_bounds` reads again.  Steps on the
+    alphas alone run once per call of the factory, the others once per
+    call of its result.
 
     kind "float": make(a0, ..., a4) -> field(t, v), which returns
     [RHS_i / t] with the float operations of `vector_field` in its order,
     so equal (==) to its values over t.  kind "pair": make(ad, a0, ...,
     a4), with a_i / ad the alphas, -> field(t, x, xd, ..., w, wd, tx, ...,
-    tw), the numerators of `_residuals` over their monomial denominators
-    (`_exact_step`) at an integer t, given each component as x / xd and
-    its t-derivative as tx / xd**2, ints.
+    tw), the numerators of the residuals t*X' - RHS over their monomial
+    denominators (`_exact_step`) at an integer t, given each component as
+    x / xd and its t-derivative as tx / xd**2, ints.
     """
     key = system, chart, kind
     if key not in _PROGRAMS:
         trace = []
         alphas = [_Traced(trace, f"a{i}", False) for i in range(5)]
         t, *state = (_Traced(trace, name, True) for name in "txyzw")
-        field = vector_field(system, chart, alphas)
+        results = rhs = vector_field(system, chart, alphas)(t, *state)
         if kind == "float":
             step, exponents, inner = _float_step, None, ["x, y, z, w = v"]
             args, inner_args = "a0, a1, a2, a3, a4", "t, v"
-            result = "[" + ", ".join(f"{v.name} / t" for v in field(t, *state)) + "]"
+            result = "[" + ", ".join(f"{v.name} / t" for v in results) + "]"
         else:
             t_derivatives = [_Traced(trace, f"t{v.name}", True) for v in state]
             step, inner = _exact_step, []
@@ -366,7 +368,8 @@ def _program(system: System, chart: Chart, kind: str):
             args = "ad, a0, a1, a2, a3, a4"
             inner_args = ", ".join(["t", *(f"{v.name}, {v.name}d" for v in state),
                                     *(v.name for v in t_derivatives)])
-            result = ", ".join(v.name for v in _residuals(field, t, state, t_derivatives))
+            results = [td - r for td, r in zip(t_derivatives, rhs)]
+            result = ", ".join(v.name for v in results)
         outer = []
         for out, op, a, b in trace:
             (inner if out.inner else outer).append(f"{out.name} = {step(out, op, a, b, exponents)}")
@@ -376,42 +379,14 @@ def _program(system: System, chart: Chart, kind: str):
         namespace = {}
         exec(compile(source, f"<{kind} field of {system.value} in chart {chart.value}>", "exec"),
              namespace)
-        _PROGRAMS[key] = namespace["make"]
+        _PROGRAMS[key] = namespace["make"], trace, [v.name for v in results]
     return _PROGRAMS[key]
 
 
 def float_rhs(system: System, chart: Chart, alphas):
     """rhs(t, v) = [RHS_i(t, *v) / t], X' of t*X' = RHS for float alphas,
     compiled from `vector_field` and equal (==) to its values over t."""
-    return _program(system, chart, "float")(*alphas)
-
-
-class _DegreeBound:
-    """A bound for a value N / prod_k D_k**e[k] built from the components
-    c = N_c / D_c: deg N - sum_k e[k] * deg D_k <= h.  Products add h and
-    e; sums take the larger h and the elementwise larger e; scalars leave
-    both alone."""
-
-    __slots__ = ("h", "e")
-
-    def __init__(self, h: int, e: tuple):
-        self.h, self.e = h, e
-
-    def __add__(self, other):
-        if not isinstance(other, _DegreeBound):
-            return _DegreeBound(max(self.h, 0), self.e)
-        return _DegreeBound(max(self.h, other.h), tuple(map(max, self.e, other.e)))
-
-    def __mul__(self, other):
-        if not isinstance(other, _DegreeBound):
-            return self
-        return _DegreeBound(self.h + other.h, tuple(map(operator.add, self.e, other.e)))
-
-    def __neg__(self):
-        return self
-
-    __radd__ = __sub__ = __rsub__ = __add__
-    __rmul__ = __mul__
+    return _program(system, chart, "float")[0](*alphas)
 
 
 def _horner(coeffs, p: int):
@@ -423,19 +398,26 @@ def _horner(coeffs, p: int):
     return value, slope
 
 
-def _degree_bounds(field, comps):
+def _degree_bounds(system: System, chart: Chart, comps):
     """The distinct denominators D_k of the components and, per residual,
     (B, e): the residual times prod_k D_k**e[k] is a polynomial of degree
-    at most B."""
+    at most B.  The pair trace runs on tuples (h, *e) by `_combine`, each
+    bounding deg N - sum_k e[k] * deg D_k by h for N / prod_k D_k**e[k]:
+    t is (1, 0, ...), a component N_c / D_c (deg N_c - deg D_c) with 1 at
+    D_c, its t-derivative the same with 2 there, and a constant all 0."""
     dens = list(dict.fromkeys(c.den for c in comps))
-
-    def bound(c, power):
-        return _DegreeBound(c.num.degree - c.den.degree,
-                            tuple(power if d == c.den else 0 for d in dens))
-
-    t = _DegreeBound(1, (0,) * len(dens))
-    residuals = _residuals(field, t, [bound(c, 1) for c in comps], [bound(c, 2) for c in comps])
-    return dens, [(r.h + sum(e * d.degree for e, d in zip(r.e, dens)), r.e) for r in residuals]
+    _, trace, results = _program(system, chart, "pair")
+    zero = (0,) * (len(dens) + 1)
+    bounds = {"t": (1, *zero[1:])}
+    for name, c in zip("xyzw", comps):
+        for prefix, power in (("", 1), ("t", 2)):
+            bounds[prefix + name] = (c.num.degree - c.den.degree, *(power * (d == c.den) for d in dens))
+    for out, op, a, b in trace:
+        if out.inner:  # a value of the alphas alone is a constant
+            bounds[out.name] = _combine(op, bounds.get(getattr(a, "name", None), zero),
+                                        bounds.get(getattr(b, "name", None), zero))
+    return dens, [(h + sum(k * d.degree for k, d in zip(e, dens)), tuple(e))
+                  for h, *e in map(bounds.get, results)]
 
 
 def _residuals_vanish(params: ParameterTuple, sol: SolutionTuple, points=None) -> bool:
@@ -445,11 +427,10 @@ def _residuals_vanish(params: ParameterTuple, sol: SolutionTuple, points=None) -
     system, chart, alphas, comps = params.system, sol.chart, params.alphas, sol.components()
     dens = list(dict.fromkeys(c.den for c in comps))
     if points is None:
-        points = max(b for b, _ in _degree_bounds(vector_field(system, chart, alphas), comps)[1]) + 1
+        points = max(b for b, _ in _degree_bounds(system, chart, comps)[1]) + 1
     ad = math.lcm(*(a.denominator for a in alphas))
-    residuals = _program(system, chart, "pair")(
+    residuals = _program(system, chart, "pair")[0](
         ad, *(a.numerator * (ad // a.denominator) for a in alphas))
-    den_ints = [d._ints[0] for d in dens]
     images = []
     for c in comps:
         n, nn, nd = c.num._ints
@@ -461,7 +442,7 @@ def _residuals_vanish(params: ParameterTuple, sol: SolutionTuple, points=None) -
     p = 0
     while points > 0:
         p += 1
-        at = [_horner(d, p) for d in den_ints]
+        at = [_horner(d._ints[0], p) for d in dens]
         if not all(v for v, _ in at):
             continue
         values, t_derivatives = [], []
@@ -512,11 +493,10 @@ def is_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
 
     Each residual t*X' - RHS is N / prod_k D_k**e[k] over the components'
     denominators D_k, with deg N <= B (`_degree_bounds`).  N is zero iff
-    it vanishes at B + 1 distinct points, so the residuals are evaluated
-    exactly, by `vector_field` compiled to straight-line code on integer
-    numerators (`_program`), at t = 1, 2, ..., skipping the points where
-    some D_k vanishes, until B + 1 points have passed (Schwartz 1980,
-    Zippel 1979).
+    it vanishes at B + 1 distinct points, so the pair program (`_program`)
+    evaluates the residuals exactly at t = 1, 2, ..., skipping the points
+    where some D_k vanishes, until B + 1 points have passed (Schwartz
+    1980, Zippel 1979).
 
     Every B4 and D5 input is carried to D4 by `_d4_image` and checked on
     D4's cubic field; `vector_field` is D4's field conjugated by the same

@@ -171,7 +171,7 @@ _STAGES = (
 )
 _B = (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _TOL = 0.9, 0.2, 10.0, 1e-12  # _TOL: both rtol and atol
 
 
 def _rms(values) -> float:
@@ -180,7 +180,7 @@ def _rms(values) -> float:
 
 @functools.cache
 def _step(dim: int):
-    """step(f, t, h, t_new, y, dy, atol, rtol) -> (y_new, dy_new, error): one
+    """step(f, t, h, t_new, y, dy) -> (y_new, dy_new, error): one
     Dormand-Prince step from (t, y), with dy = f(t, y), compiled for states of
     `dim` floats.  It calls f with (time, list) in stage order and runs each
     weighted sum left to right, and the RMS as `_rms`: tests compare with ==."""
@@ -194,14 +194,14 @@ def _step(dim: int):
     def updates(weights):
         return ", ".join(f"y{i} + h * ({weighted(weights, i)})" for i in range(dim))
 
-    lines = ["def step(f, t, h, t_new, y, dy, atol, rtol):",
+    lines = ["def step(f, t, h, t_new, y, dy):",
              f"    {names('y')}, = y", f"    {names('a')}, = dy",
              *(f"    {names(s)}, = f(t + {c!r} * h, [{updates(weights)}])"
                for s, (c, weights) in zip("bcdeg", _STAGES)),
              f"    {names('n')}, = y_new = [{updates(_B)}]",
              f"    {names('k')}, = dy_new = f(t_new, y_new)",
-             *(f"    r{i} = h * ({weighted(_E, i)}) / (atol + max(abs(y{i}), abs(n{i})) * rtol)"
-               for i in range(dim)),
+             *(f"    r{i} = h * ({weighted(_E, i)})"
+               f" / ({_TOL!r} + max(abs(y{i}), abs(n{i})) * {_TOL!r})" for i in range(dim)),
              "    return y_new, dy_new, sqrt(("
              + " + ".join(f"r{i} * r{i}" for i in range(dim)) + f") / {dim})"]
     namespace = {"sqrt": math.sqrt}
@@ -209,13 +209,13 @@ def _step(dim: int):
     return namespace["step"]
 
 
-def _dopri5(f, t: float, y, stops, rtol: float, atol: float) -> list:
+def _dopri5(f, t: float, y, stops) -> list:
     """The states at the increasing times `stops` (all > t) of an adaptive
     Dormand-Prince 5(4) run of y' = f(t, y) from (t, y).
 
     Steps are shortened to land on each stop.  Step-size control and the
     first step follow Hairer, Norsett and Wanner, Solving ODEs I, II.4,
-    with the error measured in the RMS norm scaled by atol + rtol * |y|.
+    with the error measured in the RMS norm scaled by _TOL + _TOL * |y|.
     Raises IntegratorFailed when the step size falls to the spacing of
     floats at t, as it does when the solution blows up, or when the run
     has taken max(10000, 200 * len(stops)) steps, accepted or rejected,
@@ -224,7 +224,7 @@ def _dopri5(f, t: float, y, stops, rtol: float, atol: float) -> list:
     y = list(y)
     step = _step(len(y))
     k1 = f(t, y)
-    scale = [atol + abs(v) * rtol for v in y]
+    scale = [_TOL + abs(v) * _TOL for v in y]
     d0 = _rms([v / s for v, s in zip(y, scale)])
     d1 = _rms([v / s for v, s in zip(k1, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -248,7 +248,7 @@ def _dopri5(f, t: float, y, stops, rtol: float, atol: float) -> list:
             clipped = h_abs >= stop - t
             h = stop - t if clipped else h_abs
             t_new = stop if clipped else t + h
-            y_new, k7, error = step(f, t, h, t_new, y, k1, atol, rtol)
+            y_new, k7, error = step(f, t, h, t_new, y, k1)
             if error < 1:  # accept; NaN and inf reject
                 factor = _MAX_FACTOR if error == 0 else min(_MAX_FACTOR, _SAFETY * error ** -0.2)
                 h_abs = max(h_abs, h * factor) if clipped else h * factor
@@ -295,37 +295,41 @@ def numeric_crosscheck(
     (`float_rhs`), from the exact initial condition sol(t0) (plus an
     optional perturbation, used for power checks) and samples the
     deviation at `_SAMPLES` = 64 evenly spaced points of [t0, t1].  A
-    real pole in [t0, t1], found exactly, raises PoleOnPath.  Raises
-    IntegratorFailed when `_dopri5` stops short, or when an alpha, a start
-    value, an offset or a coefficient lies outside the float range.
+    real pole in [t0, t1], found exactly, raises PoleOnPath, and an
+    offset of other than 4 entries ValueError.  Raises IntegratorFailed
+    when `_dopri5` stops short, or when an alpha, a start value, an offset
+    or the exact solution at a sample lies outside the float range.
     """
     if sol.chart is not Chart.AFFINE:
         raise ChartMismatch("numeric cross-check needs the affine chart")
+    if initial_offset is not None and len(initial_offset) != 4:
+        raise ValueError(f"initial_offset has {len(initial_offset)} entries; expected 4")
     t0, t1 = rat(t0), rat(t1)
     if t0 <= 0 or t1 <= t0:
         raise ValueError("need 0 < t0 < t1 to stay clear of the fixed singularity")
     if _real_pole_in(sol, t0, t1):
         raise PoleOnPath(f"solution has a pole in [{rat_str(t0)}, {rat_str(t1)}]")
 
-    try:
-        alphas = [float(a) for a in params.alphas]
-        start = [float(c.evaluate(t0)) for c in sol.components()]
-        if initial_offset is not None:
-            start = [v + float(o) for v, o in zip(start, initial_offset)]
-        exact = [float_function(comp) for comp in sol.components()]
-    except OverflowError:
-        raise IntegratorFailed(
-            "an alpha, start value, offset or coefficient is outside the float range") from None
     # t0 + (t1 - t0) * i / (_SAMPLES - 1) over one integer denominator: int
     # division rounds correctly, as float(Fraction) does
     n0, n1 = t0.numerator * t1.denominator, t1.numerator * t0.denominator
     den = t0.denominator * t1.denominator * (_SAMPLES - 1)
     samples = [(n0 * (_SAMPLES - 1) + (n1 - n0) * i) / den for i in range(_SAMPLES)]
+    exact = list(zip(*([f(t) for t in samples] for f in map(float_function, sol.components()))))
+    try:
+        alphas = [float(a) for a in params.alphas]
+        start = [float(c.evaluate(t0)) for c in sol.components()]
+        if initial_offset is not None:
+            start = [v + float(o) for v, o in zip(start, initial_offset)]
+    except OverflowError:
+        raise IntegratorFailed("an alpha, start value or offset is outside the float range") from None
+    if any(abs(v) == math.inf for values in exact for v in values):
+        raise IntegratorFailed("the exact solution is outside the float range at a sample")
     rhs = float_rhs(params.system, Chart.AFFINE, alphas)
-    states = [start] + _dopri5(rhs, samples[0], start, samples[1:], rtol=1e-12, atol=1e-12)
+    states = [start] + _dopri5(rhs, samples[0], start, samples[1:])
     worst = None  # max() of the deviations in the check's domain: a NaN wins only if first
-    for t, state in zip(samples, states):
-        for v, value in zip(state, exact):
-            deviation = abs(min(max(v, -1e6), 1e6) - min(max(value(t), -1e6), 1e6))
+    for state, values in zip(states, exact):
+        for v, value in zip(state, values):
+            deviation = abs(min(max(v, -1e6), 1e6) - min(max(value, -1e6), 1e6))
             worst = deviation if worst is None or deviation > worst else worst
     return worst

@@ -1,10 +1,12 @@
 """Command-line front end: parsing, exit codes, JSON round-trips."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
-from sasano import rat, rat_str
+from conftest import from_lattice
+from sasano import System, rat, rat_str
 from sasano.cli import main
 
 
@@ -102,6 +104,22 @@ def test_verify_command_passes_on_seed(capsys, tmp_path):
     )
     assert code == 0
     assert "PASS residual" in out
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("system", list(System))
+def test_construct_then_verify_at_lattice_distance_six(capsys, tmp_path, system):
+    # at (1/2 + 6, 1/3, 6, 2/5) the components reach degree 300 and
+    # coefficients of 1,600 bits, where Horner's scheme on float
+    # coefficients overflowed and failed true solutions in B4 and D5
+    p = from_lattice(system, F(13, 2), F(1, 3), 6, F(2, 5))
+    args = ("--system", system.value, "--alphas=" + ",".join(rat_str(a) for a in p.alphas))
+    code, data = run_json(capsys, "construct", *args)
+    assert code == 0 and data["verdict"] == "exists" and data["chart"] == "affine"
+    sol_file = tmp_path / "solution.json"
+    sol_file.write_text(json.dumps(data["solution"]))
+    code, out = run(capsys, "verify", *args, "--solution", str(sol_file))
+    assert code == 0 and "PASS numeric_crosscheck" in out.splitlines()
     assert "FAIL" not in out
 
 

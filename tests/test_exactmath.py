@@ -521,20 +521,64 @@ def test_series_quotient_matches_the_fraction_recursion(num, den, terms):
     assert _series_quotient(n, d, scale, terms) == _fraction_series(num, den, terms)
 
 
-@settings(max_examples=100, deadline=None)
-@given(num=st.lists(_FRACTIONS, max_size=6),
+def _condition(p, t: F) -> F:
+    """sum |c_k| |t|**k over |p(t)|: how far rounding in Horner's scheme can
+    move p(t), relative to its value."""
+    return sum(abs(c) * abs(t) ** k for k, c in enumerate(p.coeffs)) / abs(p.evaluate(t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(num=st.lists(_FRACTIONS, max_size=6).filter(any),
        den=st.lists(_FRACTIONS, min_size=1, max_size=6).filter(any), t=st.floats(-50, 50))
-def test_float_function_is_horner_on_the_float_coefficients(num, den, t):
+@example(num=[F(1), F(-3), F(1, 7)], den=[F(2), F(0), F(5)], t=0.75)
+@example(num=[F(1), F(-3), F(1, 7)], den=[F(2), F(0), F(5)], t=-31.5)
+def test_float_function_agrees_with_the_exact_value_where_well_conditioned(num, den, t):
+    # Horner in t for |t| <= 1 and in 1/t beyond, then one rounding: on
+    # inputs whose num and den Horner cannot move far, within 1e-12
     f = RationalFunction(Polynomial(num), Polynomial(den))
+    assume(f.num and f.den.evaluate(F(t)) and f.num.evaluate(F(t)))
+    assume(_condition(f.num, F(t)) <= 100 and _condition(f.den, F(t)) <= 100)
+    exact = float(f.evaluate(F(t)))
+    assert abs(float_function(f)(t) - exact) <= 1e-12 * abs(exact)
 
-    def horner(p):
-        acc = 0.0
-        for c in reversed(p.coeffs):
-            acc = acc * t + float(c)
-        return acc
 
-    assume(horner(f.den) != 0)
-    assert float_function(f)(t) == horner(f.num) / horner(f.den)
+def _naive_horner(f, t: float):
+    """Horner's scheme on the float coefficients, as `float_function` ran
+    before; None where a coefficient has no float."""
+    try:
+        num, den = ([float(c) for c in reversed(p.coeffs)] for p in (f.num, f.den))
+    except OverflowError:
+        return None
+    n = d = 0.0
+    for c in num:
+        n = n * t + c
+    for c in den:
+        d = d * t + c
+    return n / d if d else None
+
+
+def _monomial(k):
+    return RF(Polynomial.t(k))
+
+
+@pytest.mark.parametrize("f, t", [
+    (2 * _monomial(40) / (_monomial(40) + 1), 1e8),  # inf / inf
+    ((_monomial(300) + 7) / (2 * _monomial(300) - T), 20.0),  # t**300 overflows
+    ((T - 10 ** 400) / (T + 10 ** 400), 3.0),  # coefficients with no float
+    ((10 ** 350 * T * T + 1) / (10 ** 350 + T), 0.5),  # the same, at |t| <= 1
+    (10 ** 300 * _monomial(3) / (_monomial(3) + 1), 1e8),  # 10**300 * t**3 overflows
+])
+def test_float_function_is_finite_where_naive_horner_overflows(f, t):
+    naive = _naive_horner(f, t)
+    assert naive is None or not math.isfinite(naive)
+    exact = float(f.evaluate(F(t)))
+    assert abs(float_function(f)(t) - exact) <= 1e-12 * abs(exact)
+
+
+def test_float_function_saturates_past_the_float_range():
+    f = 10 ** 400 * (T - 1)
+    assert float_function(f)(2.0) == math.inf and float_function(-f)(2.0) == -math.inf
+    assert float_function(f)(1.0) == 0.0
 
 
 def _random_rf(rng):

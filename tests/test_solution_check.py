@@ -5,11 +5,14 @@ degree of each residual's numerator; `residual` builds the four residuals
 as rational functions.  The two must agree on genuine solutions in all
 seven system/chart pairs and on copies with one coefficient changed; the
 formal denominator must clear each residual's denominator, and B must
-never fall below the true degree of the numerator over it.
+never fall below the true degree of the numerator over it.  B is read off
+the compiled pair program's trace; `reference_degree_bounds` runs the
+written field on `_DegreeBound` values instead, and the two must agree.
 """
 
 import ast
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -45,7 +48,7 @@ from sasano import (
 )
 from sasano import systems
 from sasano.backlund import PRIMITIVES
-from sasano.systems import VALID_CHARTS, _degree_bounds, vector_field
+from sasano.systems import VALID_CHARTS, vector_field
 
 T = RF.t()
 SETTINGS = settings(max_examples=30, deadline=None,
@@ -175,6 +178,55 @@ class _Pair:
     __rmul__ = __mul__
 
 
+def _residuals(field, t, values, t_derivatives):
+    """t*X' - RHS on any values that `vector_field` runs on."""
+    return tuple(td - r for td, r in zip(t_derivatives, field(t, *values)))
+
+
+class _DegreeBound:
+    """A bound for a value N / prod_k D_k**e[k] built from the components
+    c = N_c / D_c: deg N - sum_k e[k] * deg D_k <= h.  Products add h and
+    e; sums take the larger h and the elementwise larger e; scalars leave
+    both alone.  The value type the degree bound ran `vector_field` on
+    before it read the pair program's trace: the reference for it."""
+
+    __slots__ = ("h", "e")
+
+    def __init__(self, h: int, e: tuple):
+        self.h, self.e = h, e
+
+    def __add__(self, other):
+        if not isinstance(other, _DegreeBound):
+            return _DegreeBound(max(self.h, 0), self.e)
+        return _DegreeBound(max(self.h, other.h), tuple(map(max, self.e, other.e)))
+
+    def __mul__(self, other):
+        if not isinstance(other, _DegreeBound):
+            return self
+        return _DegreeBound(self.h + other.h, tuple(map(operator.add, self.e, other.e)))
+
+    def __neg__(self):
+        return self
+
+    __radd__ = __sub__ = __rsub__ = __add__
+    __rmul__ = __mul__
+
+
+def reference_degree_bounds(field, comps):
+    """`systems._degree_bounds` as it ran the written field on
+    `_DegreeBound` values: the distinct denominators D_k and, per
+    residual, (B, e)."""
+    dens = list(dict.fromkeys(c.den for c in comps))
+
+    def bound(c, power):
+        return _DegreeBound(c.num.degree - c.den.degree,
+                            tuple(power if d == c.den else 0 for d in dens))
+
+    t = _DegreeBound(1, (0,) * len(dens))
+    residuals = _residuals(field, t, [bound(c, 1) for c in comps], [bound(c, 2) for c in comps])
+    return dens, [(r.h + sum(e * d.degree for e, d in zip(r.e, dens)), r.e) for r in residuals]
+
+
 def _reference_vanish(p, sol, points=None) -> bool:
     """`systems._residuals_vanish` as it ran `vector_field` itself on
     `_Pair` point values."""
@@ -182,7 +234,7 @@ def _reference_vanish(p, sol, points=None) -> bool:
     comps = sol.components()
     dens = list(dict.fromkeys(c.den for c in comps))
     if points is None:
-        points = max(b for b, _ in _degree_bounds(field, comps)[1]) + 1
+        points = max(b for b, _ in reference_degree_bounds(field, comps)[1]) + 1
     images = []
     for c in comps:
         n, nn, nd = c.num._ints
@@ -201,7 +253,7 @@ def _reference_vanish(p, sol, points=None) -> bool:
             dv, ds = at[k]
             values.append(_Pair(sn * nv, sd * dv))
             t_derivatives.append(_Pair(sn * t * (ns * dv - nv * ds), sd * dv * dv))
-        if any(r.n for r in systems._residuals(field, t, values, t_derivatives)):
+        if any(r.n for r in _residuals(field, t, values, t_derivatives)):
             return False
         points -= 1
     return True
@@ -267,6 +319,25 @@ def _random_rf(rng, dens):
     return RF(num, rng.choice(dens))
 
 
+def _random_solution(rng, chart):
+    # a small pool of denominators, so that components share some
+    linear = [T - k for k in range(-2, 3)]
+    dens = [Polynomial.ONE, (T * T + 1).num] + [
+        (rng.choice(linear) * rng.choice(linear)).num for _ in range(3)]
+    return SolutionTuple(chart, *(_random_rf(rng, dens) for _ in range(4)))
+
+
+@pytest.mark.parametrize("system, chart", list(systems.INVERTED_SIDES))
+@SETTINGS
+@given(seed=st.integers(0, 10 ** 6))
+def test_degree_bound_read_off_the_trace_equals_the_reference(system, chart, seed):
+    rng = random.Random(seed)
+    p = random_params(system, rng)
+    comps = _random_solution(rng, chart).components()
+    field = vector_field(system, chart, p.alphas)
+    assert systems._degree_bounds(system, chart, comps) == reference_degree_bounds(field, comps)
+
+
 @SETTINGS
 @given(seed=st.integers(0, 10 ** 6))
 def test_degree_bound_is_never_below_the_true_degree(seed):
@@ -274,12 +345,8 @@ def test_degree_bound_is_never_below_the_true_degree(seed):
     system = rng.choice(list(System))
     chart = rng.choice(VALID_CHARTS[system])
     p = random_params(system, rng)
-    # a small pool of denominators, so that components share some
-    linear = [T - k for k in range(-2, 3)]
-    dens = [Polynomial.ONE, (T * T + 1).num] + [
-        (rng.choice(linear) * rng.choice(linear)).num for _ in range(3)]
-    sol = SolutionTuple(chart, *(_random_rf(rng, dens) for _ in range(4)))
-    dens, bounds = _degree_bounds(vector_field(system, chart, p.alphas), sol.components())
+    sol = _random_solution(rng, chart)
+    dens, bounds = systems._degree_bounds(system, chart, sol.components())
     for r, (bound, exponents) in zip(residual(p, sol), bounds):
         formal = math.prod((d for d, e in zip(dens, exponents) for _ in range(e)), start=Polynomial.ONE)
         assert (formal % r.den).is_zero()
