@@ -5,12 +5,13 @@ solutions by a birational map, possibly landing in another chart.  The
 three systems are D4 seen through charts (`systems.INVERTED_SIDES`), and
 every B4 and D5 generator is a D4 letter under the linear parameter map
 `systems.to_d4_alphas` (`D4_LETTER`).  So each map is written once, for
-D4: on parameters in `_D4_PARAMS_MAPS`, on solutions in `_d4_letter`.
-`act_word` runs a whole word in D4 coordinates, entered once by
-`systems._d4_image` and left once by `systems._settle`, which hold the
-chart rules; the former refuses a chart of another system and an
-inverted side whose u is identically zero.  Degenerate divisions follow
-three rules, tried in order:
+D4: on parameters in `_D4_PARAMS_MAPS`, on solutions in `_d4_letter`;
+`PRIMITIVES` and `SHIFTS` are the keys of `D4_LETTER` and of the shift
+words `_SHIFT_LETTERS`.  `act_word` runs a whole word in D4 coordinates,
+entered once by `systems._d4_image` and left once by `systems._settle`,
+which hold the chart rules; the former refuses a chart of another system
+and an inverted side whose u is identically zero.  Degenerate divisions
+follow three rules, tried in order:
 
   1. identity convention: a generator dividing by an identically zero
      component is the identity when its own parameter vanishes;
@@ -50,17 +51,48 @@ from .systems import (
 )
 
 
-PRIMITIVES = {
-    System.B4: ("s0", "s1", "s2", "s3", "s4", "pi1", "pi2"),
-    System.D4: ("s0", "s1", "s2", "s3", "s4", "pi1", "pi2", "pi3", "pi4"),
-    System.D5: ("s0", "s1", "s2", "s3", "s4", "psi"),
+# each D4 letter's map on the D4 parameters (c0, ..., c4)
+_D4_PARAMS_MAPS = {
+    "s0": lambda c0, c1, c2, c3, c4: (-c0, c1, c2 + c0, c3, c4),
+    "s1": lambda c0, c1, c2, c3, c4: (c0, -c1, c2 + c1, c3, c4),
+    "s2": lambda c0, c1, c2, c3, c4: (c0 + c2, c1 + c2, -c2, c3 + c2, c4 + c2),
+    "s3": lambda c0, c1, c2, c3, c4: (c0, c1, c2 + c3, -c3, c4),
+    "s4": lambda c0, c1, c2, c3, c4: (c0, c1, c2 + c4, c3, -c4),
+    "pi1": lambda c0, c1, c2, c3, c4: (c1, c0, c2, c3, c4),
+    "pi2": lambda c0, c1, c2, c3, c4: (c0, c1, c2, c4, c3),
+    "pi3": lambda c0, c1, c2, c3, c4: (c4, c3, c2, c1, c0),
+    "pi4": lambda c0, c1, c2, c3, c4: (c3, c4, c2, c0, c1),
 }
 
-SHIFTS = {
-    System.B4: ("T1", "T2", "T3", "T4"),
-    System.D4: ("T1", "T2", "T3", "T4"),
-    System.D5: (),
+# the D4 letter each generator is, under the linear parameter map
+# (`systems.to_d4_alphas`)
+D4_LETTER = {
+    System.B4: {"s0": "s0", "s1": "s1", "s2": "s2", "s3": "s3", "s4": "pi2",
+                "pi1": "pi1", "pi2": "pi3"},
+    System.D4: {name: name for name in _D4_PARAMS_MAPS},
+    System.D5: {"s0": "pi1", "s1": "s1", "s2": "s2", "s3": "s3", "s4": "pi2",
+                "psi": "pi3"},
 }
+
+_B4_T1 = ("s4", "pi1", "s1", "s2", "s4", "s3", "s4", "s3", "s2", "s1")
+_SHIFT_LETTERS = {
+    System.B4: {
+        "T1": _B4_T1,
+        "T2": ("s0",) + _B4_T1 + ("s0",),
+        "T3": ("s2", "s0") + _B4_T1 + ("s0", "s2"),
+        "T4": ("s3", "s2", "s0") + _B4_T1 + ("s0", "s2", "s3"),
+    },
+    System.D4: {
+        "T1": ("s3", "s0", "s2", "s4", "s1", "s2", "pi4"),
+        "T2": ("s4", "s1", "s2", "s3", "s0", "s2", "pi4"),
+        "T3": ("s3", "s2", "s0", "s1", "s2", "s3", "pi1", "pi2"),
+        "T4": ("s4", "s3", "s2", "s1", "s0", "s2", "pi1", "pi2"),
+    },
+}
+
+# each system's primitive generators and shift operators, in table order
+PRIMITIVES = {system: tuple(letters) for system, letters in D4_LETTER.items()}
+SHIFTS = {system: tuple(_SHIFT_LETTERS.get(system, ())) for system in System}
 
 
 class Generator(Record):
@@ -136,23 +168,6 @@ def parse_word(system: System, text: str) -> GeneratorWord:
 
 # -- shift operators ---------------------------------------------------------
 
-_B4_T1 = ("s4", "pi1", "s1", "s2", "s4", "s3", "s4", "s3", "s2", "s1")
-_SHIFT_LETTERS = {
-    System.B4: {
-        "T1": _B4_T1,
-        "T2": ("s0",) + _B4_T1 + ("s0",),
-        "T3": ("s2", "s0") + _B4_T1 + ("s0", "s2"),
-        "T4": ("s3", "s2", "s0") + _B4_T1 + ("s0", "s2", "s3"),
-    },
-    System.D4: {
-        "T1": ("s3", "s0", "s2", "s4", "s1", "s2", "pi4"),
-        "T2": ("s4", "s1", "s2", "s3", "s0", "s2", "pi4"),
-        "T3": ("s3", "s2", "s0", "s1", "s2", "s3", "pi1", "pi2"),
-        "T4": ("s4", "s3", "s2", "s1", "s0", "s2", "pi1", "pi2"),
-    },
-}
-
-
 def shift_word(system: System, i: int) -> GeneratorWord:
     """The defining word of the shift operator T_i (B4 and D4 only)."""
     if system not in _SHIFT_LETTERS:
@@ -177,37 +192,7 @@ def invert_word(w: GeneratorWord) -> GeneratorWord:
     return GeneratorWord(w.system, tuple(t.inverted() for t in reversed(w.tokens)))
 
 
-# -- parameter actions -------------------------------------------------------
-
-# the D4 letter each generator is, under the linear parameter map
-# (`systems.to_d4_alphas`)
-D4_LETTER = {
-    System.B4: {"s0": "s0", "s1": "s1", "s2": "s2", "s3": "s3", "s4": "pi2",
-                "pi1": "pi1", "pi2": "pi3"},
-    System.D4: {name: name for name in PRIMITIVES[System.D4]},
-    System.D5: {"s0": "pi1", "s1": "s1", "s2": "s2", "s3": "s3", "s4": "pi2",
-                "psi": "pi3"},
-}
-
-# each D4 letter's map on the D4 parameters (c0, ..., c4)
-_D4_PARAMS_MAPS = {
-    "s0": lambda c0, c1, c2, c3, c4: (-c0, c1, c2 + c0, c3, c4),
-    "s1": lambda c0, c1, c2, c3, c4: (c0, -c1, c2 + c1, c3, c4),
-    "s2": lambda c0, c1, c2, c3, c4: (c0 + c2, c1 + c2, -c2, c3 + c2, c4 + c2),
-    "s3": lambda c0, c1, c2, c3, c4: (c0, c1, c2 + c3, -c3, c4),
-    "s4": lambda c0, c1, c2, c3, c4: (c0, c1, c2 + c4, c3, -c4),
-    "pi1": lambda c0, c1, c2, c3, c4: (c1, c0, c2, c3, c4),
-    "pi2": lambda c0, c1, c2, c3, c4: (c0, c1, c2, c4, c3),
-    "pi3": lambda c0, c1, c2, c3, c4: (c4, c3, c2, c1, c0),
-    "pi4": lambda c0, c1, c2, c3, c4: (c3, c4, c2, c0, c1),
-}
-
-
-def act_params(gen: Generator, p: ParameterTuple) -> ParameterTuple:
-    return act_word(GeneratorWord(gen.system, (gen,)), p)[0]
-
-
-# -- solution actions --------------------------------------------------------
+# -- actions -----------------------------------------------------------------
 
 # D4 letters whose image is a solution in the flipped variable -t
 T_FLIP = ("pi1", "pi2")
@@ -254,6 +239,10 @@ def _d4_letter(name: str, c, x, y, z, w):
     else:  # pi4
         x, y, z, w = -(T * z), (T - w) / T, -(x / T), T - T * y
     return x, y, z, w
+
+
+def act_params(gen: Generator, p: ParameterTuple) -> ParameterTuple:
+    return act_word(GeneratorWord(gen.system, (gen,)), p)[0]
 
 
 def act_solution(gen: Generator, p: ParameterTuple, sol: SolutionTuple) -> SolutionTuple:

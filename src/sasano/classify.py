@@ -35,17 +35,16 @@ from .backlund import (
     D4_LETTER,
     GeneratorWord,
     act_word,
-    equivalence_map,
     invert_word,
     word,
 )
 from .exactmath import RF, rat_str
 from .systems import (
-    Chart,
     NormalizationFailed,
     ParameterTuple,
     SolutionTuple,
     System,
+    _settle,
     is_solution,
     to_d4_alphas,
 )
@@ -190,17 +189,15 @@ def is_standard_form(p: ParameterTuple) -> bool:
 
 
 def seed_solution(q: ParameterTuple) -> SolutionTuple:
-    """The explicit rational solution at standard-form-I parameters."""
+    """The explicit rational solution at standard-form-I parameters: D4's
+    seed at the D4 parameters c, which are in standard form too, settled
+    in the system's charts by `systems._settle`, as `act_word` ends."""
     if not is_standard_form(q):
         raise NotStandardForm(
             f"{[rat_str(a) for a in q.alphas]} is not in standard form I"
         )
-    if q.system is not System.D4:
-        # the D4 seed at the D4 parameters, which are in standard form too
-        c = ParameterTuple(System.D4, to_d4_alphas(q.system, q.alphas))
-        return equivalence_map(System.D4, q.system, c, seed_solution(c))[1]
-    return SolutionTuple(Chart.AFFINE, RF.ZERO, RF.const(Fraction(1, 2)),
-                         RF.t(-1, 2 * q.alphas[4]), RF.t() / 2)
+    c = to_d4_alphas(q.system, q.alphas)
+    return _settle(q.system, c, RF.ZERO, RF.const(Fraction(1, 2)), RF.t(-1, 2 * c[4]), RF.t() / 2)
 
 
 def construct_rational_solution(p: ParameterTuple) -> ClassificationResult:

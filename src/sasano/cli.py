@@ -56,12 +56,9 @@ def _parse_alphas(system: System, text: str) -> ParameterTuple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 5:
         raise UsageError("--alphas needs five comma-separated values (fifth may be 'auto')")
-    first_four = [rat(p) for p in parts[:4]]
     if parts[4] == "auto":
-        last = solve_last_alpha(system, first_four)
-    else:
-        last = rat(parts[4])
-    return ParameterTuple(system, (*first_four, last))
+        parts[4] = solve_last_alpha(system, parts[:4])
+    return ParameterTuple(system, parts)
 
 
 def _load_solution(path: str) -> SolutionTuple:
@@ -277,6 +274,11 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
 def main(argv=None) -> int:
     """One invocation: a single request, or a batch of them."""
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # "--alphas VALUE", or an abbreviation, as one token: a VALUE starting with "-" is no option
+    for i in reversed(range(len(argv) - 1)):
+        if len(argv[i]) > 2 and "--alphas".startswith(argv[i]) and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

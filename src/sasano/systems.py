@@ -129,9 +129,7 @@ class ParameterTuple(Record):
 
     @staticmethod
     def from_json(data) -> "ParameterTuple":
-        return ParameterTuple(
-            parse_system(data["system"]), tuple(rat(a) for a in data["alphas"])
-        )
+        return ParameterTuple(parse_system(data["system"]), data["alphas"])
 
 
 def _d4_level(c) -> Fraction:
@@ -243,6 +241,8 @@ def vector_field(system: System, chart: Chart, alphas):
     All three systems are D4 seen through charts: a side (x, y) or (z, w)
     is either in D4's coordinates or inverted by `invert_side`, which turns
     its P form into the Q form and back; `INVERTED_SIDES` says which.
+    The parameters are D4's, c = `to_d4_alphas(system, alphas)`: s = c0 + c1
+    and g = 1 - c3 - c4, each moved by 2*b (b = c1, c3) on an inverted side.
 
     The returned function uses only +, - and *, so one definition, traced
     once per system and chart (`_program`), serves the residuals' degree
@@ -250,11 +250,9 @@ def vector_field(system: System, chart: Chart, alphas):
     be Fractions, floats or the tracer's recording values.
     """
     x_inverted, z_inverted = _check_chart(system, chart)
-    a0, a1, a2, a3, a4 = alphas
-    # D4's s = a0 + a1 and g = 1 - a3 - a4 as each system reads them; an
-    # inverted side's other form has its parameter moved by 2*b
-    s = (2 if system is System.D5 else 1) * (a0 + a1) - (2 * a1 if x_inverted else 0)
-    g = (1 - a3 - a4 if system is System.D4 else 1 - 2 * a3 - 2 * a4) + (2 * a3 if z_inverted else 0)
+    c0, a1, _, a3, c4 = to_d4_alphas(system, alphas)
+    s = c0 + a1 - (2 * a1 if x_inverted else 0)
+    g = 1 - a3 - c4 + (2 * a3 if z_inverted else 0)
 
     def field(t, x, y, z, w):
         ky = -x * (x * y + a1) if x_inverted else y

@@ -610,3 +610,25 @@ def test_equivalence_d4_to_b4_solution():
     q, img = equivalence_map(System.D4, System.B4, p, sol)
     assert is_solution(q, img)
     assert img.chart is Chart.AFFINE
+
+
+# the generator tables as literals: `backlund` reads them off D4_LETTER and
+# the shift words, and random words draw from these tuples with a seeded
+# rng, so their type and order are pinned too
+PRIMITIVES_REFERENCE = {
+    System.B4: ("s0", "s1", "s2", "s3", "s4", "pi1", "pi2"),
+    System.D4: ("s0", "s1", "s2", "s3", "s4", "pi1", "pi2", "pi3", "pi4"),
+    System.D5: ("s0", "s1", "s2", "s3", "s4", "psi"),
+}
+SHIFTS_REFERENCE = {
+    System.B4: ("T1", "T2", "T3", "T4"),
+    System.D4: ("T1", "T2", "T3", "T4"),
+    System.D5: (),
+}
+
+
+def test_derived_generator_tables_keep_their_literal_values():
+    for table, reference in ((PRIMITIVES, PRIMITIVES_REFERENCE), (SHIFTS, SHIFTS_REFERENCE)):
+        assert list(table) == list(reference)
+        for system, names in reference.items():
+            assert type(table[system]) is tuple and table[system] == names

@@ -577,3 +577,23 @@ def test_batch_names_a_request_key_no_subcommand_takes(capsys, tmp_path):
     assert rows[0] == {"error": "unknown request key 'ordre'; expected subcommand, json, "
                                 "system, alphas, word, solution, at, order"}
     assert rows[1]["x"]["order"] == -1 and set(rows[1]) == set("xyzw")
+
+
+def test_alphas_starting_with_minus_may_follow_as_their_own_token(capsys, tmp_path):
+    # (1/2 + 1, 1/3, 1, 2/5) in B4's lattice coordinates: a0 = -5/6
+    alphas = "-5/6,7/6,-2/3,3/5,2/5"
+    code, data = run_json(capsys, "construct", "--system", "b4", f"--alphas={alphas}")
+    assert code == 0 and data["verdict"] == "exists"
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps(data["solution"]))
+    extra = {"classify": (), "construct": (), "transform": ("--word", "s1 T2"),
+             "verify": ("--solution", str(solution)), "report": ("--solution", str(solution))}
+    for sub, rest in extra.items():
+        joined = run(capsys, sub, "--system", "b4", f"--alphas={alphas}", *rest)
+        separate = run(capsys, sub, "--system", "b4", "--alphas", alphas, *rest)
+        assert separate == joined and joined[0] == 0, sub
+        # an abbreviation that argparse accepts takes the value the same way
+        assert run(capsys, sub, "--system", "b4", "--alph", alphas, *rest) == joined, sub
+    # an option after --alphas is still no value for it
+    assert main(["classify", "--system", "b4", "--alphas", "--json"]) == 2
+    assert "expected one argument" in capsys.readouterr().err

@@ -31,7 +31,13 @@ from sasano import (
     solve_last_alpha,
 )
 from sasano.exactmath import INFINITY, laurent_expand
-from sasano.systems import hamiltonian_polynomial, vector_field
+from sasano.systems import (
+    INVERTED_SIDES,
+    _invert_sides,
+    hamiltonian_polynomial,
+    to_d4_alphas,
+    vector_field,
+)
 
 T = RF.t()
 HALF = RF.const(F(1, 2))
@@ -219,3 +225,19 @@ def test_finite_solutions_solve_every_chart_of_their_system(system, charts):
         sol = SolutionTuple(chart, *coordinates[chart])
         assert all(r.is_zero() for r in residual(p, sol)), chart
         assert is_solution(p, sol), chart
+
+
+@pytest.mark.parametrize("system, chart", list(INVERTED_SIDES))
+def test_every_chart_field_is_d4_field_conjugated_by_its_inversions(system, chart):
+    """The image X of the state under the chart's inversions, at D4's
+    parameters, moves by D4's field: t*dX/dt, taken along the chart's own
+    field by the chain rule, equals D4's field at X, on sympy symbols."""
+    t, *state = sp.symbols("t x y z w")
+    alphas = sp.symbols("a0:5")
+    c = to_d4_alphas(system, alphas)
+    image = _invert_sides(c, *INVERTED_SIDES[system, chart], *state)
+    flow = vector_field(system, chart, alphas)(t, *state)
+    d4_field = vector_field(System.D4, Chart.AFFINE, c)(t, *image)
+    for u, target in zip(image, d4_field):
+        along = sum(sp.diff(u, s) * f for s, f in zip(state, flow))
+        assert sp.cancel(along - target) == 0
