@@ -87,26 +87,21 @@ def _emit(payload: dict) -> None:
 
 # each subcommand imports the modules it runs (backlund, classify, verify), not the others
 
-def _run_classify(args) -> int:
+def _run_classify(args, params, sol) -> int:
     from .classify import classify
-    _emit(classify(_parse_alphas(args.system, args.alphas)).to_json())
+    _emit(classify(params).to_json())
     return EXIT_OK
 
 
-def _run_construct(args) -> int:
+def _run_construct(args, params, sol) -> int:
     from .classify import construct_rational_solution
-    params = _parse_alphas(args.system, args.alphas)
-    result = construct_rational_solution(params)
-    _emit(result.to_json())
+    _emit(construct_rational_solution(params).to_json())
     return EXIT_OK
 
 
-def _run_transform(args) -> int:
+def _run_transform(args, params, sol) -> int:
     from .backlund import act_word, parse_word
-    params = _parse_alphas(args.system, args.alphas)
-    w = parse_word(args.system, args.word)
-    sol = _load_solution(args.solution) if args.solution else None
-    new_params, new_sol = act_word(w, params, sol)
+    new_params, new_sol = act_word(parse_word(args.system, args.word), params, sol)
     out = new_params.to_json()
     if new_sol is not None:
         out["solution"] = new_sol.to_json()
@@ -115,11 +110,9 @@ def _run_transform(args) -> int:
     return EXIT_OK
 
 
-def _run_verify(args) -> int:
+def _run_verify(args, params, sol) -> int:
     from .verify import (IntegratorFailed, PoleOnPath, invariant_report, numeric_crosscheck,
                          pole_free_interval)
-    params = _parse_alphas(args.system, args.alphas)
-    sol = _load_solution(args.solution)
     checks: list = [("residual", is_solution(params, sol))]
     skipped: list = []  # (check, reason), reported in text mode
 
@@ -162,8 +155,7 @@ def _run_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-def _run_expand(args) -> int:
-    sol = _load_solution(args.solution)
+def _run_expand(args, params, sol) -> int:
     point = _parse_at(args.at)
     order = args.order
     out = {}
@@ -174,10 +166,8 @@ def _run_expand(args) -> int:
     return EXIT_OK
 
 
-def _run_report(args) -> int:
+def _run_report(args, params, sol) -> int:
     from .verify import invariant_report
-    params = _parse_alphas(args.system, args.alphas)
-    sol = _load_solution(args.solution)
     _emit(invariant_report(params, sol).to_json())
     return EXIT_OK
 
@@ -296,10 +286,13 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    """Run one parsed request; its errors are reported as JSON."""
-    runner = _RUNNERS[args.subcommand]
+    """Read one parsed request's alphas and solution, where it has them,
+    and run it; its errors are reported as JSON."""
     try:
-        return runner(args)
+        alphas, solution = getattr(args, "alphas", None), getattr(args, "solution", None)
+        params = None if alphas is None else _parse_alphas(args.system, alphas)
+        sol = None if solution is None else _load_solution(solution)
+        return _RUNNERS[args.subcommand](args, params, sol)
     except (UndefinedAction, NormalizationFailed) as exc:
         _emit({"error": str(exc)})
         return EXIT_UNDEFINED

@@ -386,9 +386,7 @@ def _int_poly_gcd_cofactors(a, b):
                 return b, qa, [1]
         else:
             cand = _int_unpack(h, k)
-            content = math.gcd(*cand)
-            if cand[-1] < 0:
-                content = -content
+            content = math.gcd(*cand)  # h > 0, so its top digit cand[-1] is too
             cand = [c // content for c in cand]
             qa = _int_exact_div(a, cand)
             if qa is not None:
@@ -606,6 +604,13 @@ class RationalFunction:
         self.num = num
         self.den = den
 
+    def _image(self):
+        """(n, d, sn, sd): self = (sn / sd) * n / d on the integer images n
+        and d of num and den, with sn / sd reduced."""
+        (n, nn, nd), (d, dn, dd) = self.num._ints, self.den._ints
+        g = math.gcd(nn * dd, nd * dn)
+        return n, d, nn * dd // g, nd * dn // g
+
     @classmethod
     def _coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
         """num/den for num and den known to be coprime: no gcd is taken.
@@ -749,15 +754,13 @@ class RationalFunction:
 def float_function(f: RationalFunction):
     """t -> f(t) in floats, with no step that can overflow or raise: Horner
     on each integer image shifted right to entries below about 2**900, in t
-    where |t| <= 1 and in 1/t beyond (the lower degree padded), the scale
-    pairs exact up to one rounding, the final scaling saturating to +-inf."""
-    images = []
-    for ints, sn, sd in (f.num._ints, f.den._ints):
-        shift = max(max(map(abs, ints), default=0).bit_length() - 900, 0)
-        images.append(([float(c >> shift) for c in ints], shift, sn, sd))
-    (num, ns, nn, nd), (den, ds, dn, dd) = images
-    e = (nn * dd).bit_length() - (nd * dn).bit_length()
-    scale, shift = (nn * dd << max(-e, 0)) / (nd * dn << max(e, 0)), ns - ds + e
+    where |t| <= 1 and in 1/t beyond (the lower degree padded), the reduced
+    scale exact up to one rounding, the final scaling saturating to +-inf."""
+    n, d, sn, sd = f._image()
+    ns, ds = (max(max(map(abs, v), default=0).bit_length() - 900, 0) for v in (n, d))
+    num, den = [float(c >> ns) for c in n], [float(c >> ds) for c in d]
+    e = sn.bit_length() - sd.bit_length()
+    scale, shift = (sn << max(-e, 0)) / (sd << max(e, 0)), ns - ds + e
     k = len(num) - len(den)
     near_num, near_den, far_num, far_den = num[::-1], den[::-1], num + [0.0] * -k, den + [0.0] * k
 
@@ -939,9 +942,9 @@ def laurent_expand(f: RationalFunction, point: ExpansionPoint, order: int | None
         edge = 0 if order is None else sign * order
         return LaurentSeries(point, edge, (), edge)
     # f = scale * n(u) / d(u) over integer lists in the local parameter u
-    (n, nn, nd), (d, dn, dd) = f.num._ints, f.den._ints
+    n, d, sn, sd = f._image()
     b = point.c.denominator if point.kind == "finite" else 1
-    scale = Fraction(nn * dd * b ** len(d), nd * dn * b ** len(n))
+    scale = Fraction(sn * b ** len(d), sd * b ** len(n))
     if point.kind == "infinity":
         # u**m f(1/u) has the reversed images padded to one length m
         m = max(len(n), len(d))

@@ -12,7 +12,7 @@ at B + 1 points, with B a bound on the degree of each residual's
 numerator.
 
 One trace has three readings: `_program` traces `vector_field` once per
-system and chart with recording values (`_Traced`) and emits the trace as
+system, chart and kind with recording values (`_Traced`) and emits it as
 straight-line Python, on floats for the numeric check (`float_rhs`) and
 on integer numerators over monomial denominators for the point values;
 `_degree_bounds` runs the latter trace again on exponents to find B.
@@ -114,12 +114,6 @@ class ParameterTuple(Record):
                 f"{[rat_str(a) for a in alphas]}"
             )
         self._fill(system, alphas)
-
-    def __iter__(self):
-        return iter(self.alphas)
-
-    def __getitem__(self, i):
-        return self.alphas[i]
 
     def to_json(self) -> dict:
         return {
@@ -245,7 +239,7 @@ def vector_field(system: System, chart: Chart, alphas):
     and g = 1 - c3 - c4, each moved by 2*b (b = c1, c3) on an inverted side.
 
     The returned function uses only +, - and *, so one definition, traced
-    once per system and chart (`_program`), serves the residuals' degree
+    once per system, chart and kind (`_program`), serves the residuals' degree
     bound, the exact point values and the float integrator; the alphas may
     be Fractions, floats or the tracer's recording values.
     """
@@ -423,28 +417,23 @@ def _residuals_vanish(params: ParameterTuple, sol: SolutionTuple, points=None) -
     t >= 1 where no denominator vanishes (by default B + 1, `_degree_bounds`),
     evaluated by the compiled pair program of the system and chart."""
     system, chart, alphas, comps = params.system, sol.chart, params.alphas, sol.components()
-    dens = list(dict.fromkeys(c.den for c in comps))
     if points is None:
         points = max(b for b, _ in _degree_bounds(system, chart, comps)[1]) + 1
     ad = math.lcm(*(a.denominator for a in alphas))
     residuals = _program(system, chart, "pair")[0](
         ad, *(a.numerator * (ad // a.denominator) for a in alphas))
-    images = []
-    for c in comps:
-        n, nn, nd = c.num._ints
-        _, dn, dd = c.den._ints
-        # c = (sn / sd) * n / d on the integer images, sn / sd = (nn / nd) / (dn / dd)
-        sn, sd = nn * dd, nd * dn
-        g = math.gcd(sn, sd)
-        images.append((n, sn // g, sd // g, dens.index(c.den)))
+    # c = (sn / sd) * n / d on the integer images; a monic den is keyed by its image d
+    images = [c._image() for c in comps]
+    dens = list(dict.fromkeys(d for _, d, _, _ in images))
+    keyed = [(n, sn, sd, dens.index(d)) for n, d, sn, sd in images]
     p = 0
     while points > 0:
         p += 1
-        at = [_horner(d._ints[0], p) for d in dens]
+        at = [_horner(d, p) for d in dens]
         if not all(v for v, _ in at):
             continue
         values, t_derivatives = [], []
-        for n, sn, sd, k in images:
+        for n, sn, sd, k in keyed:
             nv, ns = _horner(n, p)
             dv, ds = at[k]
             values += sn * nv, sd * dv

@@ -20,6 +20,7 @@ from conftest import (
 )
 from sasano import (
     Chart,
+    ChartMismatch,
     Generator,
     GeneratorWord,
     ParameterTuple,
@@ -108,6 +109,22 @@ def test_shift_identities_d4():
         for i, vec in vectors.items():
             q, _ = act_word(shift_word(System.D4, i), p)
             assert tuple(b - a for a, b in zip(p.alphas, q.alphas)) == tuple(map(F, vec))
+
+
+@pytest.mark.parametrize("system, i, message", [
+    (System.D5, 1, "no shift operators for system d5"),
+    (System.B4, 5, "shift index must be 1..4"),
+    (System.D4, 0, "shift index must be 1..4"),
+])
+def test_shift_word_refuses_what_has_no_shift(system, i, message):
+    with pytest.raises(ValueError, match=message):
+        shift_word(system, i)
+
+
+def test_act_word_refuses_a_word_of_another_system():
+    p = b4("3/8", "1/8", "1/8", "-1/4", "3/8")
+    with pytest.raises(ValueError, match="different systems"):
+        act_word(word(System.D4, ["s1"]), p)
 
 
 def test_empty_word_is_identity():
@@ -610,6 +627,23 @@ def test_equivalence_d4_to_b4_solution():
     q, img = equivalence_map(System.D4, System.B4, p, sol)
     assert is_solution(q, img)
     assert img.chart is Chart.AFFINE
+
+
+@pytest.mark.parametrize("source, target, p, chart, message", [
+    (System.D4, System.B4, b4("1/4", "1/4", "1/4", "-1/4", "1/4"), Chart.AFFINE,
+     "do not belong to the source system"),
+    (System.B4, System.D5, b4("1/4", "1/4", "1/4", "-1/4", "1/4"), Chart.AFFINE,
+     "unsupported equivalence b4 -> d5"),
+    (System.D4, System.D4, d4("1/4", "1/4", "1/4", "-1/4", "1/4"), Chart.AFFINE,
+     "unsupported equivalence d4 -> d4"),
+    (System.D4, System.B4, d4("1/4", "1/4", "1/4", "-1/4", "1/4"), Chart.M3,
+     "act on affine D4 solutions"),
+])
+def test_equivalence_map_names_its_refusals(source, target, p, chart, message):
+    sol = SolutionTuple(chart, RF.ZERO, HALF, T, T / 2)
+    kind = ChartMismatch if chart is not Chart.AFFINE else ValueError
+    with pytest.raises(kind, match=message):
+        equivalence_map(source, target, p, sol)
 
 
 # the generator tables as literals: `backlund` reads them off D4_LETTER and

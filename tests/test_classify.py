@@ -25,7 +25,7 @@ from sasano import (
     seed_solution,
 )
 from sasano.backlund import PRIMITIVES
-from sasano.classify import is_standard_form, lattice_coordinates
+from sasano.classify import _translation_tokens, is_standard_form, lattice_coordinates
 
 T = RF.t()
 HALF = RF.const(F(1, 2))
@@ -92,6 +92,23 @@ def test_normalize_enforces_alpha4_nonzero_via_shift():
     p = from_lattice(System.B4, "1/2", "1/3", 0, 0)
     w, q = normalize_to_standard(p)
     assert is_standard_form(q)
+
+
+@pytest.mark.parametrize("alphas, witness", [
+    ((0, 0, "1/2", "-1/3", "1/3"), "s1 s0 s1 s2 s3 s4 s3 s2 s1 s1"),
+    ((0, 0, "-1/2", "3/5", "2/5"),
+     "s2 s1 s0 s1 s2 s3 s4 s3 s2 s1 s1 s2 s1 s0 s1 s2 s3 s4 s3 s2 s1 s1"),
+])
+def test_normalize_moves_d5_slot_two_off_one_half(alphas, witness):
+    # slots 1 and 3 set, both points sit at f2 = 1/2, where D5's seed
+    # would need a1 = 0: the word ends in slot 2's translation down
+    p = d5(*alphas)
+    assert lattice_coordinates(p)[1] == F(1, 2)
+    out = construct_rational_solution(p)
+    assert str(out.witness_word) == witness
+    assert witness.endswith(" ".join(_translation_tokens(System.D5, 2, increment=False)))
+    assert lattice_coordinates(normalize_to_standard(p)[1])[1] == F(-1, 2)
+    assert is_solution(p, out.solution)
 
 
 def test_normalize_rejects_not_exists():

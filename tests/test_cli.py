@@ -1,5 +1,6 @@
 """Command-line front end: parsing, exit codes, JSON round-trips."""
 
+import io
 import json
 from fractions import Fraction as F
 
@@ -597,3 +598,57 @@ def test_alphas_starting_with_minus_may_follow_as_their_own_token(capsys, tmp_pa
     # an option after --alphas is still no value for it
     assert main(["classify", "--system", "b4", "--alphas", "--json"]) == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+def test_expand_at_zero(capsys, tmp_path):
+    solution = tmp_path / "seed.json"
+    solution.write_text(json.dumps(_SEED))
+    code, out = run_json(capsys, "expand", "--solution", str(solution), "--at", "0", "--order", "2")
+    assert code == 0
+    assert out["y"] == {"point": "0", "lead": 0, "coeffs": ["1/2", "0", "0"], "order": 2}
+    assert out["z"] == {"point": "0", "lead": 1, "coeffs": ["2", "0"], "order": 2}
+    assert out["x"]["coeffs"] == out["w"]["coeffs"] == []
+
+
+def test_expand_names_an_unknown_point(capsys, tmp_path):
+    solution = tmp_path / "seed.json"
+    solution.write_text(json.dumps(_SEED))
+    code, out = run_json(capsys, "expand", "--solution", str(solution), "--at", "1/2")
+    assert code == 2
+    assert out == {"error": "--at must be one of: 0, inf, c=VALUE"}
+
+
+def test_solution_dash_reads_stdin(capsys, tmp_path, monkeypatch):
+    solution = tmp_path / "seed.json"
+    solution.write_text(json.dumps(_SEED))
+    from_file = run(capsys, "expand", "--solution", str(solution), "--at", "inf")
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_SEED)))
+    assert run(capsys, "expand", "--solution", "-", "--at", "inf") == from_file
+    assert from_file[0] == 0
+
+
+def test_no_subcommand_prints_usage_and_exits_two(capsys):
+    assert main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: sasano")
+
+
+def test_transform_reads_its_solution_file_before_its_word(capsys, tmp_path):
+    # the alphas are read first, then the solution, then the word
+    missing = str(tmp_path / "missing.json")
+    code, out = run_json(capsys, "transform", "--system", "b4", "--alphas", _ALPHAS,
+                         "--word", "q9", "--solution", missing)
+    assert code == 2 and "missing.json" in out["error"]
+    code, out = run_json(capsys, "transform", "--system", "b4", "--alphas", "1,2,3",
+                         "--word", "q9", "--solution", missing)
+    assert code == 2 and "--alphas needs five" in out["error"]
+
+
+@pytest.mark.parametrize("command", ["transform", "verify"])
+def test_an_empty_solution_path_is_a_missing_file(capsys, command):
+    extra = ("--word", "s1") if command == "transform" else ()
+    code, out = run_json(capsys, command, "--system", "b4", "--alphas", _ALPHAS, *extra,
+                         "--solution=")
+    assert code == 2
+    assert out == {"error": "[Errno 2] No such file or directory: ''"}

@@ -88,6 +88,22 @@ def test_every_private_constant_is_read():
     assert unread == []
 
 
+def test_only_exactmath_reads_its_private_slots():
+    # a slot such as `Polynomial._ints` holds a format, which the other
+    # modules read through exactmath's functions and accessors
+    private = {const.value for node in ast.walk(SOURCES["exactmath.py"])
+               if isinstance(node, ast.Assign)
+               and any(isinstance(target, ast.Name) and target.id == "__slots__"
+                       for target in node.targets)
+               for const in ast.walk(node.value)
+               if isinstance(const, ast.Constant) and str(const.value).startswith("_")}
+    assert private >= {"_ints", "_n", "_coeffs"}
+    reads = [f"{module}:{node.lineno}:{node.attr}" for module, tree in SOURCES.items()
+             if module != "exactmath.py"
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in private]
+    assert reads == []
+
+
 # The arithmetic under every Bäcklund letter works on a primitive integer
 # image and a scale held as two coprime integers, so it builds no Fraction.
 # `leading`, `evaluate` and `coeffs` return rationals, so they stay out.

@@ -9,6 +9,9 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import (
     b4,
+    b4_m3_infinite_solution,
+    d4,
+    d5,
     hamiltonian,
     hamiltonian_constant_oracle,
     prop_x_zero_branch_solution,
@@ -18,6 +21,7 @@ from conftest import (
 from sasano import (
     INFINITY,
     Chart,
+    ChartMismatch,
     InvariantReport,
     LaurentSeries,
     PoleOnPath,
@@ -167,6 +171,41 @@ def test_pole_free_interval_shifts_right():
     sol = seed_solution(p).replace(y=HALF + 1 / (T - F(3, 2)))
     t0, t1 = pole_free_interval(sol)
     assert t0 >= 2 and t1 == t0 + 1
+
+
+def test_pole_free_interval_gives_up_after_its_last_window(monkeypatch):
+    windows = []
+    monkeypatch.setattr(verify, "_real_pole_in", lambda sol, lo, hi: windows.append(lo) or True)
+    p = b4("1/4", "1/4", "1/4", "-1/4", "1/4")
+    with pytest.raises(PoleOnPath, match="t0 <= 1000"):
+        pole_free_interval(seed_solution(p))
+    assert len(windows) == 1000 and windows[-1] == 1000 - F(1, 1000)
+
+
+@pytest.mark.parametrize("p", [d4("1/4", "1/4", "1/4", "-1/4", "1/4"),
+                               d5(0, "1/4", "1/4", "-1/4", "1/4")], ids=["d4", "d5"])
+def test_invariant_report_refuses_other_systems(p):
+    with pytest.raises(ValueError, match="defined for the B4 system"):
+        invariant_report(p, seed_solution(p))
+
+
+def test_invariant_report_refuses_a_non_affine_chart():
+    p = b4("1/7", "1/5", "-6/35", "1/2", 0)
+    with pytest.raises(ChartMismatch, match="needs the affine chart"):
+        invariant_report(p, b4_m3_infinite_solution(p))
+
+
+def test_numeric_crosscheck_refuses_a_non_affine_chart():
+    p = b4("1/7", "1/5", "-6/35", "1/2", 0)
+    with pytest.raises(ChartMismatch, match="needs the affine chart"):
+        numeric_crosscheck(p, b4_m3_infinite_solution(p), 1, 2)
+
+
+@pytest.mark.parametrize("t0, t1", [(0, 1), ("-1/2", 1), (2, 2), (2, 1)])
+def test_numeric_crosscheck_needs_an_interval_right_of_zero(t0, t1):
+    p = b4("1/4", "1/4", "1/4", "-1/4", "1/4")
+    with pytest.raises(ValueError, match="need 0 < t0 < t1"):
+        numeric_crosscheck(p, seed_solution(p), t0, t1)
 
 
 def test_constructed_solutions_pass_numeric_check():
