@@ -24,6 +24,7 @@ Representation invariants:
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -33,24 +34,44 @@ RatLike = Fraction | int | str
 
 
 def rat(value: RatLike) -> Fraction:
-    """Coerce ints (not bools) and 'p/q' strings to Fraction."""
+    """Coerce ints (not bools) and 'p/q' or 'p' strings of any length to Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+        if not (text := re.fullmatch(r"\s*([-+]?)([0-9]+)(?:/([0-9]+))?\s*", value)):
+            raise ValueError(f"not an exact rational: {value!r}")
+        sign, num, den = text.groups("1")
+        if not (den := _int_of_text(den)):
+            raise ValueError(f"zero denominator in {value!r}")
+        return Fraction(-_int_of_text(num) if sign == "-" else _int_of_text(num), den)
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
 
 def rat_str(value: Fraction) -> str:
-    """Encode a Fraction as 'p/q', or 'p' when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Encode a Fraction as 'p/q', or 'p' when the denominator is 1, at any length."""
+    text = "-" * (value < 0) + _text_of_int(abs(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{_text_of_int(value.denominator)}"
+
+
+def _text_of_int(n: int) -> str:
+    """str(n) for n >= 0, past str's sys.get_int_max_str_digits() by halves."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # under half of n's digits
+        high, low = divmod(n, 10 ** k)
+        return _text_of_int(high) + _text_of_int(low).zfill(k)
+
+
+def _int_of_text(digits: str) -> int:
+    """int(digits), past its digit limit by halves joined in Karatsuba's product."""
+    try:
+        return int(digits)
+    except ValueError:
+        k = len(digits) // 2
+        return _int_of_text(digits[:-k]) * 10 ** k + _int_of_text(digits[-k:])
 
 
 def is_integer(value: Fraction) -> bool:
@@ -502,12 +523,11 @@ def has_real_root(p: Polynomial, lo: RatLike, hi: RatLike) -> bool:
     in integer arithmetic by Descartes' rule of signs with bisection.
 
     A sign-variation count of 0 proves an interval root-free and 1 proves
-    one root in it.  If the whole interval counts 2 or more, p is replaced
-    by its square-free part, which has the same roots, and the halves are
-    bisected until every count is 0 or 1, or a midpoint is a root.  On a
-    square-free polynomial that always ends (Vincent's theorem; Collins and
-    Akritas, SYMSAC 1976), so there is no cap: a pair of complex roots
-    within 10**-400 of the interval costs about 1,330 halvings.
+    one root in it.  A count of 2 or more on the whole interval maps p's
+    own square-free part, with the same roots, onto it, and bisects until
+    every count is 0 or 1 or a midpoint is a root, which always ends
+    (Vincent's theorem; Collins and Akritas, SYMSAC 1976): no cap, and a
+    pair of complex roots within 10**-400 of it costs about 1,330 halvings.
     """
     lo, hi = rat(lo), rat(hi)
     if p.is_zero():
@@ -524,8 +544,7 @@ def has_real_root(p: Polynomial, lo: RatLike, hi: RatLike) -> bool:
     variations = _sign_variations(q)
     if variations < 2:
         return variations == 1
-    q = Polynomial._from_ints(q, 1, 1)  # q need not be primitive
-    stack = [q.gcd(q.derivative(), cofactors=True)[1]._ints[0]]
+    stack = [_int_compose_affine(p.gcd(p.derivative(), cofactors=True)[1]._ints[0], a, d, w)]
     while stack:  # each q has q(0) and q(1) nonzero
         q = stack.pop()
         variations = _sign_variations(q)
@@ -741,8 +760,6 @@ class RationalFunction:
 
     def poles(self) -> dict:
         """Rational poles with multiplicities (irrational poles not found)."""
-        if self.den.degree < 1:
-            return {}
         return rational_roots(self.den)
 
     def __repr__(self) -> str:

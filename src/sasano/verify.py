@@ -14,8 +14,8 @@ component and point, the Hamiltonian polynomial run on those series.
 The cross-check integrates in plain Python floats, with the system's
 vector field and the integrator's step compiled to straight-line code
 (`systems.float_rhs`, `_step`) and a bound on the number of steps, and
-poles are located exactly (`exactmath.has_real_root`, with no cap on its
-bisection), so no part of the package needs numpy or scipy.
+poles are located exactly (`exactmath.has_real_root` bisects the square-free
+part of the denominator itself, uncapped), so the package needs no numpy or scipy.
 """
 
 from __future__ import annotations

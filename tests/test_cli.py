@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import from_lattice
-from sasano import System, rat, rat_str
+from sasano import System, finite_point, laurent_expand, rat, rat_str
+from sasano.classify import construct_rational_solution, seed_solution
 from sasano.cli import main
 
 
@@ -122,6 +123,47 @@ def test_construct_then_verify_at_lattice_distance_six(capsys, tmp_path, system)
     code, out = run(capsys, "verify", *args, "--solution", str(sol_file))
     assert code == 0 and "PASS numeric_crosscheck" in out.splitlines()
     assert "FAIL" not in out
+
+
+# str and int refuse more than 4,300 digits by default (sys.get_int_max_str_digits())
+
+@pytest.fixture(scope="module")
+def d4_distance_six(tmp_path_factory):
+    sol = construct_rational_solution(from_lattice(System.D4, F(13, 2), F(1, 3), 6, F(2, 5))).solution
+    path = tmp_path_factory.mktemp("d4") / "solution.json"
+    path.write_text(json.dumps(sol.to_json()))
+    return sol, path
+
+
+@pytest.mark.parametrize("order", [30, 60])
+def test_expand_writes_coefficients_of_any_length(capsys, d4_distance_six, order):
+    sol, path = d4_distance_six
+    code, out = run_json(capsys, "expand", "--solution", str(path), "--at", "c=1/3",
+                         "--order", str(order), "--json")
+    assert code == 0
+    for name, comp in zip("xyzw", sol.components()):
+        series = laurent_expand(comp, finite_point(F(1, 3)), order)
+        assert (out[name]["lead"], out[name]["order"]) == (series.lead, series.order)
+        assert [rat(c) for c in out[name]["coeffs"]] == list(series.coeffs)
+    assert max(len(c) for series in out.values() for c in series["coeffs"]) > 4300
+
+
+def test_batch_verify_reads_and_writes_alphas_of_any_length(capsys, tmp_path):
+    # lattice coordinates (1/2, 1/3, 0, 1 + 10**-5000): standard form, so
+    # the seed solution itself, with coefficients of 5,001 digits
+    params = from_lattice(System.B4, F(1, 2), F(1, 3), 0, 1 + F(1, 10 ** 5000))
+    sol = seed_solution(params)
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps(sol.to_json()))
+    alphas = [rat_str(a) for a in params.alphas]
+    assert max(len(a) for a in alphas) > 10_000
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text(json.dumps({"subcommand": "verify", "system": "b4", "alphas": ",".join(alphas),
+                                 "solution": str(solution), "json": True}) + "\n")
+    code, out = run(capsys, "--batch", str(batch))
+    data = json.loads(out)
+    assert code == 0 and data["pass"] and all(data["checks"].values())
+    assert set(data["checks"]) >= {"residual", "numeric_crosscheck", "hamiltonian_integrality"}
 
 
 def test_verify_command_fails_on_wrong_solution(capsys, tmp_path):

@@ -2,6 +2,9 @@
 
 import math
 import random
+import re
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +18,8 @@ from sasano import (
     ZERO_POINT,
     finite_point,
     laurent_expand,
+    rat,
+    rat_str,
     rational_roots,
     residue,
 )
@@ -315,6 +320,45 @@ def test_substitute_negate():
     g = f.substitute_negate()
     for pt in (F(2), F(3), F(-5)):
         assert g.evaluate(pt) == f.evaluate(-pt)
+
+
+# -- exact text -----------------------------------------------------------------
+
+@pytest.mark.parametrize("num_digits, den_digits", [
+    (1, 1), (4300, 1), (4301, 1), (1, 4301), (4301, 4300), (8601, 12899), (20_000, 20_000),
+])
+def test_rat_reads_what_rat_str_writes_at_any_length(num_digits, den_digits):
+    # str and int refuse more than sys.get_int_max_str_digits() digits, 4,300
+    # by default; str with that limit lifted is the reference text
+    rng = random.Random(num_digits + 7 * den_digits)
+    for sign in (1, -1):
+        x = F(sign * rng.randrange(10 ** (num_digits - 1), 10 ** num_digits),
+              rng.randrange(10 ** (den_digits - 1), 10 ** den_digits))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert rat_str(x) == want
+        assert rat(want) == x and rat(f" {want}\n") == x
+
+
+@pytest.mark.parametrize("text", [
+    "1e30000000", "0.5", ".5", "1_000", "1/2/3", "", " ", "1 / 2", "1/-2", "+-1", "-", "inf", "nan", "0x10",
+])
+def test_rat_refuses_what_rat_str_never_writes(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^not an exact rational: {re.escape(repr(text))}$"):
+        rat(text)
+    assert time.perf_counter() - start < 1  # 1e30000000 is not worked out first
+
+
+def test_rat_signs_and_zero_denominators():
+    assert [rat(s) for s in ("-6/4", "+6/4", " 0 ", "-0/3")] == [F(-3, 2), F(3, 2), 0, 0]
+    for text in ("1/0", " -3/0 "):
+        with pytest.raises(ValueError, match=f"^zero denominator in {re.escape(repr(text))}$"):
+            rat(text)
 
 
 # -- integer-image arithmetic and the gcd-free shortcuts -------------------------
@@ -653,6 +697,56 @@ def test_has_real_root_endpoints_and_multiple_roots():
     # recursion limit may answer in place of the exact test
     for e in (20, 800):
         assert not has_real_root(poly(F(1, 9) + F(1, 10 ** e), F(-2, 3), 1), 0, 1)
+
+
+@st.composite
+def _products_with_multiplicities(draw):
+    """A nonzero constant times 1 to 4 linear or quadratic factors, each
+    raised to a power from 1 to 3."""
+    p = poly(draw(st.integers(-4, 4).filter(bool)))
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            factor = poly(-draw(st.builds(F, st.integers(-20, 20), st.integers(1, 5))), 1)
+        else:
+            factor = poly(draw(st.integers(-15, 15)), draw(st.integers(-8, 8)), draw(st.integers(1, 4)))
+        for _ in range(draw(st.integers(1, 3))):
+            p = p * factor
+    return p
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=_products_with_multiplicities(), lo=st.builds(F, st.integers(-8, 8), st.integers(1, 4)),
+       width=st.builds(F, st.integers(0, 12), st.integers(1, 4)))
+@example(p=poly(-2, 0, 1) * poly(-2, 0, 1), lo=F(1), width=F(1))  # (t^2 - 2)^2
+# (t - 3/2)^3 (t^2 + 1), its triple root at an end
+@example(p=poly(F(-27, 8), F(27, 4), F(-9, 2), 1) * poly(1, 0, 1), lo=F(3, 2), width=F(1, 2))
+# (t - 1/2)^2 (t - 5/2)^2, its double roots outside [1, 2]
+@example(p=poly(F(1, 4), -1, 1) * poly(F(-5, 2), 1) * poly(F(-5, 2), 1), lo=F(1), width=F(1))
+def test_has_real_root_matches_sympy_with_multiplicities(p, lo, width):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    hi = lo + width
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * t ** i for i, c in enumerate(p.coeffs))
+    count = sympy.Poly(expr, t).count_roots(sympy.Rational(lo.numerator, lo.denominator),
+                                             sympy.Rational(hi.numerator, hi.denominator))
+    assert has_real_root(p, lo, hi) == (count > 0)
+
+
+def test_has_real_root_reduces_the_polynomial_it_is_given(monkeypatch):
+    # on [1/4, 3/4] the count is 2 (the double root 1/3) and the image of p
+    # composed onto [0, 1] is not p, so the square-free step must be seen
+    # to run on p itself, not on a scaled copy
+    p = poly(F(-1, 3), 1) * poly(F(-1, 3), 1) * poly(-2, 0, 1)
+    reduced = []
+    gcd = Polynomial.gcd
+
+    def recording_gcd(self, *args, **kwargs):
+        reduced.append(self)
+        return gcd(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "gcd", recording_gcd)
+    assert has_real_root(p, F(1, 4), F(3, 4))
+    assert reduced == [p]
 
 
 # -- Laurent series arithmetic --------------------------------------------------
