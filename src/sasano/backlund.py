@@ -36,6 +36,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from ._record import Record
+from .exactmath import RationalFunction
 from .systems import (
     Chart,
     ChartMismatch,
@@ -221,9 +222,17 @@ def _d4_letter(name: str, c, x, y, z, w):
         if _acts(name, y, c[1]):
             x = x + c[1] / y
     elif name == "s2":
-        d = x * z - 1
-        if _acts(name, d, c[2]):
-            y, w = y - c[2] * z / d, w - c[2] * x / d
+        # y - c2 z/(xz - 1) and w - c2 x/(xz - 1) over xz's own factors: with
+        # x = A/B, z = C/E reduced, k = gcd(A, E), h = gcd(C, B), A = kA1,
+        # E = kE1, C = hC1 and B = hB1, xz - 1 = M/(B1 E1) with M = A1 C1 - B1 E1
+        # is reduced, and so are z/(xz - 1) = h C1 B1/(k M) and x/(xz - 1) =
+        # k A1 E1/(h M) once gcd(M, h) and gcd(M, k) are cancelled
+        (k, a1, e1), (h, c1, b1) = x.num.gcd(z.den, cofactors=True), z.num.gcd(x.den, cofactors=True)
+        m = a1 * c1 - b1 * e1
+        if _acts(name, m, c[2]):
+            (_, mh, h1), (_, mk, k1) = m.gcd(h, cofactors=True), m.gcd(k, cofactors=True)
+            y = y + RationalFunction._coprime((h1 * c1 * b1).scale(-c[2]), k * mh)
+            w = w + RationalFunction._coprime((k1 * a1 * e1).scale(-c[2]), h * mk)
     elif name == "s3":
         if _acts(name, w, c[3]):
             z = z + c[3] / w

@@ -60,11 +60,20 @@ CONDITION_SLOTS = {1: (1, 3), 2: (1, 4), 3: (2, 3), 4: (2, 4), 5: (1, 2), 6: (3,
 _HALF = Fraction(1, 2)
 
 
-def condition_holds(p: ParameterTuple, index: int) -> bool:
-    """Evaluate one of the six existence conditions (index 1..6)."""
-    f = lattice_coordinates(p)
+def _holds(f, index: int) -> bool:
+    """Whether condition index holds at the lattice coordinates f."""
     i, j = CONDITION_SLOTS[index]
     return {f[i - 1].denominator, f[j - 1].denominator} == {1, 2}
+
+
+def _matched_condition(f) -> int | None:
+    """The lowest condition index that holds at the lattice coordinates f, if any."""
+    return next((index for index in CONDITION_SLOTS if _holds(f, index)), None)
+
+
+def condition_holds(p: ParameterTuple, index: int) -> bool:
+    """Evaluate one of the six existence conditions (index 1..6)."""
+    return _holds(lattice_coordinates(p), index)
 
 
 class ClassificationResult(Record):
@@ -88,10 +97,8 @@ class ClassificationResult(Record):
 
 def classify(p: ParameterTuple) -> ClassificationResult:
     """Existence verdict with the lowest matching condition index."""
-    for index in range(1, 7):
-        if condition_holds(p, index):
-            return ClassificationResult(p, True, index)
-    return ClassificationResult(p, False)
+    index = _matched_condition(lattice_coordinates(p))
+    return ClassificationResult(p, index is not None, index)
 
 
 # -- lattice coordinates ------------------------------------------------------
@@ -126,13 +133,13 @@ def normalize_to_standard(p: ParameterTuple) -> tuple[GeneratorWord, ParameterTu
     if the emitted word does not reach the target, which would indicate
     a transcription bug rather than a mathematical obstruction.
     """
-    verdict = classify(p)
-    if not verdict.exists:
+    f = list(lattice_coordinates(p))
+    index = _matched_condition(f)
+    if index is None:
         raise ValueError("parameters admit no rational solution; nothing to normalize")
 
     system = p.system
     tokens: list = []
-    f = list(lattice_coordinates(p))
 
     def swap(k: int):
         # s_k swaps slots k and k+1
@@ -145,7 +152,7 @@ def normalize_to_standard(p: ParameterTuple) -> tuple[GeneratorWord, ParameterTu
             tokens.extend(_translation_tokens(system, slot, increment=steps > 0))
         f[slot - 1] += steps
 
-    slot_a, slot_b = CONDITION_SLOTS[verdict.matched_condition]
+    slot_a, slot_b = CONDITION_SLOTS[index]
     if f[slot_a - 1].denominator == 2:
         half_pos, int_pos = slot_a, slot_b
     else:

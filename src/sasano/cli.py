@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .exactmath import laurent_expand, finite_point, INFINITY, ZERO_POINT, rat, series_to_json
+from .exactmath import laurent_expand, finite_point, INFINITY, ZERO_POINT, rat, rat_str, series_to_json
 from .systems import (
     Chart,
     NormalizationFailed,
@@ -227,7 +227,7 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
         return EXIT_USAGE
     for line in lines:
         try:
-            request = json.loads(line)
+            request = json.loads(line, parse_int=lambda text: rat(text).numerator)  # any length
             if not isinstance(request, dict) or not isinstance(request.get("subcommand"), str):
                 raise UsageError('batch line is not a JSON object with a "subcommand" string')
             if request["subcommand"] not in _RUNNERS:  # "-h" would print the help
@@ -247,7 +247,7 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
                         for a in value:
                             if isinstance(a, bool) or not isinstance(a, (int, str)):
                                 raise UsageError(f"alphas: {a!r} is neither an integer nor a string")
-                        value = ",".join(map(str, value))
+                        value = ",".join(a if isinstance(a, str) else rat_str(rat(a)) for a in value)
                     # one token, so that a value starting with "-" is not
                     # taken for an option
                     argv.append(f"--{key}={value}")

@@ -8,8 +8,8 @@ sides inverted (`INVERTED_SIDES`).  The residuals t*X' - RHS vanish
 identically precisely on solutions; `is_solution` decides that by exact
 evaluation, carrying every B4 and D5 input to D4 (after a one-point
 screen where its chart inverts a side), whose cubic field it evaluates
-at B + 1 points, with B a bound on the degree of each residual's
-numerator.
+at B + 1 points t = 1, -1, 2, -2, ..., two per Horner run, with B a
+bound on the degree of each residual's numerator.
 
 One trace has three readings: `_program` traces `vector_field` once per
 system, chart and kind with recording values (`_Traced`) and emits it as
@@ -390,6 +390,15 @@ def _horner(coeffs, p: int):
     return value, slope
 
 
+def _horner_pm(halves, q: int):
+    """((f(q), f'(q)), (f(-q), f'(-q))) for f(t) = E(t**2) + t * O(t**2), given
+    the integer coefficients halves = (E, O): one `_horner` run of each at q**2,
+    as f'(t) = O(t**2) + 2 t**2 O'(t**2) + 2 t E'(t**2)."""
+    (e, e1), (o, o1) = _horner(halves[0], q * q), _horner(halves[1], q * q)
+    odd, slope, odd_slope = q * o, o + 2 * q * q * o1, 2 * q * e1
+    return (e + odd, slope + odd_slope), (e - odd, slope - odd_slope)
+
+
 def _degree_bounds(system: System, chart: Chart, comps):
     """The distinct denominators D_k of the components and, per residual,
     (B, e): the residual times prod_k D_k**e[k] is a polynomial of degree
@@ -413,9 +422,9 @@ def _degree_bounds(system: System, chart: Chart, comps):
 
 
 def _residuals_vanish(params: ParameterTuple, sol: SolutionTuple, points=None) -> bool:
-    """Whether the residuals of sol vanish at the first `points` integers
-    t >= 1 where no denominator vanishes (by default B + 1, `_degree_bounds`),
-    evaluated by the compiled pair program of the system and chart."""
+    """Whether the residuals of sol vanish at the first `points` of t = 1, -1,
+    2, -2, ... (of t >= 1 for one point) where no denominator vanishes (by default
+    B + 1, `_degree_bounds`), by the compiled pair program of the system and chart."""
     system, chart, alphas, comps = params.system, sol.chart, params.alphas, sol.components()
     if points is None:
         points = max(b for b, _ in _degree_bounds(system, chart, comps)[1]) + 1
@@ -425,23 +434,27 @@ def _residuals_vanish(params: ParameterTuple, sol: SolutionTuple, points=None) -
     # c = (sn / sd) * n / d on the integer images; a monic den is keyed by its image d
     images = [c._image() for c in comps]
     dens = list(dict.fromkeys(d for _, d, _, _ in images))
-    keyed = [(n, sn, sd, dens.index(d)) for n, d, sn, sd in images]
-    p = 0
+    keyed = [((n[::2], n[1::2]), sn, sd, dens.index(d)) for n, d, sn, sd in images]
+    dens = [(d[::2], d[1::2]) for d in dens]
+    signs = (1,) if points == 1 else (1, -1)
+    q = 0
     while points > 0:
-        p += 1
-        at = [_horner(d, p) for d in dens]
-        if not all(v for v, _ in at):
-            continue
-        values, t_derivatives = [], []
-        for n, sn, sd, k in keyed:
-            nv, ns = _horner(n, p)
-            dv, ds = at[k]
-            values += sn * nv, sd * dv
-            # t * c' = sn * t * (n' d - n d') / (sd * d**2), over (sd * d)**2
-            t_derivatives.append(sn * sd * p * (ns * dv - nv * ds))
-        if any(residuals(p, *values, *t_derivatives)):
-            return False
-        points -= 1
+        q += 1
+        at = [_horner_pm(d, q) for d in dens]
+        at_nums = [_horner_pm(halves, q) for halves, _, _, _ in keyed]
+        for i, sign in enumerate(signs):
+            if not points or not all(pm[i][0] for pm in at):
+                continue
+            p, values, t_derivatives = sign * q, [], []
+            for (_, sn, sd, k), pm in zip(keyed, at_nums):
+                nv, ns = pm[i]
+                dv, ds = at[k][i]
+                values += sn * nv, sd * dv
+                # t * c' = sn * t * (n' d - n d') / (sd * d**2), over (sd * d)**2
+                t_derivatives.append(sn * sd * p * (ns * dv - nv * ds))
+            if any(residuals(p, *values, *t_derivatives)):
+                return False
+            points -= 1
     return True
 
 
@@ -481,15 +494,16 @@ def is_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
     Each residual t*X' - RHS is N / prod_k D_k**e[k] over the components'
     denominators D_k, with deg N <= B (`_degree_bounds`).  N is zero iff
     it vanishes at B + 1 distinct points, so the pair program (`_program`)
-    evaluates the residuals exactly at t = 1, 2, ..., skipping the points
-    where some D_k vanishes, until B + 1 points have passed (Schwartz
-    1980, Zippel 1979).
+    evaluates the residuals exactly at t = 1, -1, 2, -2, ... (`_horner_pm`),
+    skipping the points where some D_k vanishes, until B + 1 points have
+    passed (Schwartz 1980, Zippel 1979).
 
     Every B4 and D5 input is carried to D4 by `_d4_image` and checked on
     D4's cubic field; `vector_field` is D4's field conjugated by the same
     involutions, so the verdict is the same.  A chart with an inverted side
-    is first screened at one point, which rejects most non-solutions and
-    any inverted side with u == 0 (its u-residual is -t or -1).
+    is first screened at one point, the first t >= 1 where no D_k
+    vanishes, which rejects most non-solutions and any inverted side with
+    u == 0 (its u-residual is -t or -1).
     """
     if params.system is not System.D4:
         if any(_check_chart(params.system, sol.chart)) and not _residuals_vanish(params, sol, 1):

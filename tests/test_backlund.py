@@ -24,6 +24,7 @@ from sasano import (
     Generator,
     GeneratorWord,
     ParameterTuple,
+    Polynomial,
     RF,
     SolutionTuple,
     System,
@@ -327,6 +328,66 @@ def test_s1_undefined_when_denominator_vanishes_structurally():
     bad = SolutionTuple(Chart.AFFINE, T, RF.ZERO, T, RF.ONE)  # y == 0, a1 != 0
     with pytest.raises(UndefinedAction):
         act_solution(Generator(System.B4, "s1"), p, bad)
+
+
+
+# s2 at the D4 parameters (1 - 2 c2, 0, c2, 0, 0) against its generic
+# formulas y - c2 z/(xz - 1) and w - c2 x/(xz - 1)
+def _s2(c2, x, y, z, w):
+    return act_solution(Generator(System.D4, "s2"), d4(1 - 2 * c2, 0, c2, 0, 0),
+                        SolutionTuple(Chart.AFFINE, x, y, z, w))
+
+
+def _generic_s2(c2, x, y, z, w):
+    d = x * z - 1
+    return SolutionTuple(Chart.AFFINE, x, y - c2 * z / d, z, w - c2 * x / d)
+
+
+_SMALL_POLY = st.lists(st.integers(-4, 4), max_size=4).map(Polynomial)
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=st.lists(_SMALL_POLY, min_size=8, max_size=8),
+       plant=st.sampled_from(["none", "h", "k"]),
+       c2=st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
+def test_s2_over_one_denominator_equals_the_generic_formulas(parts, plant, c2):
+    # x = k A1/(h B1) and z = h C1/(k E1), with k or h planted as t - 2 and
+    # A1 C1 - B1 E1 then made to vanish at t = 2 where it can be
+    a1, b1, c1, e1, k, h, yn, wn = parts
+    b1, e1, k, h = (v or Polynomial.ONE for v in (b1, e1, k, h))
+    root, at = Polynomial([-2, 1]), (lambda v: v.evaluate(2))
+    if plant == "h":
+        h = root
+        if at(a1):
+            c1 = c1 + Polynomial.const(at(b1) * at(e1) / at(a1) - at(c1))
+    elif plant == "k":
+        k = root
+        if at(c1):
+            a1 = a1 + Polynomial.const(at(b1) * at(e1) / at(c1) - at(a1))
+    x, z = RF(k * a1, h * b1), RF(h * c1, k * e1)
+    y, w = RF(yn, b1 * e1 * k), RF(wn, h)
+    if (x * z - 1).is_zero():
+        return
+    assert _s2(c2, x, y, z, w) == _generic_s2(c2, x, y, z, w)
+
+
+@pytest.mark.parametrize("x, z", [
+    (1 / (T - 2), (T - 2) * (T - 1)),  # xz - 1 = t - 2 = gcd(C, B) = h
+    ((T - 3) * (T - 2), 1 / (T - 3)),  # xz - 1 = t - 3 = gcd(A, E) = k
+    (RF.ZERO, T), (T, RF.ZERO), (RF.ZERO, RF.ZERO),
+])
+@pytest.mark.parametrize("c2", [F(0), F(1, 3), F(-2)])
+def test_s2_cancels_what_xz_minus_one_shares_with_the_gcds(x, z, c2):
+    y, w = 1 / (T + 1), T / (T - 2)
+    assert _s2(c2, x, y, z, w) == _generic_s2(c2, x, y, z, w)
+
+
+def test_s2_on_xz_identically_one():
+    x, z, y, w = (T + 1) / (T - 2), (T - 2) / (T + 1), T, 1 / T
+    sol = SolutionTuple(Chart.AFFINE, x, y, z, w)
+    assert _s2(F(0), x, y, z, w) == sol  # the identity convention
+    with pytest.raises(UndefinedAction):
+        _s2(F(1, 3), x, y, z, w)
 
 
 def test_pi2_on_m3_infinite_with_equal_first_parameters():

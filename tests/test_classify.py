@@ -10,6 +10,7 @@ from sasano import (
     Chart,
     Generator,
     NotStandardForm,
+    Polynomial,
     RF,
     SolutionTuple,
     System,
@@ -236,3 +237,18 @@ def test_condition_six_with_generic_first_parameters():
     finite = act_solution(g, p, out.solution)
     assert finite.chart is Chart.AFFINE
     assert is_solution(act_params(g, p), finite)
+
+
+def test_pullback_gcd_count_at_the_d4_distance_two_reference_point(monkeypatch):
+    # a deterministic guard on the cost of the pullback: s2 takes its
+    # quotients over the factors of xz that it has already found
+    calls = []
+    gcd = Polynomial.gcd
+
+    def counting_gcd(self, *args, **kwargs):
+        calls.append(None)
+        return gcd(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "gcd", counting_gcd)
+    assert construct_rational_solution(from_lattice(System.D4, F(5, 2), F(1, 3), 2, F(2, 5))).exists
+    assert len(calls) <= 129

@@ -292,6 +292,22 @@ def test_batch_mode(capsys, tmp_path):
     assert rows[3] == {"verdict": "not_exists"}
 
 
+
+def test_batch_reads_json_integer_alphas_of_any_length(capsys, tmp_path):
+    # 5,000 digits, past int()'s default limit of 4,300; json.dumps would
+    # refuse to write them, so the lines are written by hand
+    digits = "7" * 4999 + "1"
+    lines = [f'{{"subcommand": "transform", "system": "b4", "word": "s1 pi1", '
+             f'"alphas": [{alphas}, 0, 0, "auto"]}}'
+             for alphas in (f"{digits}, -{digits}", f'"{digits}", "-{digits}"')]
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text("\n".join(lines) + "\n")
+    code, out = run(capsys, "--batch", str(batch))
+    as_integers, as_strings = out.splitlines()
+    assert code == 0 and as_integers == as_strings
+    assert json.loads(as_integers)["alphas"][0].lstrip("-").startswith(digits[:-1])
+
+
 @pytest.mark.parametrize("value", [0.5, True, None, [1]])
 def test_batch_alphas_that_are_no_integer_or_string_are_named(capsys, tmp_path, value):
     batch = tmp_path / "requests.jsonl"

@@ -277,6 +277,13 @@ def test_pair_program_verdict_matches_the_pair_reference(make, letters, index, p
             assert systems._residuals_vanish(q, s, points) == _reference_vanish(q, s, points)
 
 
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(st.integers(-10 ** 20, 10 ** 20), max_size=40), q=st.integers(-60, 60))
+def test_paired_horner_is_horner_at_q_and_minus_q(coeffs, q):
+    pm = systems._horner_pm((coeffs[::2], coeffs[1::2]), q)
+    assert pm == (systems._horner(coeffs, q), systems._horner(coeffs, -q))
+
+
 @pytest.mark.parametrize("system, chart", list(systems.INVERTED_SIDES))
 @settings(max_examples=60, deadline=None)
 @given(
