@@ -25,12 +25,13 @@ This orientation is what reproduces the documented shift vectors of
 the translation operators T1..T4.
 
 Generators that send t to -t (D4 pi1/pi2, so B4 s4/pi1 and D5 s0/s4)
-are realized as parameter action + component action + a final
-substitution t -> -t in every stored rational function.
+are realized as parameter action + component action + t -> -t, which
+`_fold` carries as a sign and substitutes once, at the end of the word.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Sequence
 from fractions import Fraction
@@ -178,14 +179,12 @@ def shift_word(system: System, i: int) -> GeneratorWord:
     return word(system, _SHIFT_LETTERS[system][f"T{i}"])
 
 
-def _letters(tok: Generator):
-    """Expand a token into primitive generators, honouring inversion."""
+def _letters(tok: Generator) -> tuple:
+    """The names of a token's primitive generators, honouring inversion."""
     if tok.name in PRIMITIVES[tok.system]:
-        return (tok,)
+        return (tok.name,)
     letters = _SHIFT_LETTERS[tok.system][tok.name]
-    if tok.inverse:
-        letters = tuple(reversed(letters))  # all letters are involutions
-    return tuple(Generator(tok.system, n) for n in letters)
+    return letters[::-1] if tok.inverse else letters  # all letters are involutions
 
 
 def invert_word(w: GeneratorWord) -> GeneratorWord:
@@ -212,15 +211,18 @@ def _acts(name: str, d, param: Fraction) -> bool:
     return False
 
 
-def _d4_letter(name: str, c, x, y, z, w):
-    """D4's letter `name` at the D4 parameters c on the D4 solution
-    (x, y, z, w): the image's components, before any t -> -t."""
+def _d4_letter(name: str, c, den: int, tt, x, y, z, w):
+    """D4's letter `name` at the D4 parameters c / den (integers c) on the D4
+    solution (x, y, z, w) in s, with t = tt = ±s: the image's components in s.
+    s_i acts through its own parameter c_i / den, the one Fraction it makes."""
+    param = Fraction(c[int(name[1])], den) if name[0] == "s" else None
     if name == "s0":
-        if _acts(name, y - 1, c[0]):
-            x = x + c[0] / (y - 1)
+        d = y - 1
+        if _acts(name, d, param):
+            x = x + param / d
     elif name == "s1":
-        if _acts(name, y, c[1]):
-            x = x + c[1] / y
+        if _acts(name, y, param):
+            x = x + param / y
     elif name == "s2":
         # y - c2 z/(xz - 1) and w - c2 x/(xz - 1) over xz's own factors: with
         # x = A/B, z = C/E reduced, k = gcd(A, E), h = gcd(C, B), A = kA1,
@@ -229,25 +231,42 @@ def _d4_letter(name: str, c, x, y, z, w):
         # k A1 E1/(h M) once gcd(M, h) and gcd(M, k) are cancelled
         (k, a1, e1), (h, c1, b1) = x.num.gcd(z.den, cofactors=True), z.num.gcd(x.den, cofactors=True)
         m = a1 * c1 - b1 * e1
-        if _acts(name, m, c[2]):
+        if _acts(name, m, param):
             (_, mh, h1), (_, mk, k1) = m.gcd(h, cofactors=True), m.gcd(k, cofactors=True)
-            y = y + RationalFunction._coprime((h1 * c1 * b1).scale(-c[2]), k * mh)
-            w = w + RationalFunction._coprime((k1 * a1 * e1).scale(-c[2]), h * mk)
+            y = y + RationalFunction._coprime((h1 * c1 * b1).scale(-param), k * mh)
+            w = w + RationalFunction._coprime((k1 * a1 * e1).scale(-param), h * mk)
     elif name == "s3":
-        if _acts(name, w, c[3]):
-            z = z + c[3] / w
+        if _acts(name, w, param):
+            z = z + param / w
     elif name == "s4":
-        if _acts(name, w - T, c[4]):
-            z = z + c[4] / (w - T)
+        d = w - tt
+        if _acts(name, d, param):
+            z = z + param / d
     elif name == "pi1":
         x, y, z, w = -x, 1 - y, -z, -w
     elif name == "pi2":
-        w = w - T
+        w = w - tt
     elif name == "pi3":
-        x, y, z, w = T * z, w / T, x / T, T * y
+        x, y, z, w = tt * z, w / tt, x / tt, tt * y
     else:  # pi4
-        x, y, z, w = -(T * z), (T - w) / T, -(x / T), T - T * y
+        x, y, z, w = -(tt * z), (tt - w) / tt, -(x / tt), tt - tt * y
     return x, y, z, w
+
+
+def _fold(w: GeneratorWord, c, comps=None):
+    """(c, comps) carried by w's D4 letters, left first: D4 parameters as
+    integers over one common denominator and, if given, D4 components held in
+    s, t = tt = ±s, each `T_FLIP` letter flipping tt, t -> -t done at the end."""
+    den = math.lcm(*(a.denominator for a in c))
+    c, tt = tuple(a.numerator * (den // a.denominator) for a in c), T
+    for name in (D4_LETTER[w.system][n] for tok in w.tokens for n in _letters(tok)):
+        if comps is not None:
+            comps = _d4_letter(name, c, den, tt, *comps)
+            tt = -tt if name in T_FLIP else tt
+        c = _D4_PARAMS_MAPS[name](*c)
+    if comps is not None and tt != T:
+        comps = tuple(v.substitute_negate() for v in comps)
+    return tuple(Fraction(a, den) for a in c), comps
 
 
 def act_params(gen: Generator, p: ParameterTuple) -> ParameterTuple:
@@ -262,31 +281,19 @@ def act_solution(gen: Generator, p: ParameterTuple, sol: SolutionTuple) -> Solut
     return act_word(GeneratorWord(gen.system, (gen,)), p, sol)[1]
 
 
-def act_word(
-    w: GeneratorWord, p: ParameterTuple, sol: SolutionTuple | None = None
-):
+def act_word(w: GeneratorWord, p: ParameterTuple, sol: SolutionTuple | None = None):
     """Fold a word over parameters (and optionally a solution), left first.
 
-    Both are carried in D4 coordinates from the first letter to the last,
-    each letter acting as its D4 letter: the parameters as c =
+    Both are carried in D4 coordinates from the first letter to the last by
+    `_fold`, each letter acting as its D4 letter: the parameters as c =
     `to_d4_alphas(p)`, the solution as its `_d4_image`, settled in the
     system's charts once at the end.  An empty word returns sol as given.
     """
     system = p.system
     if w.system is not system:
         raise ValueError("generator and parameters belong to different systems")
-    comps = None
-    if sol is not None and w.tokens:
-        comps = _d4_image(p, sol)[1].components()
-    c = to_d4_alphas(system, p.alphas)
-    for tok in w.tokens:
-        for letter in _letters(tok):
-            name = D4_LETTER[system][letter.name]
-            if comps is not None:
-                comps = _d4_letter(name, c, *comps)
-                if name in T_FLIP:
-                    comps = [v.substitute_negate() for v in comps]
-            c = _D4_PARAMS_MAPS[name](*c)
+    comps = _d4_image(p, sol)[1].components() if sol is not None and w.tokens else None
+    c, comps = _fold(w, to_d4_alphas(system, p.alphas), comps)
     if comps is not None:
         sol = _settle(system, c, *comps)
     return ParameterTuple(system, from_d4_alphas(system, c)), sol

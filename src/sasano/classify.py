@@ -23,7 +23,7 @@ normalizing word is read off the coordinates alone: swaps sort the
 split pair into slots 1 and 3, translations finish the job, and one
 `act_word` of the finished word checks it.  Construction plants the
 explicit seed solution at standard form I and pulls it back along the
-inverse word.
+inverse word, in D4's coordinates from the seed to the check.
 """
 
 from __future__ import annotations
@@ -34,18 +34,20 @@ from ._record import Record
 from .backlund import (
     D4_LETTER,
     GeneratorWord,
+    _fold,
     act_word,
     invert_word,
     word,
 )
 from .exactmath import RF, rat_str
 from .systems import (
+    Chart,
     NormalizationFailed,
     ParameterTuple,
     SolutionTuple,
     System,
+    _residuals_vanish,
     _settle,
-    is_solution,
     to_d4_alphas,
 )
 
@@ -195,29 +197,34 @@ def is_standard_form(p: ParameterTuple) -> bool:
             and (p.system is not System.D5 or f2 != _HALF))
 
 
+def _d4_seed(c):  # D4's seed solution at D4 parameters c in standard form I
+    return RF.ZERO, RF.const(Fraction(1, 2)), RF.t(-1, 2 * c[4]), RF.t() / 2
+
+
 def seed_solution(q: ParameterTuple) -> SolutionTuple:
     """The explicit rational solution at standard-form-I parameters: D4's
-    seed at the D4 parameters c, which are in standard form too, settled
-    in the system's charts by `systems._settle`, as `act_word` ends."""
+    seed (`_d4_seed`, which construction folds as it is) at the D4 parameters
+    c, settled in the system's charts by `systems._settle`, as `act_word` ends."""
     if not is_standard_form(q):
         raise NotStandardForm(
             f"{[rat_str(a) for a in q.alphas]} is not in standard form I"
         )
     c = to_d4_alphas(q.system, q.alphas)
-    return _settle(q.system, c, RF.ZERO, RF.const(Fraction(1, 2)), RF.t(-1, 2 * c[4]), RF.t() / 2)
+    return _settle(q.system, c, *_d4_seed(c))
 
 
 def construct_rational_solution(p: ParameterTuple) -> ClassificationResult:
-    """Full decision: verdict, witness word, and a verified solution."""
+    """Full decision: verdict, witness word, and a verified solution: D4's
+    seed pulled back in D4 (`backlund._fold`), checked there, settled once."""
     verdict = classify(p)
     if not verdict.exists:
         return verdict
     to_standard, q = normalize_to_standard(p)
-    seed = seed_solution(q)
-    back = invert_word(to_standard)
-    p_back, sol = act_word(back, q, seed)
-    if p_back != p:
+    c = to_d4_alphas(q.system, q.alphas)
+    c, comps = _fold(invert_word(to_standard), c, _d4_seed(c))
+    if c != to_d4_alphas(p.system, p.alphas):
         raise NormalizationFailed("pullback word did not restore the parameters")
-    if not is_solution(p, sol):
+    if not _residuals_vanish(ParameterTuple(System.D4, c), SolutionTuple(Chart.AFFINE, *comps)):
         raise NormalizationFailed("pulled-back seed fails the residual check")
-    return ClassificationResult(p, True, verdict.matched_condition, to_standard, sol)
+    return ClassificationResult(p, True, verdict.matched_condition, to_standard,
+                                _settle(p.system, c, *comps))

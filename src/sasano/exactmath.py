@@ -208,6 +208,9 @@ class Polynomial:
             return Polynomial()
         a, an, ad = self._ints
         b, bn, bd = other._ints
+        if len(a) == 1 or len(b) == 1:  # a constant's image is (1,) or (-1,): rescale the other
+            (u,), v = (a, b) if len(a) == 1 else (b, a)
+            return Polynomial._from_primitive(v, u * an * bn, ad * bd)
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:

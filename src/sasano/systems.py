@@ -431,17 +431,19 @@ def _residuals_vanish(params: ParameterTuple, sol: SolutionTuple, points=None) -
     ad = math.lcm(*(a.denominator for a in alphas))
     residuals = _program(system, chart, "pair")[0](
         ad, *(a.numerator * (ad // a.denominator) for a in alphas))
-    # c = (sn / sd) * n / d on the integer images; a monic den is keyed by its image d
+    # c = (sn / sd) * n / d on the integer images; a monic den is keyed by its image d.
+    # One point tries q alone, by `_horner`; more try q and -q, by `_horner_pm` on halves
+    signs, split, at_q = (((1,), lambda f: f, lambda f, q: (_horner(f, q),)) if points == 1
+                          else ((1, -1), lambda f: (f[::2], f[1::2]), _horner_pm))
     images = [c._image() for c in comps]
     dens = list(dict.fromkeys(d for _, d, _, _ in images))
-    keyed = [((n[::2], n[1::2]), sn, sd, dens.index(d)) for n, d, sn, sd in images]
-    dens = [(d[::2], d[1::2]) for d in dens]
-    signs = (1,) if points == 1 else (1, -1)
+    keyed = [(split(n), sn, sd, dens.index(d)) for n, d, sn, sd in images]
+    dens = [split(d) for d in dens]
     q = 0
     while points > 0:
         q += 1
-        at = [_horner_pm(d, q) for d in dens]
-        at_nums = [_horner_pm(halves, q) for halves, _, _, _ in keyed]
+        at = [at_q(d, q) for d in dens]
+        at_nums = [at_q(f, q) for f, _, _, _ in keyed]
         for i, sign in enumerate(signs):
             if not points or not all(pm[i][0] for pm in at):
                 continue
@@ -502,8 +504,9 @@ def is_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
     D4's cubic field; `vector_field` is D4's field conjugated by the same
     involutions, so the verdict is the same.  A chart with an inverted side
     is first screened at one point, the first t >= 1 where no D_k
-    vanishes, which rejects most non-solutions and any inverted side with
-    u == 0 (its u-residual is -t or -1).
+    vanishes, by one `_horner` run of each integer image, which rejects
+    most non-solutions and any inverted side with u == 0 (its u-residual
+    is -t or -1).  `construct_rational_solution` runs the D4 check alone.
     """
     if params.system is not System.D4:
         if any(_check_chart(params.system, sol.chart)) and not _residuals_vanish(params, sol, 1):

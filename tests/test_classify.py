@@ -4,11 +4,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import b4, d4, d5, from_lattice, random_params
 from sasano import (
     Chart,
     Generator,
+    NormalizationFailed,
     NotStandardForm,
     Polynomial,
     RF,
@@ -25,6 +27,7 @@ from sasano import (
     normalize_to_standard,
     seed_solution,
 )
+from sasano import backlund, systems
 from sasano.backlund import PRIMITIVES
 from sasano.classify import _translation_tokens, is_standard_form, lattice_coordinates
 
@@ -252,3 +255,50 @@ def test_pullback_gcd_count_at_the_d4_distance_two_reference_point(monkeypatch):
     monkeypatch.setattr(Polynomial, "gcd", counting_gcd)
     assert construct_rational_solution(from_lattice(System.D4, F(5, 2), F(1, 3), 2, F(2, 5))).exists
     assert len(calls) <= 129
+
+
+_LATTICE_STEPS = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(
+    lambda s: abs(s[0]) + abs(s[1]) <= 2)
+_GENERIC = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=st.sampled_from(list(System)), steps=_LATTICE_STEPS, f2=_GENERIC, f4=_GENERIC)
+def test_construct_is_the_seed_pulled_back_by_act_word(system, steps, f2, f4):
+    # construct's D4 path against the public one: the seed settled in the
+    # system's charts, the inverse word run by act_word
+    p = from_lattice(system, F(1, 2) + steps[0], f2, steps[1], f4)
+    out = construct_rational_solution(p)
+    _, q = normalize_to_standard(p)
+    assert out.solution == act_word(invert_word(out.witness_word), q, seed_solution(q))[1]
+
+
+def test_construct_raises_when_the_d4_image_fails_the_residual_check(monkeypatch):
+    # one letter's image corrupted in one component: the check still decides
+    letter, corrupted = backlund._d4_letter, []
+
+    def corrupting_letter(*args):
+        x, y, z, w = letter(*args)
+        if not corrupted:
+            corrupted.append(None)
+            y = y + T
+        return x, y, z, w
+
+    monkeypatch.setattr(backlund, "_d4_letter", corrupting_letter)
+    with pytest.raises(NormalizationFailed, match="residual check"):
+        construct_rational_solution(from_lattice(System.B4, F(5, 2), F(1, 3), 2, F(2, 5)))
+    assert corrupted
+
+
+@pytest.mark.parametrize("system, inversions", [(System.B4, 1), (System.D5, 2)])
+def test_construct_settles_once_and_negates_t_at_most_once(monkeypatch, system, inversions):
+    # B4 inverts its z-side in the affine chart and D5 both sides: the final
+    # settle alone inverts them, and t -> -t rewrites each of the four
+    # numerators and denominators at most once
+    inverted, negated = [], []
+    invert_side, compose_negate = systems.invert_side, Polynomial.compose_negate
+    monkeypatch.setattr(systems, "invert_side", lambda *a: inverted.append(None) or invert_side(*a))
+    monkeypatch.setattr(Polynomial, "compose_negate",
+                        lambda self: negated.append(None) or compose_negate(self))
+    assert construct_rational_solution(from_lattice(system, F(5, 2), F(1, 3), 2, F(2, 5))).exists
+    assert len(inverted) == inversions and len(negated) <= 8

@@ -50,6 +50,22 @@ def test_mul_by_zero_absorbs():
         assert (f * RF.ZERO).is_zero()
 
 
+_FRACTIONS = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, -1, 0]), _FRACTIONS.filter(lambda c: c > 0),
+       st.lists(_FRACTIONS, max_size=6))
+def test_product_with_a_constant_equals_the_schoolbook_product(sign, c, coeffs):
+    # a constant operand takes the rescaling path on either side
+    k, p = Polynomial.const(sign * c), Polynomial(coeffs)
+    out = [F(0)] * (len(p.coeffs) + len(k.coeffs))
+    for i, a in enumerate(k.coeffs):
+        for j, b in enumerate(p.coeffs):
+            out[i + j] += a * b
+    assert k * p == p * k == Polynomial(out)
+
+
 def test_division_matches_long_division_oracle():
     num = poly(-1, 0, 1)   # t^2 - 1
     den = poly(-1, 1)      # t - 1
