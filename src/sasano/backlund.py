@@ -5,9 +5,8 @@ solutions by a birational map, possibly landing in another chart.  The
 three systems are D4 seen through charts (`systems.INVERTED_SIDES`), and
 every B4 and D5 generator is a D4 letter under the linear parameter map
 `systems.to_d4_alphas` (`D4_LETTER`).  So each map is written once, for
-D4: on parameters in `_D4_PARAMS_MAPS`, on solutions in `_d4_letter`;
-`PRIMITIVES` and `SHIFTS` are the keys of `D4_LETTER` and of the shift
-words `_SHIFT_LETTERS`.  `act_word` runs a whole word in D4 coordinates,
+D4: on parameters in `_D4_PARAMS_MAPS`, on solutions in `_d4_letter`.
+`act_word` folds a word's letters as written (`_fold`) in D4 coordinates,
 entered once by `systems._d4_image` and left once by `systems._settle`,
 which hold the chart rules; the former refuses a chart of another system
 and an inverted side whose u is identically zero.  Degenerate divisions
@@ -19,14 +18,16 @@ follow three rules, tried in order:
      coordinates stays in them, in an alternative chart;
   3. otherwise the action is undefined and raises UndefinedAction.
 
-Words apply left factor first: the word "s4 pi1 s1" applied to p is
-s1(pi1(s4(p))) read right-to-left as functions, i.e. s4 acts first.
-This orientation is what reproduces the documented shift vectors of
-the translation operators T1..T4.
+Every letter is an involution, and s-letters satisfy aba = bab where their
+nodes are joined and ab = ba elsewhere.  `_reduced` cancels by these
+relations, which keeps the group element and so any image that is defined;
+rule 3 reads the letters, so only `construct`'s pullback folds reduced ones.
 
-Generators that send t to -t (D4 pi1/pi2, so B4 s4/pi1 and D5 s0/s4)
-are realized as parameter action + component action + t -> -t, which
-`_fold` carries as a sign and substitutes once, at the end of the word.
+Words apply left factor first: "s4 pi1 s1" applied to p is s1(pi1(s4(p)))
+as functions, i.e. s4 acts first, which reproduces the documented shift
+vectors of the translation operators T1..T4.  Generators that send t to -t
+(D4 pi1/pi2, so B4 s4/pi1 and D5 s0/s4) are parameter action + component
+action + t -> -t, which `_fold` carries as a sign to the end of the word.
 """
 
 from __future__ import annotations
@@ -181,9 +182,7 @@ def shift_word(system: System, i: int) -> GeneratorWord:
 
 def _letters(tok: Generator) -> tuple:
     """The names of a token's primitive generators, honouring inversion."""
-    if tok.name in PRIMITIVES[tok.system]:
-        return (tok.name,)
-    letters = _SHIFT_LETTERS[tok.system][tok.name]
+    letters = _SHIFT_LETTERS.get(tok.system, {}).get(tok.name, (tok.name,))
     return letters[::-1] if tok.inverse else letters  # all letters are involutions
 
 
@@ -253,13 +252,40 @@ def _d4_letter(name: str, c, den: int, tt, x, y, z, w):
     return x, y, z, w
 
 
-def _fold(w: GeneratorWord, c, comps=None):
-    """(c, comps) carried by w's D4 letters, left first: D4 parameters as
-    integers over one common denominator and, if given, D4 components held in
-    s, t = tt = ±s, each `T_FLIP` letter flipping tt, t -> -t done at the end."""
+def _d4_letters(w: GeneratorWord) -> list:
+    """The names of w's D4 letters, left first, as written."""
+    return [D4_LETTER[w.system][n] for tok in w.tokens for n in _letters(tok)]
+
+
+# m with (ab)^m = 1: 1 for a = b, else 3 if s_a moves c_b (joined nodes), else 2
+_ORDER = {(a, b): 1 if a == b else
+          2 + bool(_D4_PARAMS_MAPS[a](*(int(k == int(a[1])) for k in range(5)))[int(b[1])])
+          for a in _D4_PARAMS_MAPS for b in _D4_PARAMS_MAPS if a == b or a[0] == b[0] == "s"}
+
+
+def _reduced(names) -> list:
+    """D4 letter names with each alternating run a b a ... of m + 1 letters,
+    m = `_ORDER`[a, b], replaced by the m - 1 letters b a ... equal to it; these
+    arrive again, so no run is left: a a -> (), a b a -> b, a b a b -> b a."""
+    out, todo = [], list(reversed(names))
+    while todo:
+        a = todo.pop()
+        m = _ORDER.get((out[-1], a), 0) if out else 0
+        if m and out[-m:] == [out[-1], a, out[-1]][-m:]:
+            todo += out[:-m:-1]
+            del out[-m:]
+        else:
+            out.append(a)
+    return out
+
+
+def _fold(names, c, comps=None):
+    """(c, comps) carried by the D4 letters `names`, left first: D4 parameters
+    as integers over one common denominator and, if given, D4 components held
+    in s, t = tt = ±s, each `T_FLIP` letter flipping tt, t -> -t at the end."""
     den = math.lcm(*(a.denominator for a in c))
     c, tt = tuple(a.numerator * (den // a.denominator) for a in c), T
-    for name in (D4_LETTER[w.system][n] for tok in w.tokens for n in _letters(tok)):
+    for name in names:
         if comps is not None:
             comps = _d4_letter(name, c, den, tt, *comps)
             tt = -tt if name in T_FLIP else tt
@@ -284,16 +310,16 @@ def act_solution(gen: Generator, p: ParameterTuple, sol: SolutionTuple) -> Solut
 def act_word(w: GeneratorWord, p: ParameterTuple, sol: SolutionTuple | None = None):
     """Fold a word over parameters (and optionally a solution), left first.
 
-    Both are carried in D4 coordinates from the first letter to the last by
-    `_fold`, each letter acting as its D4 letter: the parameters as c =
-    `to_d4_alphas(p)`, the solution as its `_d4_image`, settled in the
-    system's charts once at the end.  An empty word returns sol as given.
-    """
+    Both are carried in D4 coordinates by one `_fold` of the word's D4
+    letters as written, unreduced, so that rule 3 holds for each: the
+    parameters as c = `to_d4_alphas(p)`, the solution as its `_d4_image`,
+    settled in the system's charts at the end.  An empty word returns sol
+    as given."""
     system = p.system
     if w.system is not system:
         raise ValueError("generator and parameters belong to different systems")
     comps = _d4_image(p, sol)[1].components() if sol is not None and w.tokens else None
-    c, comps = _fold(w, to_d4_alphas(system, p.alphas), comps)
+    c, comps = _fold(_d4_letters(w), to_d4_alphas(system, p.alphas), comps)
     if comps is not None:
         sol = _settle(system, c, *comps)
     return ParameterTuple(system, from_d4_alphas(system, c)), sol

@@ -23,7 +23,7 @@ normalizing word is read off the coordinates alone: swaps sort the
 split pair into slots 1 and 3, translations finish the job, and one
 `act_word` of the finished word checks it.  Construction plants the
 explicit seed solution at standard form I and pulls it back along the
-inverse word, in D4's coordinates from the seed to the check.
+inverse word's reduced letters, in D4's coordinates from seed to check.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ from ._record import Record
 from .backlund import (
     D4_LETTER,
     GeneratorWord,
+    _d4_letters,
     _fold,
+    _reduced,
     act_word,
-    invert_word,
     word,
 )
 from .exactmath import RF, rat_str
@@ -215,13 +216,14 @@ def seed_solution(q: ParameterTuple) -> SolutionTuple:
 
 def construct_rational_solution(p: ParameterTuple) -> ClassificationResult:
     """Full decision: verdict, witness word, and a verified solution: D4's
-    seed pulled back in D4 (`backlund._fold`), checked there, settled once."""
+    seed pulled back in D4 by one `backlund._fold` of the inverse word's
+    letters, `_reduced` by the group's relations, checked there, settled once."""
     verdict = classify(p)
     if not verdict.exists:
         return verdict
     to_standard, q = normalize_to_standard(p)
     c = to_d4_alphas(q.system, q.alphas)
-    c, comps = _fold(invert_word(to_standard), c, _d4_seed(c))
+    c, comps = _fold(_reduced(_d4_letters(to_standard)[::-1]), c, _d4_seed(c))
     if c != to_d4_alphas(p.system, p.alphas):
         raise NormalizationFailed("pullback word did not restore the parameters")
     if not _residuals_vanish(ParameterTuple(System.D4, c), SolutionTuple(Chart.AFFINE, *comps)):

@@ -62,11 +62,15 @@ def _parse_alphas(system: System, text: str) -> ParameterTuple:
 
 
 def _load_solution(path: str) -> SolutionTuple:
-    if path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    try:
+        if path == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        where = "on stdin" if path == "-" else repr(path)
+        raise UsageError(f"solution {where} is not JSON: {exc}") from None
     return SolutionTuple.from_json(data)
 
 

@@ -990,18 +990,8 @@ def residue(f: RationalFunction, c: RatLike) -> Fraction:
 
 # JSON encoding helpers (shared wire format of the package).
 
-def poly_to_json(p: Polynomial) -> list:
-    return [rat_str(c) for c in p.coeffs]
-
-
-def poly_from_json(data) -> Polynomial:
-    if not isinstance(data, list):
-        raise TypeError(f"{data!r} is not a list of coefficients")
-    return Polynomial(data)
-
-
 def rf_to_json(f: RationalFunction) -> dict:
-    return {"num": poly_to_json(f.num), "den": poly_to_json(f.den)}
+    return {"num": [rat_str(c) for c in f.num.coeffs], "den": [rat_str(c) for c in f.den.coeffs]}
 
 
 def rf_from_json(data) -> RationalFunction:
@@ -1012,8 +1002,10 @@ def rf_from_json(data) -> RationalFunction:
     for field in ("num", "den"):
         if not isinstance(data, dict) or field not in data:
             raise ValueError(f"no field {field!r}")
+        if not isinstance(data[field], list):
+            raise ValueError(f"field {field!r}: {data[field]!r} is not a list of coefficients")
         try:
-            num_den.append(poly_from_json(data[field]))
+            num_den.append(Polynomial(data[field]))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"field {field!r}: {exc}") from None
     if num_den[1].is_zero():

@@ -330,6 +330,15 @@ def test_s1_undefined_when_denominator_vanishes_structurally():
         act_solution(Generator(System.B4, "s1"), p, bad)
 
 
+def test_act_word_folds_the_letters_as_written():
+    # s1 s1 is the identity in the group, but act_word does not reduce a
+    # word: its first s1 divides by y == 0 with c1 != 0 (rule 3)
+    p = b4(0, "1/2", "1/8", "-1/4", "3/8")
+    bad = SolutionTuple(Chart.AFFINE, T, RF.ZERO, T, RF.ONE)
+    with pytest.raises(UndefinedAction):
+        act_word(parse_word(System.B4, "s1 s1"), p, bad)
+
+
 
 # s2 at the D4 parameters (1 - 2 c2, 0, c2, 0, 0) against its generic
 # formulas y - c2 z/(xz - 1) and w - c2 x/(xz - 1)

@@ -257,6 +257,50 @@ def test_pullback_gcd_count_at_the_d4_distance_two_reference_point(monkeypatch):
     assert len(calls) <= 129
 
 
+def test_reduced_pullback_gcd_count_at_the_d4_distance_two_reference_point(monkeypatch):
+    # the pullback folds the inverse word's letters reduced by the group's
+    # relations: 30 letters where the written word has 40
+    calls = []
+    gcd = Polynomial.gcd
+
+    def counting_gcd(self, *args, **kwargs):
+        calls.append(None)
+        return gcd(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "gcd", counting_gcd)
+    assert construct_rational_solution(from_lattice(System.D4, F(5, 2), F(1, 3), 2, F(2, 5))).exists
+    assert len(calls) <= 85
+
+
+_DEGENERATE = (F(0), F(1, 2), F(-1, 2), F(1), F(3, 2), F(1, 3))
+
+
+def _outcome(compute):
+    """The value of compute(), or the type of the error it raises."""
+    try:
+        return compute()
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        return type(exc)
+
+
+def test_construct_at_degenerate_parameters_is_the_written_pullback():
+    # construct folds reduced letters, act_word the written inverse word:
+    # the same solution, or the same error, where parameters vanish
+    for system in System:
+        for d1 in range(-2, 3):
+            for d3 in range(abs(d1) - 2, 3 - abs(d1)):
+                for f2 in _DEGENERATE:
+                    for f4 in _DEGENERATE:
+                        p = from_lattice(system, F(1, 2) + d1, f2, d3, f4)
+
+                        def written():
+                            w, q = normalize_to_standard(p)
+                            return act_word(invert_word(w), q, seed_solution(q))[1]
+
+                        got = _outcome(lambda: construct_rational_solution(p).solution)
+                        assert got == _outcome(written), (system, d1, d3, f2, f4)
+
+
 _LATTICE_STEPS = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(
     lambda s: abs(s[0]) + abs(s[1]) <= 2)
 _GENERIC = st.fractions(min_value=-3, max_value=3, max_denominator=9)

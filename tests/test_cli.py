@@ -262,6 +262,42 @@ def test_transform_undefined_action_exit_code(capsys, tmp_path):
     assert "error" in json.loads(out)
 
 
+def test_transform_folds_the_word_as_written(capsys, tmp_path):
+    # s1 s1 is the identity in the group, but its first s1 divides by y == 0
+    # with a1 != 0: transform does not reduce the word, and exits 3
+    bad = {"chart": "affine", "x": {"num": ["0", "1"], "den": ["1"]}, "y": {"num": [], "den": ["1"]},
+           "z": {"num": ["0", "1"], "den": ["1"]}, "w": {"num": ["1"], "den": ["1"]}}
+    sol_file = tmp_path / "bad.json"
+    sol_file.write_text(json.dumps(bad))
+    code, out = run(capsys, "transform", "--system", "b4", "--alphas", "0,1/2,1/8,-1/4,3/8",
+                    "--word", "s1 s1", "--solution", str(sol_file))
+    assert code == 3
+    assert "error" in json.loads(out)
+
+
+def test_a_solution_that_is_not_json_is_named(capsys, tmp_path, monkeypatch):
+    sol_file = tmp_path / "broken.json"
+    sol_file.write_text("not json")
+    code, out = run_json(capsys, "verify", "--system", "d4", "--alphas", "1,1,1,1,auto",
+                         "--solution", str(sol_file))
+    assert code == 2
+    assert out["error"].startswith(f"solution {str(sol_file)!r} is not JSON: Expecting value")
+    monkeypatch.setattr("sys.stdin", io.StringIO("not json"))
+    code, out = run_json(capsys, "expand", "--solution", "-", "--at", "0")
+    assert code == 2
+    assert out["error"].startswith("solution on stdin is not JSON: Expecting value")
+    # a --batch line reports it on its own line, exit code 2
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text(json.dumps({"subcommand": "expand", "solution": str(sol_file), "at": "0"}) + "\n"
+                     + json.dumps({"subcommand": "classify", "system": "b4",
+                                   "alphas": ["0", "0", "0", "0", "1/2"]}) + "\n")
+    code, out = run(capsys, "--batch", str(batch))
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert code == 2
+    assert rows[0]["error"].startswith(f"solution {str(sol_file)!r} is not JSON")
+    assert rows[1] == {"verdict": "not_exists"}
+
+
 def test_usage_error_exit_code(capsys):
     code, out = run(capsys, "classify", "--system", "b4", "--alphas", "1,2,3")
     assert code == 2

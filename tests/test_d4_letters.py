@@ -334,3 +334,32 @@ def test_an_empty_word_returns_the_solution_as_given(system, chart):
     assert q == p and image is sol
     # s1 s1 is the identity, and its image is settled in the affine chart
     assert act_word(parse_word(system, "s1 s1"), p, sol)[1].chart is Chart.AFFINE
+
+
+# -- reduced letter sequences ---------------------------------------------------
+
+@pytest.mark.parametrize("letters, reduced", [
+    ("s1 s2 s1 s2", "s2 s1"), ("s1 s3 s1", "s3"), ("s2 s1 s1 s2", ""), ("pi1 pi1", ""),
+    # a replacement's letters arrive again: s2 s1 s2 s1 -> s1 s2 leaves s1 s3 s1
+    ("s1 s3 s2 s1 s2 s1", "s3 s2"),
+    # pi letters cancel only with themselves, s2 s1 s2 is already short
+    ("pi1 s1 pi1", "pi1 s1 pi1"), ("s2 s1 s2", "s2 s1 s2"),
+])
+def test_reduced_hand_cases(letters, reduced):
+    assert backlund._reduced(letters.split()) == reduced.split()
+
+
+_D4_NAMES = tuple(backlund._D4_PARAMS_MAPS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(names=st.lists(st.one_of(st.sampled_from(_D4_NAMES), st.sampled_from(("s1", "s2"))),
+                      max_size=40),
+       c=st.tuples(*[st.fractions(-3, 3, max_denominator=6)] * 5))
+def test_reduced_letters_act_on_parameters_as_the_written_ones(names, c):
+    # the parameter action is a group action, so the relations that
+    # `_reduced` applies leave the folded parameters as they are
+    reduced = backlund._reduced(names)
+    assert len(reduced) <= len(names)
+    assert backlund._reduced(reduced) == reduced
+    assert backlund._fold(reduced, c) == backlund._fold(names, c)
