@@ -519,13 +519,20 @@ def hamiltonian_polynomial(alphas):
     """H(t, x, y, z, w), the B4 Hamiltonian, with +, - and * only: like
     `vector_field`, one definition for any values with those operations:
     truncated Laurent series in `verify.invariant_report`, and rational
-    functions in the tests' symbolic reference."""
+    functions and sympy symbols in the tests.
+
+    x^2 y (y - 1) + x (beta y - a1) + t y + z^2 w (w - 1) + z ((1 - 2 a4) w
+    - a3) + t w + 2 y z (z w + a3) with t, x and z factored out and z w
+    taken once: 8 products of two non-scalars, not 13.  Each chain of
+    products multiplies at most four of t, x, y, z, w (x x y y, z z w w,
+    z y z w, t y), the bound behind `verify._expansions`' window.
+    """
     a0, a1, a2, a3, a4 = alphas
     beta = 1 - 2 * a2 - 2 * a3 - 2 * a4
 
     def h(t, x, y, z, w):
-        return (x * x * y * (y - 1) + x * (beta * y - a1) + t * y
-                + z * z * w * (w - 1) + z * ((1 - 2 * a4) * w - a3) + t * w
-                + 2 * y * z * (z * w + a3))
+        zw = z * w
+        return (t * (y + w) + x * (x * y * (y - 1) + beta * y - a1)
+                + z * (zw * (w - 1) + (1 - 2 * a4) * w - a3 + 2 * y * (zw + a3)))
 
     return h

@@ -64,9 +64,12 @@ verify_solution = is_solution
 def _expansions(sol: SolutionTuple, point):
     """t, x, y, z and w as Laurent series at t = infinity or t = 0.
 
-    Every term of the Hamiltonian has at most four factors, so a window
-    3 * m + 1 deep, with m the largest pole order there (at least 1, for
-    t), lets each factor reach past the poles of the three others.  Too
+    Every chain of products in `hamiltonian_polynomial` multiplies at
+    most four of them, so a window 3 * m + 1 deep, with m the largest pole
+    order there (at least 1, for t), lets each factor reach past the poles
+    of the three others.  Its factored form reaches as deep as the
+    expanded one: a product keeps each factor's window shifted by the
+    other's pole order, and a sum's pole order is at most its terms'.  Too
     short a window makes `coefficient(0)` raise, never answer wrongly.
     """
     depth = 3 * max([1] + [c.num.degree - c.den.degree if point == INFINITY
@@ -269,14 +272,26 @@ def _real_pole_in(sol: SolutionTuple, lo: Fraction, hi: Fraction) -> bool:
 _POLE_MARGIN = Fraction(1, 1000)
 # the cross-check's evenly spaced samples of [t0, t1], both ends included
 _SAMPLES = 64
+# (sol, lo, hi): the last window [lo, hi] `pole_free_interval` proved free of
+# sol's real poles.  Only `numeric_crosscheck` reads it, and only for that
+# very object: an equal solution built apart is searched again.  Solutions
+# are immutable, so whichever caller set it, it saves a search, never
+# changes an answer; it holds one solution alive
+_cleared = (None, 0, 0)
 
 
 def pole_free_interval(sol: SolutionTuple) -> tuple[Fraction, Fraction]:
     """[1, 2] shifted right by integers until no real pole of the
-    solution lies in it or within a small safety margin of it."""
+    solution lies in it or within a small safety margin of it.
+
+    Every call searches afresh; the window it clears, margin included,
+    is recorded for `numeric_crosscheck` on the same solution object."""
+    global _cleared
     t0 = Fraction(1)
     for _ in range(1000):
-        if not _real_pole_in(sol, t0 - _POLE_MARGIN, t0 + 1 + _POLE_MARGIN):
+        lo, hi = t0 - _POLE_MARGIN, t0 + 1 + _POLE_MARGIN
+        if not _real_pole_in(sol, lo, hi):
+            _cleared = (sol, lo, hi)
             return t0, t0 + 1
         t0 += 1
     raise PoleOnPath("no pole-free interval [t0, t0 + 1] with t0 <= 1000 found")
@@ -296,7 +311,9 @@ def numeric_crosscheck(
     optional perturbation, used for power checks) and samples the
     deviation at `_SAMPLES` = 64 evenly spaced points of [t0, t1].  A
     real pole in [t0, t1], found exactly, raises PoleOnPath, and an
-    offset of other than 4 entries ValueError.  Raises IntegratorFailed
+    offset of other than 4 entries ValueError.  The pole search is
+    skipped only when `pole_free_interval` last cleared a window holding
+    [t0, t1] for this very object (`is`, not ==).  Raises IntegratorFailed
     when `_dopri5` stops short, or when an alpha, a start value, an offset
     or the exact solution at a sample lies outside the float range.
     """
@@ -307,7 +324,8 @@ def numeric_crosscheck(
     t0, t1 = rat(t0), rat(t1)
     if t0 <= 0 or t1 <= t0:
         raise ValueError("need 0 < t0 < t1 to stay clear of the fixed singularity")
-    if _real_pole_in(sol, t0, t1):
+    cleared_sol, lo, hi = _cleared
+    if not (cleared_sol is sol and lo <= t0 and t1 <= hi) and _real_pole_in(sol, t0, t1):
         raise PoleOnPath(f"solution has a pole in [{rat_str(t0)}, {rat_str(t1)}]")
 
     # t0 + (t1 - t0) * i / (_SAMPLES - 1) over one integer denominator: int

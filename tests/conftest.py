@@ -185,6 +185,20 @@ def hamiltonian(params: ParameterTuple, sol: SolutionTuple) -> RationalFunction:
     return hamiltonian_polynomial(params.alphas)(T, *sol.components())
 
 
+def hamiltonian_expanded(alphas):
+    """The B4 Hamiltonian as it reads term by term, 13 products of two
+    non-scalars: the reference for the factored `hamiltonian_polynomial`."""
+    a0, a1, a2, a3, a4 = alphas
+    beta = 1 - 2 * a2 - 2 * a3 - 2 * a4
+
+    def h(t, x, y, z, w):
+        return (x * x * y * (y - 1) + x * (beta * y - a1) + t * y
+                + z * z * w * (w - 1) + z * ((1 - 2 * a4) * w - a3) + t * w
+                + 2 * y * z * (z * w + a3))
+
+    return h
+
+
 def hamiltonian_constant_oracle(params: ParameterTuple, pole_order_one: bool) -> F:
     """Closed form of the constant term of the B4 Hamiltonian at t = infinity.
 

@@ -15,6 +15,7 @@ from conftest import (
     from_lattice,
     hamiltonian,
     hamiltonian_constant_oracle,
+    hamiltonian_expanded,
     random_standard_form,
     residual,
 )
@@ -91,6 +92,13 @@ def test_b4_field_is_hamiltons_equations():
     h = hamiltonian_polynomial(alphas)(t, x, y, z, w)
     hamilton = (sp.diff(h, y), -sp.diff(h, x), sp.diff(h, w), -sp.diff(h, z))
     assert all(sp.expand(f - g) == 0 for f, g in zip(field, hamilton))
+
+
+def test_factored_hamiltonian_is_the_expanded_one():
+    t, x, y, z, w, a1, a2, a3, a4 = sp.symbols("t x y z w a1 a2 a3 a4")
+    alphas = (1 - a1 - 2 * a2 - 2 * a3 - 2 * a4, a1, a2, a3, a4)
+    args = (t, x, y, z, w)
+    assert sp.expand(hamiltonian_polynomial(alphas)(*args) - hamiltonian_expanded(alphas)(*args)) == 0
 
 
 def test_chart_validity():

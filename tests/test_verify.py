@@ -14,6 +14,7 @@ from conftest import (
     d5,
     hamiltonian,
     hamiltonian_constant_oracle,
+    hamiltonian_expanded,
     prop_x_zero_branch_solution,
     push_word,
     random_standard_form,
@@ -182,6 +183,59 @@ def test_pole_free_interval_gives_up_after_its_last_window(monkeypatch):
     assert len(windows) == 1000 and windows[-1] == 1000 - F(1, 1000)
 
 
+# -- the window pole_free_interval cleared, reused by numeric_crosscheck ----------
+
+def _count_pole_searches(monkeypatch) -> list:
+    calls = []
+    search = verify.has_real_root
+    monkeypatch.setattr(verify, "has_real_root", lambda *args: calls.append(args) or search(*args))
+    return calls
+
+
+def _finite_pole_fixture():
+    p = b4("5/4", "1/4", "1/4", "-1/4", "-1/4")
+    return p, construct_rational_solution(p).solution
+
+
+def test_crosscheck_on_the_cleared_window_searches_no_poles(monkeypatch):
+    calls = _count_pole_searches(monkeypatch)
+    p, sol = _finite_pole_fixture()
+    t0, t1 = pole_free_interval(sol)
+    assert calls
+    calls.clear()
+    assert numeric_crosscheck(p, sol, t0, t1) <= 1e-6
+    assert numeric_crosscheck(p, sol, t0 + F(1, 4), t1 - F(1, 4)) <= 1e-6
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", ["equal copy", "left of lo", "right of hi", "other cleared"])
+def test_crosscheck_searches_again_outside_the_cleared_entry(monkeypatch, case):
+    calls = _count_pole_searches(monkeypatch)
+    p, sol = _finite_pole_fixture()
+    t0, t1 = pole_free_interval(sol)
+    if case == "other cleared":
+        pole_free_interval(seed_solution(b4("1/4", "1/4", "1/4", "-1/4", "1/4")).replace(
+            y=HALF + 1 / (T * T - 2)))
+    twin = sol.replace() if case == "equal copy" else sol
+    assert twin == sol
+    t0 -= F(1, 500) if case == "left of lo" else 0
+    t1 += F(1, 500) if case == "right of hi" else 0
+    calls.clear()
+    try:
+        numeric_crosscheck(p, twin, t0, t1)
+    except PoleOnPath:
+        pass
+    assert calls
+
+
+def test_sqrt2_pole_still_found_after_another_window_was_cleared():
+    p = b4("1/4", "1/4", "1/4", "-1/4", "1/4")
+    sol = seed_solution(p).replace(y=HALF + 1 / (T * T - 2))
+    assert pole_free_interval(sol) == (2, 3)
+    with pytest.raises(PoleOnPath):
+        numeric_crosscheck(p, sol, 1, 2)
+
+
 @pytest.mark.parametrize("p", [d4("1/4", "1/4", "1/4", "-1/4", "1/4"),
                                d5(0, "1/4", "1/4", "-1/4", "1/4")], ids=["d4", "d5"])
 def test_invariant_report_refuses_other_systems(p):
@@ -326,6 +380,28 @@ def test_invariant_report_matches_symbolic_hamiltonian(seed, letters, index, pow
     c = comps[index]
     comps[index] = RF(c.num + Polynomial.t(power, delta), c.den)
     _assert_matches_symbolic(q, SolutionTuple(Chart.AFFINE, *comps))
+
+
+# the B4 fixtures the words start from: seed solutions, the x == 0 branch and
+# the m3 solution, which some words take to the affine chart
+_B4_FIXTURES = (seed_solution, prop_x_zero_branch_solution, b4_m3_infinite_solution)
+_B4_FIXTURE_POINTS = (None, b4("1/2", "1/2", "-1/2", "1/4", "1/4"), b4("1/7", "1/5", "-6/35", "1/2", 0))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10 ** 6), fixture=st.integers(0, 2),
+       letters=st.lists(st.integers(0, 10), max_size=4))
+def test_invariant_report_equals_the_report_of_the_expanded_hamiltonian(seed, fixture, letters):
+    p = _B4_FIXTURE_POINTS[fixture] or random_standard_form(System.B4, random.Random(seed))
+    names = PRIMITIVES[System.B4]
+    q, image = push_word(p, _B4_FIXTURES[fixture](p), [names[i % len(names)] for i in letters])
+    assume(image.chart is Chart.AFFINE)
+    report = invariant_report(q, image)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "hamiltonian_polynomial", hamiltonian_expanded)
+        reference = invariant_report(q, image)
+    for name in InvariantReport.__slots__:
+        assert getattr(report, name) == getattr(reference, name), name
 
 
 def test_invariant_report_of_pole_fixture_matches_symbolic_hamiltonian():
