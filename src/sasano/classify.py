@@ -47,8 +47,8 @@ from .systems import (
     ParameterTuple,
     SolutionTuple,
     System,
-    _residuals_vanish,
     _settle,
+    is_solution,
     to_d4_alphas,
 )
 
@@ -226,7 +226,7 @@ def construct_rational_solution(p: ParameterTuple) -> ClassificationResult:
     c, comps = _fold(_reduced(_d4_letters(to_standard)[::-1]), c, _d4_seed(c))
     if c != to_d4_alphas(p.system, p.alphas):
         raise NormalizationFailed("pullback word did not restore the parameters")
-    if not _residuals_vanish(ParameterTuple(System.D4, c), SolutionTuple(Chart.AFFINE, *comps)):
+    if not is_solution(ParameterTuple(System.D4, c), SolutionTuple(Chart.AFFINE, *comps)):
         raise NormalizationFailed("pulled-back seed fails the residual check")
     return ClassificationResult(p, True, verdict.matched_condition, to_standard,
                                 _settle(p.system, c, *comps))

@@ -242,6 +242,8 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
                 if key not in ("subcommand", "json", *options):
                     raise UsageError(f"unknown request key {key!r}; expected subcommand, json, "
                                      + ", ".join(options))
+            if not isinstance(request.get("json", False), bool):
+                raise UsageError(f"json: {request['json']!r} is neither true nor false")
             argv = [request["subcommand"]]
             for key in options:
                 if key in request:

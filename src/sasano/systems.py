@@ -6,10 +6,10 @@ Every system is written in the form t * X' = RHS(X, t), with one
 `vector_field` for all seven system/chart pairs: D4 with some of its
 sides inverted (`INVERTED_SIDES`).  The residuals t*X' - RHS vanish
 identically precisely on solutions; `is_solution` decides that by exact
-evaluation, carrying every B4 and D5 input to D4 (after a one-point
-screen where its chart inverts a side), whose cubic field it evaluates
-at B + 1 points t = 1, -1, 2, -2, ..., two per Horner run, with B a
-bound on the degree of each residual's numerator.
+evaluation on one path, which `construct` takes too: every input goes to
+D4 (`_d4_image`, after a one-point screen where its chart inverts a side),
+whose cubic field one kernel evaluates at B + 1 points t = 1, -1, 2, -2,
+..., two per `_horner_pm` run, B bounding each residual numerator's degree.
 
 One trace has three readings: `_program` traces `vector_field` once per
 system, chart and kind with recording values (`_Traced`) and emits it as
@@ -426,24 +426,23 @@ def _residuals_vanish(params: ParameterTuple, sol: SolutionTuple, points=None) -
     2, -2, ... (of t >= 1 for one point) where no denominator vanishes (by default
     B + 1, `_degree_bounds`), by the compiled pair program of the system and chart."""
     system, chart, alphas, comps = params.system, sol.chart, params.alphas, sol.components()
+    signs = (1,) if points == 1 else (1, -1)
     if points is None:
         points = max(b for b, _ in _degree_bounds(system, chart, comps)[1]) + 1
     ad = math.lcm(*(a.denominator for a in alphas))
     residuals = _program(system, chart, "pair")[0](
         ad, *(a.numerator * (ad // a.denominator) for a in alphas))
-    # c = (sn / sd) * n / d on the integer images; a monic den is keyed by its image d.
-    # One point tries q alone, by `_horner`; more try q and -q, by `_horner_pm` on halves
-    signs, split, at_q = (((1,), lambda f: f, lambda f, q: (_horner(f, q),)) if points == 1
-                          else ((1, -1), lambda f: (f[::2], f[1::2]), _horner_pm))
+    # c = (sn / sd) * n / d on the integer images, split into even and odd
+    # halves for `_horner_pm`; a monic den is keyed by its image d
     images = [c._image() for c in comps]
     dens = list(dict.fromkeys(d for _, d, _, _ in images))
-    keyed = [(split(n), sn, sd, dens.index(d)) for n, d, sn, sd in images]
-    dens = [split(d) for d in dens]
+    keyed = [((n[::2], n[1::2]), sn, sd, dens.index(d)) for n, d, sn, sd in images]
+    dens = [(d[::2], d[1::2]) for d in dens]
     q = 0
     while points > 0:
         q += 1
-        at = [at_q(d, q) for d in dens]
-        at_nums = [at_q(f, q) for f, _, _, _ in keyed]
+        at = [_horner_pm(d, q) for d in dens]
+        at_nums = [_horner_pm(f, q) for f, _, _, _ in keyed]
         for i, sign in enumerate(signs):
             if not points or not all(pm[i][0] for pm in at):
                 continue
@@ -500,19 +499,17 @@ def is_solution(params: ParameterTuple, sol: SolutionTuple) -> bool:
     skipping the points where some D_k vanishes, until B + 1 points have
     passed (Schwartz 1980, Zippel 1979).
 
-    Every B4 and D5 input is carried to D4 by `_d4_image` and checked on
-    D4's cubic field; `vector_field` is D4's field conjugated by the same
-    involutions, so the verdict is the same.  A chart with an inverted side
-    is first screened at one point, the first t >= 1 where no D_k
-    vanishes, by one `_horner` run of each integer image, which rejects
-    most non-solutions and any inverted side with u == 0 (its u-residual
-    is -t or -1).  `construct_rational_solution` runs the D4 check alone.
+    One path for every system and chart, `construct_rational_solution`'s
+    too: `_d4_image`, the identity on D4, carries the input to D4's cubic
+    field; `vector_field` is D4's field conjugated by the same involutions,
+    so the verdict is the same.  A chart with an inverted side is first
+    screened at one point, the first t >= 1 where no D_k vanishes, by the
+    +q half of the same paired runs, which rejects most non-solutions and
+    any inverted side with u == 0 (its u-residual is -t or -1).
     """
-    if params.system is not System.D4:
-        if any(_check_chart(params.system, sol.chart)) and not _residuals_vanish(params, sol, 1):
-            return False
-        params, sol = _d4_image(params, sol)
-    return _residuals_vanish(params, sol)
+    if any(_check_chart(params.system, sol.chart)) and not _residuals_vanish(params, sol, 1):
+        return False
+    return _residuals_vanish(*_d4_image(params, sol))
 
 
 def hamiltonian_polynomial(alphas):

@@ -354,6 +354,27 @@ def test_batch_alphas_that_are_no_integer_or_string_are_named(capsys, tmp_path, 
     assert json.loads(out) == {"error": f"alphas: {value!r} is neither an integer nor a string"}
 
 
+@pytest.fixture(scope="module")
+def d4_verify_request(tmp_path_factory):
+    p = from_lattice(System.D4, F(5, 2), F(1, 3), 1, F(2, 5))
+    path = tmp_path_factory.mktemp("d4") / "solution.json"
+    path.write_text(json.dumps(construct_rational_solution(p).solution.to_json()))
+    return {"subcommand": "verify", "system": "d4", "alphas": [rat_str(a) for a in p.alphas],
+            "solution": str(path)}
+
+
+@pytest.mark.parametrize("value", ["false", "no", 1, 0, None])
+def test_batch_json_that_is_no_boolean_is_named(capsys, tmp_path, d4_verify_request, value):
+    # only a JSON boolean picks the output: "false" and "no" are truthy strings
+    batch = tmp_path / "requests.jsonl"
+    lines = [{**d4_verify_request, "json": flag} for flag in (value, False, True)]
+    batch.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    code, out = run(capsys, "--batch", str(batch))
+    refused, *text, report = out.splitlines()
+    assert code == 2 and json.loads(refused) == {"error": f"json: {value!r} is neither true nor false"}
+    assert text and all(line.startswith("PASS ") for line in text) and json.loads(report)["pass"]
+
+
 def test_batch_mode_negative_first_alpha(capsys, tmp_path):
     # a value starting with "-" must reach --alphas, not be read as an option
     lines = [

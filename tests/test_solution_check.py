@@ -33,6 +33,7 @@ from conftest import (
 )
 from sasano import (
     Chart,
+    ChartMismatch,
     Generator,
     Polynomial,
     RF,
@@ -443,3 +444,44 @@ def test_d4_image_maps_back_under_the_equivalence(make, letters):
     d4_params, d4_sol = systems._d4_image(q, image)
     assert is_solution(d4_params, d4_sol)
     assert equivalence_map(System.D4, q.system, d4_params, d4_sol) == (q, image)
+
+
+@pytest.mark.parametrize("system, chart", [
+    (System.D4, Chart.M3), (System.B4, Chart.R1), (System.D5, Chart.M3),
+])
+def test_a_chart_the_system_does_not_have_is_a_chart_mismatch(system, chart):
+    p, sol = _seed(system)
+    with pytest.raises(ChartMismatch, match=f"^chart {chart.value} is not a {system.value} chart$"):
+        is_solution(p, sol.replace(chart=chart))
+
+
+def _record_points(monkeypatch, system, chart):
+    """The t of each call of the pair program's residuals, from now on."""
+    make, trace, results = systems._program(system, chart, "pair")
+    points = []
+
+    def recording(*alphas):
+        residuals = make(*alphas)
+        return lambda t, *values: points.append(t) or residuals(t, *values)
+
+    monkeypatch.setitem(systems._PROGRAMS, (system, chart, "pair"), (recording, trace, results))
+    return points
+
+
+def test_the_screen_takes_one_point_and_the_check_alternates_around_the_poles(monkeypatch):
+    # denominators t**2 - 1 and t**2 - 4 in B4's affine chart, which
+    # inverts the z-side, so that a screen runs first
+    p = from_lattice(System.B4, F(1, 2), F(-1, 3), 1, F(3, 4))
+    sol = construct_rational_solution(p).solution
+    assert sol.chart is Chart.AFFINE and systems.INVERTED_SIDES[p.system, sol.chart][1]
+    assert {c.den for c in sol.components()} == {Polynomial.ONE, (T * T - 1).num, (T * T - 4).num}
+    screened = _record_points(monkeypatch, System.B4, Chart.AFFINE)
+    checked = _record_points(monkeypatch, System.D4, Chart.AFFINE)
+    assert is_solution(p, sol)
+    first = next(t for t in range(1, 10) if all(c.den.evaluate(t) for c in sol.components()))
+    assert screened == [first] == [3]
+    comps = systems._d4_image(p, sol)[1].components()
+    bound = max(b for b, _ in systems._degree_bounds(System.D4, Chart.AFFINE, comps)[1])
+    order = [s * q for q in range(1, bound + 2) for s in (1, -1)]
+    expected = [t for t in order if all(c.den.evaluate(t) for c in comps)][:bound + 1]
+    assert checked == expected and len(checked) == bound + 1 and checked[:4] == [3, -3, 4, -4]

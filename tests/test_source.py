@@ -104,6 +104,12 @@ def test_only_exactmath_reads_its_private_slots():
     assert reads == []
 
 
+def test_only_systems_calls_the_residual_kernel():
+    # the other modules decide through `is_solution`, which takes one path
+    callers = [module for module, tree in SOURCES.items() if "_residuals_vanish" in set(_names(tree))]
+    assert callers == ["systems.py"]
+
+
 # The arithmetic under every Bäcklund letter works on a primitive integer
 # image and a scale held as two coprime integers, so it builds no Fraction.
 # `leading`, `evaluate` and `coeffs` return rationals, so they stay out.
