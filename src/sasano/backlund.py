@@ -32,7 +32,6 @@ action + t -> -t, which `_fold` carries as a sign to the end of the word.
 
 from __future__ import annotations
 
-import math
 import re
 from collections.abc import Sequence
 from fractions import Fraction
@@ -48,6 +47,7 @@ from .systems import (
     T,
     UndefinedAction,
     _d4_image,
+    _integers,
     _settle,
     from_d4_alphas,
     to_d4_alphas,
@@ -279,12 +279,12 @@ def _reduced(names) -> list:
     return out
 
 
-def _fold(names, c, comps=None):
+def _fold_integers(names, c, den: int, comps=None):
     """(c, comps) carried by the D4 letters `names`, left first: D4 parameters
-    as integers over one common denominator and, if given, D4 components held
-    in s, t = tt = ±s, each `T_FLIP` letter flipping tt, t -> -t at the end."""
-    den = math.lcm(*(a.denominator for a in c))
-    c, tt = tuple(a.numerator * (den // a.denominator) for a in c), T
+    as integers c over den, which every letter keeps, and, if given, D4
+    components held in s, t = tt = ±s, each `T_FLIP` letter flipping tt,
+    t -> -t at the end."""
+    tt = T
     for name in names:
         if comps is not None:
             comps = _d4_letter(name, c, den, tt, *comps)
@@ -292,6 +292,13 @@ def _fold(names, c, comps=None):
         c = _D4_PARAMS_MAPS[name](*c)
     if comps is not None and tt != T:
         comps = tuple(v.substitute_negate() for v in comps)
+    return c, comps
+
+
+def _fold(names, c, comps=None):
+    """`_fold_integers` on the D4 parameters c as Fractions."""
+    c, den = _integers(c)
+    c, comps = _fold_integers(names, c, den, comps)
     return tuple(Fraction(a, den) for a in c), comps
 
 

@@ -15,7 +15,8 @@ One trace has three readings: `_program` traces `vector_field` once per
 system, chart and kind with recording values (`_Traced`) and emits it as
 straight-line Python, on floats for the numeric check (`float_rhs`) and
 on integer numerators over monomial denominators for the point values;
-`_degree_bounds` runs the latter trace again on exponents to find B.
+`_degree_bounds` runs the latter's steps, prepared with the program,
+again on exponents to find B.
 
 Charts: the affine chart carries (x, y, z, w) directly.  Solutions with
 a component identically infinite live in an alternative chart, which
@@ -123,7 +124,23 @@ class ParameterTuple(Record):
 
     @staticmethod
     def from_json(data) -> "ParameterTuple":
-        return ParameterTuple(parse_system(data["system"]), data["alphas"])
+        """The inverse of `to_json`; malformed data raises ValueError naming
+        the field."""
+        for name, kind in (("system", str), ("alphas", list)):
+            if not isinstance(data, dict) or name not in data:
+                raise ValueError(f"parameters have no field {name!r}")
+            if not isinstance(data[name], kind):
+                raise ValueError(f"parameters field {name!r}: {data[name]!r} is not a {kind.__name__}")
+        try:
+            return ParameterTuple(parse_system(data["system"]), data["alphas"])
+        except TypeError as exc:
+            raise ValueError(f"parameters field 'alphas': {exc}") from None
+
+
+def _integers(c):
+    """(ints, den): the Fractions c as integers over their common denominator."""
+    den = math.lcm(*(a.denominator for a in c))
+    return tuple(a.numerator * (den // a.denominator) for a in c), den
 
 
 def _d4_level(c) -> Fraction:
@@ -191,8 +208,22 @@ def _check_chart(system: System, chart: Chart):
 
 def invert_side(u, v, b):
     """(1/u, -u*(u*v + b)) for u not identically zero: the involution between
-    a side in D4's coordinates and inverted ones (b = a1 on x, a3 on z)."""
-    return 1 / u, -u * (u * v + b)
+    a side in D4's coordinates and inverted ones (b = a1 on x, a3 on z).
+
+    Other values than rational functions (symbols) take the formula as
+    written.  Rational functions u = A/B and v = C/E take it over the
+    cofactors of the gcds k = gcd(A, E) and h = gcd(C, B) that u*v takes:
+    A = k A1, E = k E1, C = h C1, B = h B1 and M = A1 C1 + b B1 E1 give
+    -u*(u*v + b) = -k A1 M/(h B1**2 E1), reduced once gcd(k, E1) and
+    gcd(M, h) are cancelled, as A1 is coprime to B, h and E1, k to B, and
+    M to B1 and E1.
+    """
+    if not isinstance(u, RationalFunction):
+        return 1 / u, -u * (u * v + b)
+    (k, a1, e1), (h, c1, b1) = u.num.gcd(v.den, cofactors=True), v.num.gcd(u.den, cofactors=True)
+    m = a1 * c1 + (b1 * e1).scale(b)
+    (_, k1, e2), (_, m1, h1) = k.gcd(e1, cofactors=True), m.gcd(h, cofactors=True)
+    return 1 / u, RationalFunction._coprime(-(k1 * a1 * m1), h1 * b1 * b1 * e2)
 
 
 def to_d4_alphas(system: System, alphas):
@@ -319,15 +350,16 @@ def _exact_step(out, op, a, b, exponents):
     return f"{an} {op} {bn}"
 
 
-_PROGRAMS = {}  # (system, chart, kind) -> (factory, trace, result names); at most 7 * 2 entries
+_PROGRAMS = {}  # (system, chart, kind) -> (factory, steps, result slots); at most 7 * 2 entries
 
 
 def _program(system: System, chart: Chart, kind: str):
-    """(make, trace, result names): `vector_field` of the system in the
+    """(make, steps, result slots): `vector_field` of the system in the
     chart as straight-line Python, built on first use by tracing it once,
-    with that trace, which `_degree_bounds` reads again.  Steps on the
-    alphas alone run once per call of the factory, the others once per
-    call of its result.
+    with the trace's steps on t and the state, prepared once for
+    `_degree_bounds` to run on exponents, and its results' slots there.
+    Steps on the alphas alone run once per call of the factory, the others
+    once per call of its result.
 
     kind "float": make(a0, ..., a4) -> field(t, v), which returns
     [RHS_i / t] with the float operations of `vector_field` in its order,
@@ -371,7 +403,16 @@ def _program(system: System, chart: Chart, kind: str):
         namespace = {}
         exec(compile(source, f"<{kind} field of {system.value} in chart {chart.value}>", "exec"),
              namespace)
-        _PROGRAMS[key] = namespace["make"], trace, [v.name for v in results]
+        # the trace's inner steps as (op, slot of a, slot of b) on a list that
+        # `_degree_bounds` fills: slot 0 for a constant or a value of the alphas
+        # alone, then t, x, ..., w, tx, ..., tw, then each step's value in turn
+        slots = {name: k for k, name in enumerate(["t", *"xyzw", *(f"t{v}" for v in "xyzw")], 1)}
+        steps = []
+        for out, op, a, b in trace:
+            if out.inner:
+                steps.append((op, *(slots.get(getattr(v, "name", None), 0) for v in (a, b))))
+                slots[out.name] = len(slots) + 1
+        _PROGRAMS[key] = namespace["make"], steps, [slots[v.name] for v in results]
     return _PROGRAMS[key]
 
 
@@ -402,23 +443,21 @@ def _horner_pm(halves, q: int):
 def _degree_bounds(system: System, chart: Chart, comps):
     """The distinct denominators D_k of the components and, per residual,
     (B, e): the residual times prod_k D_k**e[k] is a polynomial of degree
-    at most B.  The pair trace runs on tuples (h, *e) by `_combine`, each
-    bounding deg N - sum_k e[k] * deg D_k by h for N / prod_k D_k**e[k]:
-    t is (1, 0, ...), a component N_c / D_c (deg N_c - deg D_c) with 1 at
-    D_c, its t-derivative the same with 2 there, and a constant all 0."""
+    at most B.  The pair program's steps (`_program`) run on tuples (h, *e)
+    by `_combine`, each bounding deg N - sum_k e[k] * deg D_k by h for
+    N / prod_k D_k**e[k]: a constant is all 0, t is (1, 0, ...), a component
+    N_c / D_c (deg N_c - deg D_c) with 1 at D_c, its t-derivative the same
+    with 2 there."""
     dens = list(dict.fromkeys(c.den for c in comps))
-    _, trace, results = _program(system, chart, "pair")
+    _, steps, results = _program(system, chart, "pair")
     zero = (0,) * (len(dens) + 1)
-    bounds = {"t": (1, *zero[1:])}
-    for name, c in zip("xyzw", comps):
-        for prefix, power in (("", 1), ("t", 2)):
-            bounds[prefix + name] = (c.num.degree - c.den.degree, *(power * (d == c.den) for d in dens))
-    for out, op, a, b in trace:
-        if out.inner:  # a value of the alphas alone is a constant
-            bounds[out.name] = _combine(op, bounds.get(getattr(a, "name", None), zero),
-                                        bounds.get(getattr(b, "name", None), zero))
+    values = [zero, (1, *zero[1:])]
+    for power in (1, 2):
+        values += [(c.num.degree - c.den.degree, *(power * (d == c.den) for d in dens)) for c in comps]
+    for op, a, b in steps:
+        values.append(_combine(op, values[a], values[b]))
     return dens, [(h + sum(k * d.degree for k, d in zip(e, dens)), tuple(e))
-                  for h, *e in map(bounds.get, results)]
+                  for h, *e in (values[r] for r in results)]
 
 
 def _residuals_vanish(params: ParameterTuple, sol: SolutionTuple, points=None) -> bool:
@@ -429,9 +468,8 @@ def _residuals_vanish(params: ParameterTuple, sol: SolutionTuple, points=None) -
     signs = (1,) if points == 1 else (1, -1)
     if points is None:
         points = max(b for b, _ in _degree_bounds(system, chart, comps)[1]) + 1
-    ad = math.lcm(*(a.denominator for a in alphas))
-    residuals = _program(system, chart, "pair")[0](
-        ad, *(a.numerator * (ad // a.denominator) for a in alphas))
+    ints, ad = _integers(alphas)
+    residuals = _program(system, chart, "pair")[0](ad, *ints)
     # c = (sn / sd) * n / d on the integer images, split into even and odd
     # halves for `_horner_pm`; a monic den is keyed by its image d
     images = [c._image() for c in comps]

@@ -175,6 +175,12 @@ def residual(params: ParameterTuple, sol: SolutionTuple):
     return tuple(T * c.derivative() - r for c, r in zip(comps, field(T, *comps)))
 
 
+def invert_side_reference(u, v, b):
+    """`systems.invert_side` by `RationalFunction` arithmetic as written:
+    (1/u, -u*(u*v + b)), each operation reducing its result by full gcds."""
+    return 1 / u, -u * (u * v + b)
+
+
 def hamiltonian(params: ParameterTuple, sol: SolutionTuple) -> RationalFunction:
     """The B4 Hamiltonian evaluated along an affine-chart solution, the
     symbolic reference for `verify.invariant_report`."""
