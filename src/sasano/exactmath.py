@@ -574,12 +574,17 @@ def _int_compose_affine(ints, a: int, d: int, w: int) -> list:
 
 
 def _taylor_shift(coeffs: list, a: int) -> list:
-    """Coefficients (ascending) of p(u + a) from those of p(u)."""
+    """Coefficients (ascending) of p(u + a) from those of p(u); at a == 1
+    by additions only."""
     c = list(coeffs)
     n = len(c) - 1
     for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            c[j] += a * c[j + 1]
+        if a == 1:
+            for j in range(n - 1, i - 1, -1):
+                c[j] += c[j + 1]
+        else:
+            for j in range(n - 1, i - 1, -1):
+                c[j] += a * c[j + 1]
     return c
 
 

@@ -246,18 +246,18 @@ def from_d4_alphas(system: System, alphas):
 def _side(p_form: bool, c, b, inverted: bool, t, u, v, k):
     """t*u' and t*v' on one side, (x, y) or (z, w), of the coupled system.
 
-    Its own part has the P form (x, y of D4) or the Q form (z, w of D4)
-    with the parameters c and b.  k is the other side's coupling
-    coordinate; the coupling term of the Hamiltonian is -2 * y * w in D4
-    coordinates, and on an inverted side y or w is -u*(u*v + b).
+    Its own part has the P form (x, y of D4) or the Q form (z, w of D4) with
+    the parameters c and b, one formula in Horner form: (r, e, s) = (1, c, t)
+    for P and (t, -c, 1) for Q.  k is the other side's coupling coordinate;
+    the coupling term of the Hamiltonian is -2 * y * w in D4 coordinates, and
+    on an inverted side y or w is -u*(u*v + b).  Factored, the field keeps the
+    expanded one's B (`_degree_bounds`), as a + max(b, c) = max(a + b, a + c).
     """
-    if p_form:
-        du, dv = 2 * u * u * v - u * u + c * u + t, -2 * u * v * v + 2 * u * v - c * v + b
-    else:
-        du, dv = 2 * u * u * v - t * u * u - c * u + 1, -2 * u * v * v + 2 * t * u * v + c * v + b * t
+    r, e, s = (1, c, t) if p_form else (t, -c, 1)
+    k2 = 2 * k
     if inverted:
-        return du + 2 * k * u * u, dv - 2 * k * (2 * u * v + b)
-    return du - 2 * k, dv
+        return u * (u * (2 * v - r + k2) + e) + s, v * (2 * u * (r - v - k2) - e) + b * (r - k2)
+    return u * (u * (2 * v - r) + e) + s - k2, v * (2 * u * (r - v) - e) + b * r
 
 
 def vector_field(system: System, chart: Chart, alphas):
@@ -435,8 +435,9 @@ def _horner_pm(halves, q: int):
     """((f(q), f'(q)), (f(-q), f'(-q))) for f(t) = E(t**2) + t * O(t**2), given
     the integer coefficients halves = (E, O): one `_horner` run of each at q**2,
     as f'(t) = O(t**2) + 2 t**2 O'(t**2) + 2 t E'(t**2)."""
-    (e, e1), (o, o1) = _horner(halves[0], q * q), _horner(halves[1], q * q)
-    odd, slope, odd_slope = q * o, o + 2 * q * q * o1, 2 * q * e1
+    qq = q * q
+    (e, e1), (o, o1) = _horner(halves[0], qq), _horner(halves[1], qq)
+    odd, slope, odd_slope = q * o, o + 2 * qq * o1, 2 * q * e1
     return (e + odd, slope + odd_slope), (e - odd, slope - odd_slope)
 
 
@@ -474,23 +475,23 @@ def _residuals_vanish(params: ParameterTuple, sol: SolutionTuple, points=None) -
     # halves for `_horner_pm`; a monic den is keyed by its image d
     images = [c._image() for c in comps]
     dens = list(dict.fromkeys(d for _, d, _, _ in images))
-    keyed = [((n[::2], n[1::2]), sn, sd, dens.index(d)) for n, d, sn, sd in images]
+    keyed = [((n[::2], n[1::2]), sn, sd, sn * sd, dens.index(d)) for n, d, sn, sd in images]
     dens = [(d[::2], d[1::2]) for d in dens]
     q = 0
     while points > 0:
         q += 1
         at = [_horner_pm(d, q) for d in dens]
-        at_nums = [_horner_pm(f, q) for f, _, _, _ in keyed]
+        at_nums = [_horner_pm(f, q) for f, *_ in keyed]
         for i, sign in enumerate(signs):
             if not points or not all(pm[i][0] for pm in at):
                 continue
             p, values, t_derivatives = sign * q, [], []
-            for (_, sn, sd, k), pm in zip(keyed, at_nums):
+            for (_, sn, sd, snsd, k), pm in zip(keyed, at_nums):
                 nv, ns = pm[i]
                 dv, ds = at[k][i]
                 values += sn * nv, sd * dv
                 # t * c' = sn * t * (n' d - n d') / (sd * d**2), over (sd * d)**2
-                t_derivatives.append(sn * sd * p * (ns * dv - nv * ds))
+                t_derivatives.append(snsd * p * (ns * dv - nv * ds))
             if any(residuals(p, *values, *t_derivatives)):
                 return False
             points -= 1

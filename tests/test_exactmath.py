@@ -23,7 +23,7 @@ from sasano import (
     rational_roots,
     residue,
 )
-from sasano.exactmath import _series_quotient, float_function, has_real_root
+from sasano.exactmath import _series_quotient, _taylor_shift, float_function, has_real_root
 
 T = RF.t()
 
@@ -268,6 +268,21 @@ def test_expansion_at_a_finite_point_is_the_expansion_at_zero_of_the_shift():
             got = laurent_expand(f, finite_point(c), order)
             want = laurent_expand(shifted, ZERO_POINT, order)
             assert (got.lead, got.coeffs, got.order) == (want.lead, want.coeffs, want.order)
+
+
+_SHIFT_ENTRIES = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6),
+                           st.integers(-2 ** 200, 2 ** 200))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(_SHIFT_ENTRIES, max_size=40), a=st.sampled_from([1, -1, 2, 999]))
+@example(coeffs=[], a=1)
+@example(coeffs=[-2 ** 200, 0, 0, 2 ** 200 - 1], a=1)
+def test_taylor_shift_is_the_binomial_expansion(coeffs, a):
+    # sum_i c_i (u + a)**i = sum_k u**k sum_{i >= k} c_i C(i, k) a**(i - k)
+    want = [sum(c * math.comb(i, k) * a ** (i - k) for i, c in enumerate(coeffs) if i >= k)
+            for k in range(len(coeffs))]
+    assert _taylor_shift(coeffs, a) == want
 
 
 def test_canonical_form_idempotent():

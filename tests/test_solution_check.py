@@ -8,6 +8,9 @@ formal denominator must clear each residual's denominator, and B must
 never fall below the true degree of the numerator over it.  B is read off
 the compiled pair program's trace; `reference_degree_bounds` runs the
 written field on `_DegreeBound` values instead, and the two must agree.
+The field is written in Horner form; `expanded_side`, its monomials as
+they were written before, must give the same field and the same B, and
+the compiled programs must take the Horner form's steps per call.
 """
 
 import ast
@@ -17,6 +20,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (
@@ -320,6 +324,80 @@ def test_compiled_programs_store_no_value_they_never_read(monkeypatch):
                 seen[node.id] = max(seen.get(node.id, 0), node.lineno)
         dead += [name for name, line in stores.items() if last_read.get(name, 0) <= line]
     assert dead == []
+
+
+# per system and chart, the steps one call of the float and of the pair
+# program takes: the field in Horner form
+_INNER_STEPS = {
+    (System.B4, Chart.AFFINE): (35, 39), (System.B4, Chart.M3): (29, 33),
+    (System.D4, Chart.AFFINE): (29, 33),
+    (System.D5, Chart.AFFINE): (42, 46), (System.D5, Chart.R1): (35, 39),
+    (System.D5, Chart.R3): (36, 40), (System.D5, Chart.R5): (29, 33),
+}
+
+
+def test_compiled_programs_take_the_steps_of_the_horner_form(monkeypatch):
+    # one assignment per step in the body of each generated field
+    sources = {}
+
+    def capture(source, filename, *rest):
+        sources[filename] = source
+        return compile(source, filename, *rest)
+
+    monkeypatch.setattr(systems, "_PROGRAMS", {})
+    monkeypatch.setattr(systems, "compile", capture, raising=False)
+    steps = {}
+    for (system, chart), counts in _INNER_STEPS.items():
+        for kind, count in zip(("float", "pair"), counts):
+            systems._program(system, chart, kind)
+            source = sources[f"<{kind} field of {system.value} in chart {chart.value}>"]
+            field = next(node for node in ast.walk(ast.parse(source))
+                         if isinstance(node, ast.FunctionDef) and node.name == "field")
+            steps[system, chart, kind] = sum(
+                isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                for node in field.body)
+            assert steps[system, chart, kind] == len(systems._program(system, chart, kind)[1])
+    assert steps == {(s, c, kind): count for (s, c), counts in _INNER_STEPS.items()
+                     for kind, count in zip(("float", "pair"), counts)}
+
+
+def expanded_side(p_form: bool, c, b, inverted: bool, t, u, v, k):
+    """`systems._side` as it was written before its Horner form, monomial by
+    monomial: the reference for the degree bound and the field's values."""
+    if p_form:
+        du, dv = 2 * u * u * v - u * u + c * u + t, -2 * u * v * v + 2 * u * v - c * v + b
+    else:
+        du, dv = 2 * u * u * v - t * u * u - c * u + 1, -2 * u * v * v + 2 * t * u * v + c * v + b * t
+    if inverted:
+        return du + 2 * k * u * u, dv - 2 * k * (2 * u * v + b)
+    return du - 2 * k, dv
+
+
+@pytest.mark.parametrize("system, chart", list(systems.INVERTED_SIDES))
+def test_horner_form_is_the_expanded_field(system, chart):
+    t, *state = sp.symbols("t x y z w")
+    alphas = sp.symbols("a0:5")
+    horner = vector_field(system, chart, alphas)(t, *state)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(systems, "_side", expanded_side)
+        expanded = vector_field(system, chart, alphas)(t, *state)
+    assert [sp.expand(h - e) for h, e in zip(horner, expanded)] == [0] * 4
+
+
+@pytest.mark.parametrize("make", FIXTURES)
+@SETTINGS
+@given(letters=st.lists(st.integers(0, 10), max_size=3))
+def test_horner_form_keeps_the_degree_bound_of_the_expanded_field(make, letters):
+    # each extra unit of B would cost one more residual point
+    p, sol = make()
+    names = PRIMITIVES[p.system]
+    q, image = _push(p, sol, [names[i % len(names)] for i in letters])
+    comps = image.components()
+    bounds = systems._degree_bounds(q.system, image.chart, comps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(systems, "_side", expanded_side)
+        reference = reference_degree_bounds(vector_field(q.system, image.chart, q.alphas), comps)
+    assert reference == bounds
 
 
 def _random_rf(rng, dens):
