@@ -279,7 +279,7 @@ def _reduced(names) -> list:
     return out
 
 
-def _fold_integers(names, c, den: int, comps=None):
+def _fold(names, c, den: int, comps=None):
     """(c, comps) carried by the D4 letters `names`, left first: D4 parameters
     as integers c over den, which every letter keeps, and, if given, D4
     components held in s, t = tt = ±s, each `T_FLIP` letter flipping tt,
@@ -293,13 +293,6 @@ def _fold_integers(names, c, den: int, comps=None):
     if comps is not None and tt != T:
         comps = tuple(v.substitute_negate() for v in comps)
     return c, comps
-
-
-def _fold(names, c, comps=None):
-    """`_fold_integers` on the D4 parameters c as Fractions."""
-    c, den = _integers(c)
-    c, comps = _fold_integers(names, c, den, comps)
-    return tuple(Fraction(a, den) for a in c), comps
 
 
 def act_params(gen: Generator, p: ParameterTuple) -> ParameterTuple:
@@ -319,14 +312,16 @@ def act_word(w: GeneratorWord, p: ParameterTuple, sol: SolutionTuple | None = No
 
     Both are carried in D4 coordinates by one `_fold` of the word's D4
     letters as written, unreduced, so that rule 3 holds for each: the
-    parameters as c = `to_d4_alphas(p)`, the solution as its `_d4_image`,
-    settled in the system's charts at the end.  An empty word returns sol
-    as given."""
+    parameters as c = `to_d4_alphas(p)` in integers (`systems._integers`),
+    made Fractions again once, the solution as its `_d4_image`, settled in
+    the system's charts at the end.  An empty word returns sol as given."""
     system = p.system
     if w.system is not system:
         raise ValueError("generator and parameters belong to different systems")
     comps = _d4_image(p, sol)[1].components() if sol is not None and w.tokens else None
-    c, comps = _fold(_d4_letters(w), to_d4_alphas(system, p.alphas), comps)
+    c, den = _integers(to_d4_alphas(system, p.alphas))
+    c, comps = _fold(_d4_letters(w), c, den, comps)
+    c = tuple(Fraction(a, den) for a in c)
     if comps is not None:
         sol = _settle(system, c, *comps)
     return ParameterTuple(system, from_d4_alphas(system, c)), sol

@@ -39,7 +39,7 @@ from .backlund import (
     Generator,
     GeneratorWord,
     _d4_letters,
-    _fold_integers,
+    _fold,
     _reduced,
 )
 from .exactmath import RF, Polynomial, rat_str
@@ -217,7 +217,7 @@ def _normalize(system: System, c, den: int, f, index: int):
 
     w = GeneratorWord(system, tuple(tokens))
     letters = _d4_letters(w)
-    image, _ = _fold_integers(letters, c, den)
+    image, _ = _fold(letters, c, den)
     if not _standard(system, den, f) or image != _from_lattice(den, f):
         alphas = from_d4_alphas(system, [Fraction(a, den) for a in image])
         raise NormalizationFailed(
@@ -272,7 +272,7 @@ def construct_rational_solution(p: ParameterTuple) -> ClassificationResult:
 
     The lattice coordinates are taken once (`_lattice`), on D4's integer
     parameters, which `_normalize` and the pullback carry: D4's seed
-    folded in D4 by one `backlund._fold_integers` of the inverse word's
+    folded in D4 by one `backlund._fold` of the inverse word's
     letters, `_reduced` by the group's relations, must restore them, is
     checked there by `is_solution` and settled once.
     """
@@ -281,7 +281,7 @@ def construct_rational_solution(p: ParameterTuple) -> ClassificationResult:
     if index is None:
         return ClassificationResult(p, False)
     to_standard, letters, image = _normalize(p.system, c, den, f, index)
-    back, comps = _fold_integers(_reduced(letters[::-1]), image, den, _d4_seed(image[4], den))
+    back, comps = _fold(_reduced(letters[::-1]), image, den, _d4_seed(image[4], den))
     if back != c:
         raise NormalizationFailed("pullback word did not restore the parameters")
     c = to_d4_alphas(p.system, p.alphas)

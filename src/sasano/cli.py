@@ -197,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--system", type=_system_arg, required=True, metavar="{b4,d4,d5}")
         p.add_argument("--alphas", required=True, help="a0,a1,a2,a3,a4 (fifth may be 'auto')")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("classify", help="decide existence of a rational solution")
     common(p)
@@ -214,10 +213,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", required=True, help="JSON solution file ('-' = stdin)")
     p.add_argument("--at", required=True, help="expansion point: 0, inf, or c=VALUE")
     p.add_argument("--order", type=int, default=None, help="truncation exponent")
-    p.add_argument("--json", action="store_true")
     p = sub.add_parser("report", help="Laurent/residue/Hamiltonian invariant report")
     common(p)
     p.add_argument("--solution", required=True, help="JSON solution file ('-' = stdin)")
+    for name, p in sub.choices.items():
+        p.add_argument("--json", action="store_true",
+                       help="JSON instead of PASS/FAIL lines" if name == "verify"
+                       else "output is always JSON; accepted so that batch files can pass it")
     return parser
 
 
@@ -253,6 +255,8 @@ def _run_batch(parser: argparse.ArgumentParser, path: str) -> int:
                         for a in value:
                             if isinstance(a, bool) or not isinstance(a, (int, str)):
                                 raise UsageError(f"alphas: {a!r} is neither an integer nor a string")
+                            if isinstance(a, str) and "," in a:
+                                raise UsageError(f"alphas: {a!r} holds a comma; a list entry is one value")
                         value = ",".join(a if isinstance(a, str) else rat_str(rat(a)) for a in value)
                     # one token, so that a value starting with "-" is not
                     # taken for an option

@@ -207,19 +207,17 @@ def _check_chart(system: System, chart: Chart):
 
 
 def invert_side(u, v, b):
-    """(1/u, -u*(u*v + b)) for u not identically zero: the involution between
-    a side in D4's coordinates and inverted ones (b = a1 on x, a3 on z).
+    """(1/u, -u*(u*v + b)) for rational functions u, not identically zero,
+    and v: the involution between a side in D4's coordinates and inverted
+    ones (b = a1 on x, a3 on z).
 
-    Other values than rational functions (symbols) take the formula as
-    written.  Rational functions u = A/B and v = C/E take it over the
-    cofactors of the gcds k = gcd(A, E) and h = gcd(C, B) that u*v takes:
+    With u = A/B and v = C/E, it is taken over the cofactors of the gcds
+    k = gcd(A, E) and h = gcd(C, B) that u*v takes:
     A = k A1, E = k E1, C = h C1, B = h B1 and M = A1 C1 + b B1 E1 give
     -u*(u*v + b) = -k A1 M/(h B1**2 E1), reduced once gcd(k, E1) and
     gcd(M, h) are cancelled, as A1 is coprime to B, h and E1, k to B, and
     M to B1 and E1.
     """
-    if not isinstance(u, RationalFunction):
-        return 1 / u, -u * (u * v + b)
     (k, a1, e1), (h, c1, b1) = u.num.gcd(v.den, cofactors=True), v.num.gcd(u.den, cofactors=True)
     m = a1 * c1 + (b1 * e1).scale(b)
     (_, k1, e2), (_, m1, h1) = k.gcd(e1, cofactors=True), m.gcd(h, cofactors=True)

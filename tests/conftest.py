@@ -176,8 +176,9 @@ def residual(params: ParameterTuple, sol: SolutionTuple):
 
 
 def invert_side_reference(u, v, b):
-    """`systems.invert_side` by `RationalFunction` arithmetic as written:
-    (1/u, -u*(u*v + b)), each operation reducing its result by full gcds."""
+    """`systems.invert_side` as written, (1/u, -u*(u*v + b)): on
+    `RationalFunction`s each operation reduces its result by full gcds, and
+    it takes any other values too, such as sympy symbols."""
     return 1 / u, -u * (u * v + b)
 
 

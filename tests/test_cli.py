@@ -354,6 +354,19 @@ def test_batch_alphas_that_are_no_integer_or_string_are_named(capsys, tmp_path, 
     assert json.loads(out) == {"error": f"alphas: {value!r} is neither an integer nor a string"}
 
 
+@pytest.mark.parametrize("alphas", [["-11/6,13/6", "-5/3", "8/5", "auto"],
+                                    ["-11/6", "13/6", "-5/3,8/5", "0", "auto"]])
+def test_batch_alphas_entry_with_a_comma_is_named(capsys, tmp_path, alphas):
+    # each list entry is one value: joined with commas, an entry holding one
+    # would count as two, so four entries would pass for five
+    batch = tmp_path / "requests.jsonl"
+    batch.write_text(json.dumps({"subcommand": "classify", "system": "b4", "alphas": alphas}) + "\n")
+    code, out = run(capsys, "--batch", str(batch))
+    entry = next(a for a in alphas if "," in a)
+    assert code == 2
+    assert json.loads(out) == {"error": f"alphas: {entry!r} holds a comma; a list entry is one value"}
+
+
 @pytest.fixture(scope="module")
 def d4_verify_request(tmp_path_factory):
     p = from_lattice(System.D4, F(5, 2), F(1, 3), 1, F(2, 5))
@@ -560,6 +573,15 @@ def test_classify_help_shows_the_system_spellings(capsys):
     out = capsys.readouterr().out
     assert "--system {b4,d4,d5}" in out
     assert "System.B4" not in out
+
+
+@pytest.mark.parametrize("subcommand", ["classify", "construct", "transform", "verify", "expand",
+                                        "report"])
+def test_json_help_says_only_verify_changes_its_output(capsys, subcommand):
+    assert main([subcommand, "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert ("output is always JSON" in out) is (subcommand != "verify")
+    assert ("JSON instead of PASS/FAIL lines" in out) is (subcommand == "verify")
 
 
 def test_unknown_system_is_named_with_the_spellings(capsys, tmp_path):

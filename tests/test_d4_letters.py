@@ -362,4 +362,5 @@ def test_reduced_letters_act_on_parameters_as_the_written_ones(names, c):
     reduced = backlund._reduced(names)
     assert len(reduced) <= len(names)
     assert backlund._reduced(reduced) == reduced
-    assert backlund._fold(reduced, c) == backlund._fold(names, c)
+    c, den = systems._integers(c)
+    assert backlund._fold(reduced, c, den) == backlund._fold(names, c, den)

@@ -7,6 +7,10 @@ is read somewhere in it.  A move between modules leaves such remnants
 behind."""
 
 import ast
+import importlib
+import io
+import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -14,8 +18,10 @@ import pytest
 
 import sasano
 
-SOURCES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-           for path in sorted((Path(__file__).parent.parent / "src" / "sasano").glob("*.py"))}
+ROOT = Path(__file__).parent.parent
+TEXTS = {path.name: path.read_text(encoding="utf-8")
+         for path in sorted((ROOT / "src" / "sasano").glob("*.py"))}
+SOURCES = {name: ast.parse(text) for name, text in TEXTS.items()}
 
 
 def _names(tree):
@@ -128,3 +134,72 @@ def test_polynomial_arithmetic_names_no_fraction():
     listed = [(cls, name) for cls, names in INTEGER_ONLY.items() for name in names]
     assert [key for key in listed if key not in methods] == []
     assert [key for key in listed if "Fraction" in set(_names(methods[key]))] == []
+
+
+def test_no_function_outside_exactmath_branches_on_rational_function_type():
+    # the other modules take rational functions as they come, so each step
+    # has one path, not a second one for other values
+    branches = [f"{module}:{node.lineno}" for module, tree in SOURCES.items()
+                if module != "exactmath.py"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and {"RationalFunction", "RF"} & set(_names(node.args[1]))]
+    assert branches == []
+
+
+def _bound(tree):
+    """The names tree binds: definitions, assignment targets (attributes
+    too), arguments, imports and `__slots__` entries."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.attr
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name.split(".")[-1]
+        elif (isinstance(node, ast.Assign) and any(isinstance(target, ast.Name)
+                                                   and target.id == "__slots__"
+                                                   for target in node.targets)):
+            yield from (c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+
+
+def _prose(module):
+    """The docstrings and comments of a module of the package."""
+    for node in ast.walk(SOURCES[module]):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield ast.get_docstring(node) or ""
+    for tok in tokenize.generate_tokens(io.StringIO(TEXTS[module]).readline):
+        if tok.type == tokenize.COMMENT:
+            yield tok.string
+
+
+def test_every_backticked_private_name_is_defined():
+    # a private name in backticks, such as `_fold` or `systems._integers`,
+    # in README.md or in the package's docstrings and comments, names a
+    # definition in the package or in tests/conftest.py; in `module._name`
+    # it is one of that module's top-level names, so a rename or a removal
+    # leaves no text behind that names the old definition
+    conftest = ast.parse((ROOT / "tests" / "conftest.py").read_text(encoding="utf-8"))
+    defined = {name for tree in (*SOURCES.values(), conftest) for name in _bound(tree)}
+    modules = {module[:-3] for module in SOURCES}
+    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
+    texts = [("README.md", readme)] + [(module, text) for module in SOURCES
+                                      for text in _prose(module)]
+    unresolved = []
+    for where, text in texts:
+        for span in re.findall(r"`([^`]+)`", text):
+            for dotted in re.findall(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*", span):
+                parts = dotted.split(".")
+                for i, part in enumerate(parts):
+                    if not re.match(r"_[^_]", part):
+                        continue
+                    scope = (vars(importlib.import_module(f"sasano.{parts[i - 1]}"))
+                             if i and parts[i - 1] in modules else defined)
+                    if part not in scope:
+                        unresolved.append(f"{where}: {dotted}")
+    assert unresolved == []
