@@ -197,31 +197,37 @@ def invert_word(w: GeneratorWord) -> GeneratorWord:
 T_FLIP = ("pi1", "pi2")
 
 
-def _acts(name: str, d, param: Fraction) -> bool:
+def _acts(name: str, d, c, den: int = 1) -> bool:
     """Whether a letter dividing by d acts: if d is identically zero, the
-    letter is the identity when its parameter vanishes, else undefined."""
+    letter is the identity when its parameter c / den vanishes, else undefined."""
     if not d.is_zero():
         return True
-    if param != 0:
+    if c:
         raise UndefinedAction(
             f"{name} divides by an identically zero component and its parameter "
-            f"{param} is nonzero"
+            f"{Fraction(c, den)} is nonzero"
         )
     return False
+
+
+def _over(c: int, num, den: int, d):
+    """(c * num) / (den * d) for polynomials num and d, coprime, and
+    integers c and den != 0."""
+    return RationalFunction._coprime(num.scale(c), d.scale(den))
 
 
 def _d4_letter(name: str, c, den: int, tt, x, y, z, w):
     """D4's letter `name` at the D4 parameters c / den (integers c) on the D4
     solution (x, y, z, w) in s, with t = tt = ±s: the image's components in s.
-    s_i acts through its own parameter c_i / den, the one Fraction it makes."""
-    param = Fraction(c[int(name[1])], den) if name[0] == "s" else None
+    s_i acts through its own parameter c_i / den, scaling by the integers."""
+    ci = c[int(name[1])] if name[0] == "s" else None
     if name == "s0":
         d = y - 1
-        if _acts(name, d, param):
-            x = x + param / d
+        if _acts(name, d, ci, den):
+            x = x + _over(ci, d.den, den, d.num)
     elif name == "s1":
-        if _acts(name, y, param):
-            x = x + param / y
+        if _acts(name, y, ci, den):
+            x = x + _over(ci, y.den, den, y.num)
     elif name == "s2":
         # y - c2 z/(xz - 1) and w - c2 x/(xz - 1) over xz's own factors: with
         # x = A/B, z = C/E reduced, k = gcd(A, E), h = gcd(C, B), A = kA1,
@@ -230,17 +236,17 @@ def _d4_letter(name: str, c, den: int, tt, x, y, z, w):
         # k A1 E1/(h M) once gcd(M, h) and gcd(M, k) are cancelled
         (k, a1, e1), (h, c1, b1) = x.num.gcd(z.den, cofactors=True), z.num.gcd(x.den, cofactors=True)
         m = a1 * c1 - b1 * e1
-        if _acts(name, m, param):
+        if _acts(name, m, ci, den):
             (_, mh, h1), (_, mk, k1) = m.gcd(h, cofactors=True), m.gcd(k, cofactors=True)
-            y = y + RationalFunction._coprime((h1 * c1 * b1).scale(-param), k * mh)
-            w = w + RationalFunction._coprime((k1 * a1 * e1).scale(-param), h * mk)
+            y = y + _over(-ci, h1 * c1 * b1, den, k * mh)
+            w = w + _over(-ci, k1 * a1 * e1, den, h * mk)
     elif name == "s3":
-        if _acts(name, w, param):
-            z = z + param / w
+        if _acts(name, w, ci, den):
+            z = z + _over(ci, w.den, den, w.num)
     elif name == "s4":
         d = w - tt
-        if _acts(name, d, param):
-            z = z + param / d
+        if _acts(name, d, ci, den):
+            z = z + _over(ci, d.den, den, d.num)
     elif name == "pi1":
         x, y, z, w = -x, 1 - y, -z, -w
     elif name == "pi2":

@@ -241,21 +241,22 @@ def from_d4_alphas(system: System, alphas):
     return ((c0 - c1) / 2 if system is System.D5 else c0, c1, c2, c3, (c4 - c3) / 2)
 
 
-def _side(p_form: bool, c, b, inverted: bool, t, u, v, k):
-    """t*u' and t*v' on one side, (x, y) or (z, w), of the coupled system.
+def _side(p_form: bool, c, b, inverted: bool, t, u, v, v2, k2):
+    """t*u' and t*v' on one side, (x, y) or (z, w), of the coupled system,
+    given v2 = 2 * v.
 
     Its own part has the P form (x, y of D4) or the Q form (z, w of D4) with
     the parameters c and b, one formula in Horner form: (r, e, s) = (1, c, t)
-    for P and (t, -c, 1) for Q.  k is the other side's coupling coordinate;
-    the coupling term of the Hamiltonian is -2 * y * w in D4 coordinates, and
-    on an inverted side y or w is -u*(u*v + b).  Factored, the field keeps the
-    expanded one's B (`_degree_bounds`), as a + max(b, c) = max(a + b, a + c).
+    for P and (t, -c, 1) for Q.  k2 is twice the other side's coupling
+    coordinate k; the coupling term of the Hamiltonian is -2 * y * w in D4
+    coordinates, and on an inverted side y or w is -u*(u*v + b).  Factored,
+    the field keeps the expanded one's B (`_degree_bounds`), as
+    a + max(b, c) = max(a + b, a + c).
     """
     r, e, s = (1, c, t) if p_form else (t, -c, 1)
-    k2 = 2 * k
     if inverted:
-        return u * (u * (2 * v - r + k2) + e) + s, v * (2 * u * (r - v - k2) - e) + b * (r - k2)
-    return u * (u * (2 * v - r) + e) + s - k2, v * (2 * u * (r - v) - e) + b * r
+        return u * (u * (v2 - r + k2) + e) + s, v * (2 * u * (r - v - k2) - e) + b * (r - k2)
+    return u * (u * (v2 - r) + e) + s - k2, v * (2 * u * (r - v) - e) + b * r
 
 
 def vector_field(system: System, chart: Chart, alphas):
@@ -278,10 +279,12 @@ def vector_field(system: System, chart: Chart, alphas):
     g = 1 - a3 - c4 + (2 * a3 if z_inverted else 0)
 
     def field(t, x, y, z, w):
-        ky = -x * (x * y + a1) if x_inverted else y
-        kw = -z * (z * w + a3) if z_inverted else w
-        return (*_side(not x_inverted, s, a1, x_inverted, t, x, y, kw),
-                *_side(z_inverted, g, a3, z_inverted, t, z, w, ky))
+        # a side in D4's coordinates couples the other by 2v, which it takes itself
+        y2, w2 = 2 * y, 2 * w
+        ky2 = 2 * (-x * (x * y + a1)) if x_inverted else y2
+        kw2 = 2 * (-z * (z * w + a3)) if z_inverted else w2
+        return (*_side(not x_inverted, s, a1, x_inverted, t, x, y, y2, kw2),
+                *_side(z_inverted, g, a3, z_inverted, t, z, w, w2, ky2))
 
     return field
 

@@ -329,10 +329,10 @@ def test_compiled_programs_store_no_value_they_never_read(monkeypatch):
 # per system and chart, the steps one call of the float and of the pair
 # program takes: the field in Horner form
 _INNER_STEPS = {
-    (System.B4, Chart.AFFINE): (35, 39), (System.B4, Chart.M3): (29, 33),
-    (System.D4, Chart.AFFINE): (29, 33),
-    (System.D5, Chart.AFFINE): (42, 46), (System.D5, Chart.R1): (35, 39),
-    (System.D5, Chart.R3): (36, 40), (System.D5, Chart.R5): (29, 33),
+    (System.B4, Chart.AFFINE): (34, 38), (System.B4, Chart.M3): (27, 31),
+    (System.D4, Chart.AFFINE): (27, 31),
+    (System.D5, Chart.AFFINE): (42, 46), (System.D5, Chart.R1): (34, 38),
+    (System.D5, Chart.R3): (35, 39), (System.D5, Chart.R5): (27, 31),
 }
 
 
@@ -361,16 +361,17 @@ def test_compiled_programs_take_the_steps_of_the_horner_form(monkeypatch):
                      for kind, count in zip(("float", "pair"), counts)}
 
 
-def expanded_side(p_form: bool, c, b, inverted: bool, t, u, v, k):
+def expanded_side(p_form: bool, c, b, inverted: bool, t, u, v, v2, k2):
     """`systems._side` as it was written before its Horner form, monomial by
-    monomial: the reference for the degree bound and the field's values."""
+    monomial, with k2 = 2 * k and v2 unused: the reference for the degree
+    bound and the field's values."""
     if p_form:
         du, dv = 2 * u * u * v - u * u + c * u + t, -2 * u * v * v + 2 * u * v - c * v + b
     else:
         du, dv = 2 * u * u * v - t * u * u - c * u + 1, -2 * u * v * v + 2 * t * u * v + c * v + b * t
     if inverted:
-        return du + 2 * k * u * u, dv - 2 * k * (2 * u * v + b)
-    return du - 2 * k, dv
+        return du + k2 * u * u, dv - k2 * (2 * u * v + b)
+    return du - k2, dv
 
 
 @pytest.mark.parametrize("system, chart", list(systems.INVERTED_SIDES))

@@ -44,7 +44,7 @@ from sasano.backlund import PRIMITIVES
 from sasano.classify import classify
 from sasano import verify
 from sasano.systems import hamiltonian_polynomial, vector_field
-from sasano.verify import IntegratorFailed, _dopri5
+from sasano.verify import IntegratorFailed, _dop853
 
 T = RF.t()
 HALF = RF.const(F(1, 2))
@@ -278,34 +278,35 @@ def test_constructed_solutions_pass_numeric_check():
         checked += 1
 
 
-def test_dopri5_lands_on_the_stops_of_a_known_flow():
+def test_dop853_lands_on_the_stops_of_a_known_flow():
     # y' = y and z' = -2 t z from (1, 1) at t = 0: e**t and exp(-t**2)
     stops = [k / 8 for k in range(1, 17)]
-    states = _dopri5(lambda t, v: (v[0], -2 * t * v[1]), 0.0, (1.0, 1.0), stops)
+    states = _dop853(lambda t, v: (v[0], -2 * t * v[1]), 0.0, (1.0, 1.0), stops)
     assert len(states) == len(stops)
     for t, (y, z) in zip(stops, states):
         assert abs(y - math.exp(t)) <= 1e-10 * math.exp(t)
         assert abs(z - math.exp(-t * t)) <= 1e-10
 
 
-def test_dopri5_reports_blow_up():
+def test_dop853_reports_blow_up():
     # y' = y**2 from y(0) = 1 is 1/(1 - t), which leaves every float before t = 1
     with pytest.raises(IntegratorFailed):
-        _dopri5(lambda t, v: (v[0] * v[0],), 0.0, (1.0,), [0.5, 2.0])
+        _dop853(lambda t, v: (v[0] * v[0],), 0.0, (1.0,), [0.5, 2.0])
 
 
-def test_dopri5_stops_at_its_step_budget():
-    # y' = 50 y on [0, 10] stays finite but needs ~33,000 steps at these
-    # tolerances; one stop gives the floor of 10,000 steps
+def test_dop853_stops_at_its_step_budget():
+    # x' = 1000 y, y' = -1000 x on [0, 10] stays on the unit circle but
+    # needs ~50,000 steps at these tolerances; one stop gives the floor of
+    # 10,000 steps, each of 11 calls and one more when it is accepted
     calls = []
 
     def f(t, v):
         calls.append(t)
-        return [50 * v[0]]
+        return [1000 * v[1], -1000 * v[0]]
 
     with pytest.raises(IntegratorFailed, match=r"at t = 2\.\d+: budget of 10000 steps spent"):
-        _dopri5(f, 0.0, [1.0], [10.0])
-    assert len(calls) == 2 + 6 * 10_000
+        _dop853(f, 0.0, [1.0, 0.0], [10.0])
+    assert 2 + 11 * 10_000 < len(calls) <= 2 + 12 * 10_000
 
 
 @pytest.mark.parametrize("system", [System.B4, System.D4, System.D5])
