@@ -197,7 +197,7 @@ def invert_word(w: GeneratorWord) -> GeneratorWord:
 T_FLIP = ("pi1", "pi2")
 
 
-def _acts(name: str, d, c, den: int = 1) -> bool:
+def _acts(name: str, d, c, den: int) -> bool:
     """Whether a letter dividing by d acts: if d is identically zero, the
     letter is the identity when its parameter c / den vanishes, else undefined."""
     if not d.is_zero():

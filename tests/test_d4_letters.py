@@ -223,7 +223,7 @@ def _written_s_side(name, b, inverted, u, v):
         # in D4's coordinates the side is (1/u, -b*u) and its image
         # (0, -b*u), which only D4's coordinates can hold
         return (True, u, v) if b == 0 else (False, RF.ZERO, -b * u)
-    if not backlund._acts(name, v, b):
+    if not backlund._acts(name, v, b, 1):
         return inverted, u, v
     u = u + b / v
     if inverted and u.is_zero():  # v == 0 in D4 coordinates, with b != 0
@@ -237,7 +237,7 @@ def _written_letter(name, c, x_inv, z_inv, x, y, z, w):
     Returns the image's flags and components, before any t -> -t.  No
     system meets s0, s4 or pi4 on an inverted side."""
     if name == "s0":
-        if backlund._acts(name, y - 1, c[0]):
+        if backlund._acts(name, y - 1, c[0], 1):
             x = x + c[0] / (y - 1)
     elif name == "s1":
         x_inv, x, y = _written_s_side(name, c[1], x_inv, x, y)
@@ -247,13 +247,13 @@ def _written_letter(name, c, x_inv, z_inv, x, y, z, w):
         # turns them into x - z and (1, -1)
         mixed = x_inv != z_inv
         d = x - z if mixed else x * z - 1
-        if backlund._acts(name, d, c[2]):
+        if backlund._acts(name, d, c[2], 1):
             dy, dw = (1, -1) if mixed else (z, x)
             y, w = y - c[2] * dy / d, w - c[2] * dw / d
     elif name == "s3":
         z_inv, z, w = _written_s_side(name, c[3], z_inv, z, w)
     elif name == "s4":
-        if backlund._acts(name, w - T, c[4]):
+        if backlund._acts(name, w - T, c[4], 1):
             z = z + c[4] / (w - T)
     elif name == "pi1":
         y = -y + (c[0] - c[1]) / x - 1 / (x * x) if x_inv else 1 - y

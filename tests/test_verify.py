@@ -294,19 +294,29 @@ def test_dop853_reports_blow_up():
         _dop853(lambda t, v: (v[0] * v[0],), 0.0, (1.0,), [0.5, 2.0])
 
 
-def test_dop853_stops_at_its_step_budget():
+def test_dop853_stops_at_its_step_budget(monkeypatch):
     # x' = 1000 y, y' = -1000 x on [0, 10] stays on the unit circle but
     # needs ~50,000 steps at these tolerances; one stop gives the floor of
-    # 10,000 steps, each of 11 calls and one more when it is accepted
-    calls = []
+    # 10,000 steps, each of 11 calls and one more when it is accepted, after
+    # the 2 calls of the first-step rule
+    calls, errors = [], []
 
     def f(t, v):
         calls.append(t)
         return [1000 * v[1], -1000 * v[0]]
 
+    def counted(f, t, h, y, k1):
+        y_new, error, stages = step(f, t, h, y, k1)
+        errors.append(error)
+        return y_new, error, stages
+
+    step = verify._dop853_step
+    monkeypatch.setattr(verify, "_dop853_step", counted)
     with pytest.raises(IntegratorFailed, match=r"at t = 2\.\d+: budget of 10000 steps spent"):
         _dop853(f, 0.0, [1.0, 0.0], [10.0])
-    assert 2 + 11 * 10_000 < len(calls) <= 2 + 12 * 10_000
+    accepted = sum(error < 1 for error in errors)
+    assert len(errors) == 10_000 and 0 < accepted < 10_000
+    assert len(calls) == 2 + 11 * 10_000 + accepted
 
 
 @pytest.mark.parametrize("system", [System.B4, System.D4, System.D5])
