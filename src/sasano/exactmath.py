@@ -13,9 +13,9 @@ Representation invariants:
     the image on first read.
   * ``RationalFunction`` stores num/den with gcd(num, den) = 1 and a
     monic denominator; this canonical form makes ``==`` structural.
-  * ``LaurentSeries`` is a finite coefficient window of the expansion of
-    a rational function at t = 0, t = infinity, or a finite point c, a
-    series in the local parameter u = t, 1/t or t - c.  One sign,
+  * ``LaurentSeries`` is a finite window of the expansion of a rational
+    function at t = 0, t = infinity, or a finite point c, held as a
+    ``Polynomial`` in the local parameter u = t, 1/t or t - c.  One sign,
     ``ExpansionPoint._sign``, orients it: at infinity the window runs in
     descending powers of t.  Sums and products keep the window both
     operands support; a coefficient read outside it raises.
@@ -136,14 +136,15 @@ class Polynomial:
 
     @staticmethod
     def const(c: RatLike) -> "Polynomial":
-        return Polynomial([rat(c)])
+        return Polynomial.t(0, c)
 
     @staticmethod
     def t(power: int = 1, coeff: RatLike = 1) -> "Polynomial":
         """The monomial coeff * t**power."""
         if power < 0:
             raise ValueError("monomial power must be >= 0")
-        return Polynomial([0] * power + [rat(coeff)])
+        coeff = rat(coeff)
+        return Polynomial._from_ints([0] * power + [coeff.numerator], 1, coeff.denominator)
 
     ZERO: "Polynomial"
     ONE: "Polynomial"
@@ -845,17 +846,24 @@ def finite_point(c: RatLike) -> ExpansionPoint:
 class LaurentSeries(Record):
     """Truncated Laurent expansion.
 
-    ``coeffs[i]`` is the coefficient of t**(lead - i) at infinity and of
-    (t - c)**(lead + i) elsewhere; ``order`` is the last exponent inside
-    the truncation window (the smallest kept at infinity, the largest
-    kept at finite points).  The first coefficient is nonzero unless the
-    function vanishes identically up to the truncation.
+    ``poly`` (a `Polynomial` or a coefficient sequence) is the window in u:
+    its u**i coefficient is that of t**(lead - i) at infinity and of
+    (t - c)**(lead + i) elsewhere.  ``order`` is the last exponent kept
+    (the smallest at infinity, the largest at finite points).  The u**0
+    coefficient is nonzero unless the function vanishes up to the
+    truncation: then poly is zero and lead is order.
     """
 
-    __slots__ = ("point", "lead", "coeffs", "order")
+    __slots__ = ("point", "lead", "poly", "order")
 
-    def __init__(self, point: ExpansionPoint, lead: int, coeffs: tuple, order: int):
-        self._fill(point, lead, coeffs, order)
+    def __init__(self, point: ExpansionPoint, lead: int, poly, order: int):
+        self._fill(point, lead, poly if isinstance(poly, Polynomial) else Polynomial(poly), order)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The window from lead to order as Fractions; () for the zero series."""
+        cs = self.poly.coeffs
+        return cs and cs + (Fraction(0),) * (self.point._sign * (self.order - self.lead) + 1 - len(cs))
 
     def exponents(self):
         step = self.point._sign
@@ -864,37 +872,30 @@ class LaurentSeries(Record):
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of exponent k; raises outside the known window."""
         sign = self.point._sign
-        i = sign * (k - self.lead)
-        if i < 0:
-            return Fraction(0)
         if sign * (k - self.order) > 0:
             raise ValueError(f"exponent {k} {'below' if sign < 0 else 'above'} truncation {self.order}")
-        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
+        return self.poly.coefficient(sign * (k - self.lead))
 
     def __add__(self, other) -> "LaurentSeries":
         """Sum, truncated to the window both terms support; a scalar is
         the constant series with this series' window."""
         if isinstance(other, (int, Fraction)):
-            other = LaurentSeries(self.point, 0, (Fraction(other),), self.order)
+            other = LaurentSeries(self.point, 0, Polynomial.const(other), self.order)
         elif not isinstance(other, LaurentSeries):
             return NotImplemented
         elif self.point != other.point:
             raise ValueError("series expanded at different points")
         sign = self.point._sign
         pick = min if sign > 0 else max
-        lead, order = pick(self.lead, other.lead), pick(self.order, other.order)
-        out = [Fraction(0)] * max(sign * (order - lead) + 1, 0)
-        for s in (self, other):
-            off = abs(s.lead - lead)  # where s's coefficients start in out
-            for k, c in enumerate(s.coeffs[:max(len(out) - off, 0)], off):
-                if c:
-                    out[k] = out[k] + c if out[k] else c
-        return _normalize_series(self.point, lead, out, order)
+        lead = pick(self.lead, other.lead)
+        # each image moves up by its lead's distance from the common lead
+        a, b = (_shifted(s.poly, sign * (s.lead - lead)) for s in (self, other))
+        return _window(self.point, lead, a + b, pick(self.order, other.order))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.point, self.lead, tuple(-c for c in self.coeffs), self.order)
+        return self * -1
 
     def __sub__(self, other) -> "LaurentSeries":
         return self + (-other)
@@ -906,42 +907,38 @@ class LaurentSeries(Record):
         """Product, truncated to the window both factors can support; a
         scalar scales every coefficient."""
         if isinstance(other, (int, Fraction)):
-            return _normalize_series(self.point, self.lead, [c * other for c in self.coeffs],
-                                     self.order)
+            return _window(self.point, self.lead, self.poly.scale(other), self.order)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         if self.point != other.point:
             raise ValueError("series expanded at different points")
-        sign = self.point._sign
-        lead = self.lead + other.lead
-        order = (min if sign > 0 else max)(self.order + other.lead, other.order + self.lead)
-        out = [Fraction(0)] * max(sign * (order - lead) + 1, 0)
-        for i, a in enumerate(self.coeffs[:len(out)]):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs[:len(out) - i]):
-                if b:
-                    out[i + j] += a * b
-        return _normalize_series(self.point, lead, out, order)
+        order = (min if self.point._sign > 0 else max)(self.order + other.lead, other.order + self.lead)
+        return _window(self.point, self.lead + other.lead, self.poly * other.poly, order)
 
     __rmul__ = mul = __mul__
 
 
-def _normalize_series(point, lead, coeffs, order) -> LaurentSeries:
-    step = point._sign
-    i = 0
-    while i < len(coeffs) and coeffs[i] == 0:
-        i += 1
-    if i == len(coeffs):
-        return LaurentSeries(point, order, (), order)
-    return LaurentSeries(point, lead + step * i, tuple(coeffs[i:]), order)
+def _shifted(p: Polynomial, k: int) -> Polynomial:
+    """t**k * p for k >= 0, on the image."""
+    ints, sn, sd = p._ints
+    return Polynomial._from_ints([0] * k + list(ints), sn, sd) if k else p
 
 
-def _series_quotient(n, d, scale: Fraction, terms: int) -> list:
-    """Power-series coefficients at u = 0 of scale * n/d, for integer
-    coefficient lists n and d in u; d[0] must be nonzero.  Over Z,
-    v_k = d0**(k+1) [u**k](n/d) = d0**k n_k - sum_(j>=1) d_j d0**(j-1) v_(k-j),
-    so each coefficient takes one Fraction."""
+def _window(point, lead, poly, order) -> LaurentSeries:
+    """The series of poly's u**i coefficients at the exponents lead + sign *
+    i, cut at order, with lead moved past poly's leading zeros."""
+    ints, sn, sd = poly._ints
+    ints = ints[:max(point._sign * (order - lead) + 1, 0)]
+    k = next((i for i, c in enumerate(ints) if c), len(ints))
+    window = poly if not k and len(ints) == poly._n else Polynomial._from_ints(list(ints[k:]), sn, sd)
+    return LaurentSeries(point, lead + point._sign * k if window else order, window, order)
+
+
+def _series_quotient(n, d, scale: Fraction, terms: int) -> Polynomial:
+    """scale * n/d at u = 0 up to u**(terms - 1), for integer coefficient
+    lists n and d in u with d[0] nonzero, as the integers v_k d0**(terms-1-k)
+    over the one denominator d0**terms, where over Z v_k = d0**(k+1)
+    [u**k](n/d) = d0**k n_k - sum_(j>=1) d_j d0**(j-1) v_(k-j)."""
     d0 = d[0]
     if not d0:
         raise ValueError("denominator vanishes at the expansion point")
@@ -950,7 +947,8 @@ def _series_quotient(n, d, scale: Fraction, terms: int) -> list:
     for k in range(terms):
         v.append((n[k] * power if k < len(n) else 0) - sum(c * w for c, w in zip(dj, reversed(v))))
         power *= d0
-    return [Fraction(w * scale.numerator, scale.denominator * d0 ** (k + 1)) for k, w in enumerate(v)]
+    return Polynomial._from_ints([w * d0 ** (terms - 1 - k) for k, w in enumerate(v)],
+                                 scale.numerator, scale.denominator * power)
 
 
 def laurent_expand(f: RationalFunction, point: ExpansionPoint, order: int | None = None) -> LaurentSeries:
@@ -960,12 +958,12 @@ def laurent_expand(f: RationalFunction, point: ExpansionPoint, order: int | None
     (ascending); at infinity ``order`` bounds the depth in powers of 1/t:
     exponents lead..-order (descending) are kept.  By default the window
     extends 8 exponents past the lead.  Every point takes one power-series
-    quotient in its local parameter u (t, 1/t or t - c).
+    quotient in its local parameter u (t, 1/t or t - c): the window.
     """
     sign = point._sign
     if f.is_zero():
         edge = 0 if order is None else sign * order
-        return LaurentSeries(point, edge, (), edge)
+        return LaurentSeries(point, edge, Polynomial.ZERO, edge)
     # f = scale * n(u) / d(u) over integer lists in the local parameter u
     n, d, sn, sd = f._image()
     b = point.c.denominator if point.kind == "finite" else 1
@@ -983,9 +981,10 @@ def laurent_expand(f: RationalFunction, point: ExpansionPoint, order: int | None
     if order is None:
         order = lead + 8
     if order < lead:
-        return LaurentSeries(point, sign * order, (), sign * order)
-    coeffs = _series_quotient(n[i:], d[j:], scale, order - lead + 1)
-    return _normalize_series(point, sign * lead, coeffs, sign * order)
+        return LaurentSeries(point, sign * order, Polynomial.ZERO, sign * order)
+    # the quotient's u**0 coefficient is n[i] / d[j], nonzero: lead stays
+    window = _series_quotient(n[i:], d[j:], scale, order - lead + 1)
+    return LaurentSeries(point, sign * lead, window, sign * order)
 
 
 def residue(f: RationalFunction, c: RatLike) -> Fraction:

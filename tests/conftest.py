@@ -11,6 +11,7 @@ from sasano import (
     Chart,
     ChartMismatch,
     ParameterTuple,
+    Polynomial,
     RF,
     RationalFunction,
     SolutionTuple,
@@ -180,6 +181,21 @@ def invert_side_reference(u, v, b):
     `RationalFunction`s each operation reduces its result by full gcds, and
     it takes any other values too, such as sympy symbols."""
     return 1 / u, -u * (u * v + b)
+
+
+def tau_functions(sol: SolutionTuple) -> tuple[Polynomial, Polynomial]:
+    """(σ, ρ) read off a D4 solution at the site (1/2 + i, g2 + k, j, g4 + l)
+    of the τ lattice: σ(i, k) = gcd(x.den, y.num), and ρ(j, l) the cofactor
+    of gcd(z.den/t, w.num/t) in z.den/t, both monic."""
+    t = Polynomial.t()
+    rho = (sol.z.den // t).gcd(sol.w.num // t, cofactors=True)[1]
+    return sol.x.den.gcd(sol.y.num), rho.monic()
+
+
+def hirota(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Hirota's bilinear derivative D(f·g) = g·δf − f·δg, with δ = t·d/dt."""
+    t = Polynomial.t()
+    return g * (t * f.derivative()) - f * (t * g.derivative())
 
 
 def hamiltonian(params: ParameterTuple, sol: SolutionTuple) -> RationalFunction:

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from sasano import (
     INFINITY,
+    LaurentSeries,
     Polynomial,
     RF,
     RationalFunction,
@@ -23,7 +24,13 @@ from sasano import (
     rational_roots,
     residue,
 )
-from sasano.exactmath import _series_quotient, _taylor_shift, float_function, has_real_root
+from sasano.exactmath import (
+    _series_quotient,
+    _taylor_shift,
+    float_function,
+    has_real_root,
+    series_to_json,
+)
 
 T = RF.t()
 
@@ -593,7 +600,9 @@ def test_series_quotient_matches_the_fraction_recursion(num, den, terms):
     assume(den.coefficient(0) != 0)
     (n, nn, nd), (d, dn, dd) = num._ints, den._ints
     scale = F(nn, nd) / F(dn, dd)
-    assert _series_quotient(n, d, scale, terms) == _fraction_series(num, den, terms)
+    got = _series_quotient(n, d, scale, terms)
+    assert [got.coefficient(k) for k in range(terms)] == _fraction_series(num, den, terms)
+    assert got.degree < terms
 
 
 def _condition(p, t: F) -> F:
@@ -807,6 +816,15 @@ def _window_arg(series):
        orders=st.tuples(st.integers(-3, 6), st.integers(-3, 6)))
 @example(f=RF.ZERO, g=T / (T - 1), c=F(2), point=INFINITY, orders=(2, 2))
 @example(f=RF.t(-2), g=RF.ZERO, c=F(0), point=ZERO_POINT, orders=(1, 3))
+# a scalar 0 on the zero series: `0 * s` and `s + 0` stay the zero series
+@example(f=RF.ZERO, g=T + 1, c=F(0), point=INFINITY, orders=(3, 1))
+# two zero operands
+@example(f=RF.ZERO, g=RF.ZERO, c=F(1, 2), point=ZERO_POINT, orders=(-1, 2))
+# a constant added where the window ends before exponent 0
+@example(f=RF.t(-3) / (T - 1), g=T, c=F(5), point=ZERO_POINT, orders=(-2, 0))
+@example(f=RF.t(3, 2) + T, g=1 / T, c=F(-3, 2), point=INFINITY, orders=(-1, 2))
+# an empty window: T + 1 is 3/2 at t = 1/2, and order -1 keeps nothing
+@example(f=T + 1, g=T - F(1, 2), c=F(2), point=finite_point(F(1, 2)), orders=(-1, 2))
 def test_series_arithmetic_matches_expansion_of_the_result(f, g, c, point, orders):
     sf, sg = (laurent_expand(h, point, order) for h, order in zip((f, g), orders))
     cases = [
@@ -821,6 +839,16 @@ def test_series_arithmetic_matches_expansion_of_the_result(f, g, c, point, order
     ]
     for got, exact in cases:
         assert got == laurent_expand(exact, point, _window_arg(got))
+
+
+def test_series_coeffs_read_the_whole_window():
+    # from the lead to the order, trailing zeros kept; nothing for the zero series
+    assert series_to_json(laurent_expand(T, ZERO_POINT, 3))["coeffs"] == ["1", "0", "0"]
+    s = LaurentSeries(INFINITY, 1, (F(1),), -3)
+    assert s.coeffs == (1, 0, 0, 0, 0) and list(s.exponents()) == [1, 0, -1, -2, -3]
+    assert s == LaurentSeries(INFINITY, 1, Polynomial.ONE, -3)
+    empty = laurent_expand(T, ZERO_POINT, -1)
+    assert (empty.lead, empty.coeffs, empty.order, list(empty.exponents())) == (-1, (), -1, [])
 
 
 def _inverted(p):

@@ -13,10 +13,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import from_lattice
+from conftest import from_lattice, hirota, tau_functions
 from sasano import (
     NormalizationFailed,
     ParameterTuple,
+    Polynomial,
+    RF,
     System,
     act_word,
     condition_holds,
@@ -176,3 +178,38 @@ def test_all_three_systems_construct_the_same_d4_solution(pair, swap, half, inte
         q = ParameterTuple(system, from_d4_alphas(system, p.alphas))
         image = _d4_image(q, construct_rational_solution(q).solution)
         assert image == (p, expected), (system, f)
+
+
+# the sites (i, k, j, l) of the τ lattice's family (1/2 + i, g2 + k, j, g4 + l)
+_TAU_SITES = [(1, 0, 1, 0), (2, 1, 0, 0), (2, 0, 1, 0), (1, 0, 2, -1), (2, -1, 2, 1), (3, 2, 1, 1)]
+_G2, _G4 = F(1, 3), F(2, 5)
+
+
+@pytest.mark.parametrize("i, k, j, l", _TAU_SITES)
+def test_d4_construction_has_the_tau_form(i, k, j, l):
+    """D4's constructed solution at a site is written in σ and ρ, each read
+    off the construction at its own site: x = D(σ(i,k)·σ(i+1,k)) /
+    (σ(i,k)·σ(i+1,k)), y = σ(i,k)·σ(i+1,k−1)/τ, z.den = t·ρ(j,l)·ρ(j,l+1)
+    and w = t·ρ(j,l+1)·ρ(j+1,l)/τ, with τ's σ form equal to its ρ form;
+    σ satisfies Rσ with the site's a0 and a1, and the degrees follow the
+    laws deg σ = i(i−1) + j², deg ρ = j(j−1) + i², deg τ = 2(i² + j²)."""
+    def at(di=0, dk=0, dj=0, dl=0):
+        p = from_lattice(System.D4, HALF + i + di, _G2 + k + dk, j + dj, _G4 + l + dl)
+        return p, construct_rational_solution(p).solution
+
+    p, sol = at()
+    s00, r00 = tau_functions(sol)
+    s10, s0m, s1m = (tau_functions(at(di, dk)[1])[0] for di, dk in ((1, 0), (0, -1), (1, -1)))
+    r01, r10, r11 = (tau_functions(at(dj=dj, dl=dl)[1])[1] for dj, dl in ((0, 1), (1, 0), (1, 1)))
+    t = Polynomial.t()
+    tau = s00 * s1m + s0m * s10
+    assert tau == r00 * r11 + r01 * r10
+    assert sol.x.den == s00 * s10
+    assert sol.x == RF(hirota(s00, s10), s00 * s10)
+    assert sol.y == RF(s00 * s1m, tau)
+    assert sol.z.den == t * r00 * r01
+    assert sol.w == RF(t * r01 * r10, tau)
+    a0, a1 = p.alphas[:2]
+    assert (s10 * s0m).scale(a1) == hirota(s1m, s00) + (s1m * s00).scale(a0)
+    assert (s00.degree, r00.degree, tau.degree) == (i * (i - 1) + j * j, j * (j - 1) + i * i,
+                                                    2 * (i * i + j * j))

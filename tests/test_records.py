@@ -16,6 +16,7 @@ from sasano import (
     InvariantReport,
     LaurentSeries,
     ParameterTuple,
+    Polynomial,
     RF,
     SolutionTuple,
     System,
@@ -31,7 +32,8 @@ REPORT = (F(1), F(0), True, F(0), F(1, 2), F(1, 2), True, ((F(1), F(2), True),))
 
 # record: (fields in order, other values, defaults the constructor supplies)
 CASES = {
-    LaurentSeries: ((ZERO_POINT, -1, (F(1), F(2)), 3), (ZERO_POINT, -1, (F(1), F(3)), 3), {}),
+    LaurentSeries: ((ZERO_POINT, -1, Polynomial([1, 2]), 3), (ZERO_POINT, -1, Polynomial([1, 3]), 3),
+                    {}),
     InvariantReport: ((*REPORT, True), (*REPORT, False), {"unchecked_irrational_poles": False}),
     ParameterTuple: ((System.B4, tuple(map(F, ALPHAS))), (System.D4, tuple(map(F, ALPHAS))), {}),
     SolutionTuple: ((Chart.AFFINE, RF.ZERO, RF.const(F(1, 2)), T * 2, RF.ZERO),
